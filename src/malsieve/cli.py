@@ -26,11 +26,11 @@ from . import ensemble as ens
 from . import experiment as exp
 from .errors import DimensionMismatch, FormatError, InvalidConfig, MalsieveError
 from .evaluation import compute_metrics
-from .ga import format_ga_report, run_ga
-from .learners import LearnerSpec, predict_labels
+from .ga import GAConfig, format_ga_report, precompute_predictions, run_ga
+from .learners import LearnerSpec
 from .records import format_record, load_records
-from .rng import derive_seed
 from .vectorize import (
+    Dataset,
     build_vocabulary,
     load_dataset,
     load_vocabulary,
@@ -43,6 +43,8 @@ from .vectorize import (
 _EXIT_OK = 0
 _EXIT_FAILURE = 1
 _EXIT_USAGE = 2
+
+_PREDICT_BLOCK = 32  # samples densified at once by predict
 
 
 def _log(message: str) -> None:
@@ -150,14 +152,15 @@ def cmd_train_pool(args: argparse.Namespace) -> int:
 def cmd_select(args: argparse.Namespace) -> int:
     pool = ens.load_pool(args.pool)
     data = load_dataset(args.dataset)
-    config = exp.ExperimentConfig(
+    config = GAConfig(
         pop_size=args.pop_size,
         max_iter=args.max_iter,
         crossover_rate=args.crossover_rate,
         mutation_rate=args.mutation_rate,
         elite_count=args.elite_count,
+        rng_seed=args.seed,
         diversity_norm=args.diversity_norm,
-    ).ga_config(args.seed)
+    )
     result = run_ga(pool, data, config=config)
     ens.save_selection(result.omega, args.out)
     report = format_ga_report(result, config)
@@ -180,8 +183,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.selection
         else ens.WeightVector.ones(pool.size)
     )
-    from .ga import precompute_predictions
-
     matrix = precompute_predictions(pool, data)
     votes = ens.majority_vote_matrix(matrix, omega)
     report = compute_metrics(votes, data.label_array())
@@ -223,9 +224,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
         ids = [r.app_id for r in records]
         vectors = [vectorize(r, vocab) for r in records]
     out_lines = []
-    for app_id, vector in zip(ids, vectors):
-        label = ens.vote(pool, omega, vector)
-        out_lines.append(f"{app_id}\t{'+1' if label == 1 else '-1'}")
+    # densify a block of samples at a time, so memory stays flat in the
+    # batch size
+    for start in range(0, len(vectors), _PREDICT_BLOCK):
+        block = Dataset(vectors[start : start + _PREDICT_BLOCK], dimension=pool.dim)
+        votes = ens.majority_vote_matrix(precompute_predictions(pool, block), omega)
+        for app_id, label in zip(ids[start:], votes):
+            out_lines.append(f"{app_id}\t{'+1' if label == 1 else '-1'}")
     _write_text(args.out, "".join(line + "\n" for line in out_lines))
     return _EXIT_OK
 

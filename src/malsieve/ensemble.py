@@ -1,7 +1,8 @@
 """Bootstrap pool construction and majority voting.
 
 A pool holds N learners, each trained on its own bootstrap replicate
-(M draws with replacement from the M training samples). A binary weight
+(M draws with replacement from the M training samples), kept as row
+indices into the one dense matrix of the training set. A binary weight
 vector picks the sub-ensemble that actually votes: the prediction is the
 sign of the sum of the selected learners' +1/-1 outputs, with a tied sum
 counting as malicious. Deselected learners cannot influence the outcome.
@@ -20,8 +21,9 @@ from .errors import (
     DimensionMismatch,
     EmptyDataset,
     FormatError,
+    with_context,
 )
-from .learners import LearnerSpec, TrainedLearner, load_model, save_model, train
+from .learners import LearnerSpec, TrainedLearner, load_model, save_model, train_rows
 from .rng import derive_seed, make_rng
 from .vectorize import Dataset, FeatureVector
 
@@ -107,13 +109,17 @@ class SelectiveEnsemble:
         return vote(self.pool, self.omega, x)
 
 
-def bootstrap_sample(data: Dataset, seed: int) -> Dataset:
-    """M uniform draws with replacement; deterministic per seed."""
-    if len(data) == 0:
+def bootstrap_indices(m: int, seed: int) -> np.ndarray:
+    """Row indices of m uniform draws with replacement from range(m);
+    deterministic per seed."""
+    if m == 0:
         raise EmptyDataset("cannot bootstrap an empty dataset")
-    rng = make_rng(seed)
-    idx = rng.integers(0, len(data), size=len(data))
-    return data.subset(idx.tolist())
+    return make_rng(seed).integers(0, m, size=m)
+
+
+def bootstrap_sample(data: Dataset, seed: int) -> Dataset:
+    """The replicate that `bootstrap_indices` draws, as a dataset."""
+    return data.subset(bootstrap_indices(len(data), seed).tolist())
 
 
 def train_pool(
@@ -123,10 +129,15 @@ def train_pool(
 
     Seeds for replicate i and for its learner's own randomness are both
     derived from (master_seed, i), so the pool is a pure function of its
-    arguments and pool order is stable.
+    arguments and pool order is stable. The data is densified once; each
+    replicate is an array of row indices into that one matrix, and learner
+    i trains on those rows exactly as `train` would on
+    `bootstrap_sample(data, seed_i)`.
     """
     if n < 1:
         raise ValueError("pool size must be >= 1")
+    X = data.to_dense()
+    labels = data.label_array()
     learners: list[TrainedLearner] = []
     seeds: list[int] = []
     for i in range(n):
@@ -134,11 +145,11 @@ def train_pool(
         learner_spec = replace(
             spec, rng_seed=derive_seed(master_seed, "learner", i, spec.rng_seed)
         )
-        replicate = bootstrap_sample(data, boot_seed)
+        rows = bootstrap_indices(len(data), boot_seed)
         try:
-            learners.append(train(learner_spec, replicate))
+            learners.append(train_rows(learner_spec, X, labels, rows))
         except Exception as exc:
-            raise type(exc)(f"learner {i}: {exc}") from exc
+            raise with_context(exc, f"learner {i}") from exc
         seeds.append(boot_seed)
     return EnsemblePool(
         learners=tuple(learners), bootstrap_seeds=tuple(seeds), master_seed=master_seed

@@ -92,3 +92,25 @@ class LengthMismatch(MalsieveError):
 
 class InvalidConfig(MalsieveError):
     """Configuration value out of range or key unknown; names the key."""
+
+
+class RunFailed(MalsieveError):
+    """A pool learner or an experiment run raised an exception that is not
+    a MalsieveError; the original is the __cause__."""
+
+
+def with_context(exc: Exception, prefix: str) -> MalsieveError:
+    """The error to raise `from exc` when exc escaped the step `prefix`
+    names (e.g. "learner 3"); its message starts with "<prefix>: ".
+
+    A MalsieveError comes back as a copy of its own type with its
+    attributes, such as FormatError.line, intact. Its constructor is not
+    called, so any signature works. Any other exception becomes a
+    RunFailed naming the original type.
+    """
+    if not isinstance(exc, MalsieveError):
+        return RunFailed(f"{prefix}: {type(exc).__name__}: {exc}")
+    copy = type(exc).__new__(type(exc))
+    copy.__dict__.update(exc.__dict__)
+    copy.args = (f"{prefix}: {exc}",)
+    return copy

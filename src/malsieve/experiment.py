@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ensemble import WeightVector, majority_vote_matrix, train_pool
-from .errors import InvalidConfig
+from .errors import InvalidConfig, with_context
 from .evaluation import (
     METRIC_NAMES,
     MetricsReport,
@@ -355,7 +355,7 @@ def repeated_experiment(
             outcomes.append(run_one(source, config, r))
         except Exception as exc:
             if not config.allow_partial:
-                raise type(exc)(f"run {r}: {exc}") from exc
+                raise with_context(exc, f"run {r}") from exc
             outcomes.append(None)
             failures.append((r, f"{type(exc).__name__}: {exc}"))
 

@@ -16,7 +16,9 @@ favors real ensembles that disagree somewhere yet vote correctly.
 
 Predictions are +-1, so the pairwise distance reduces to
 2*sqrt(#disagreements); everything is evaluated on one precomputed
-(N learners x M samples) prediction matrix.
+(N learners x M samples) prediction matrix. A run turns that matrix into
+the (N x N) distance matrix once, so scoring a chromosome sums a k x k
+sub-block instead of touching all M samples again.
 
 The by-selected-count normalization makes the factor grow roughly
 linearly with ensemble size; diversity_norm="pairs" divides by the pair
@@ -73,30 +75,42 @@ def precompute_predictions(pool: EnsemblePool, data: Dataset) -> np.ndarray:
     return np.array(rows, dtype=np.int8)
 
 
-def _selected(matrix: np.ndarray, omega: WeightVector) -> np.ndarray:
+def pairwise_distances(matrix: np.ndarray) -> np.ndarray:
+    """(N x N) Euclidean distances between the +-1 prediction rows."""
+    P = matrix.astype(np.int64)
+    sq = 2 * (P.shape[1] - P @ P.T)  # (p_i - p_j)^2 sums over samples
+    return np.sqrt(sq.astype(np.float64))
+
+
+def diversity(
+    matrix: np.ndarray,
+    omega: WeightVector,
+    norm: str = "selected",
+    distances: np.ndarray | None = None,
+) -> float:
+    """Summed pairwise Euclidean distance between selected prediction
+    rows, divided by the selected count ("selected") or pair count ("pairs").
+    One selected learner has no pairs: the factor is 0.
+
+    `distances`, when given, is `pairwise_distances(matrix)`, computed once
+    by the caller; without it only the selected rows' distances are made.
+    """
+    if norm not in DIVERSITY_NORMS:
+        raise InvalidConfig(f"diversity norm must be one of {DIVERSITY_NORMS}")
     if matrix.shape[0] != len(omega):
         raise DimensionMismatch(
             f"matrix has {matrix.shape[0]} rows, weight vector {len(omega)}"
         )
     if omega.selected_count < 1:
         raise AllZeroWeights("no learners selected")
-    return matrix[omega.selected_indices()]
-
-
-def diversity(matrix: np.ndarray, omega: WeightVector, norm: str = "selected") -> float:
-    """Summed pairwise Euclidean distance between selected prediction
-    rows, divided by the selected count ("selected") or pair count ("pairs").
-    One selected learner has no pairs: the factor is 0.
-    """
-    if norm not in DIVERSITY_NORMS:
-        raise InvalidConfig(f"diversity norm must be one of {DIVERSITY_NORMS}")
-    sub = _selected(matrix, omega).astype(np.int64)
-    k, m = sub.shape
+    sel = omega.selected_indices()
+    k = len(sel)
     if k == 1:
         return 0.0
-    dots = sub @ sub.T
-    sq = 2 * (m - dots)  # (p_i - p_j)^2 sums over samples
-    dist = np.sqrt(sq.astype(np.float64))
+    if distances is None:
+        dist = pairwise_distances(matrix[sel])
+    else:
+        dist = distances[np.ix_(sel, sel)]
     total = float(np.sum(dist[np.triu_indices(k, 1)]))
     denom = k if norm == "selected" else k * (k - 1) // 2
     return total / denom
@@ -116,10 +130,12 @@ def fitness(
     labels: np.ndarray,
     omega: WeightVector,
     norm: str = "selected",
+    distances: np.ndarray | None = None,
 ) -> float:
-    """Majority-vote accuracy times diversity factor."""
+    """Majority-vote accuracy times diversity factor; `distances` as in
+    `diversity`."""
     return ensemble_accuracy_matrix(matrix, labels, omega) * diversity(
-        matrix, omega, norm
+        matrix, omega, norm, distances
     )
 
 
@@ -246,13 +262,14 @@ def run_ga(
     if not np.all(np.abs(y) == 1):
         raise ValueError("labels must be +-1")
 
+    distances = pairwise_distances(matrix)
     rng = make_rng(config.rng_seed, "ga")
     memo: dict[tuple[int, ...], float] = {}
 
     def evaluate(chrom: WeightVector) -> float:
         cached = memo.get(chrom.bits)
         if cached is None:
-            cached = fitness(matrix, y, chrom, config.diversity_norm)
+            cached = fitness(matrix, y, chrom, config.diversity_norm, distances)
             memo[chrom.bits] = cached
         return cached
 
@@ -279,7 +296,7 @@ def run_ga(
         omega=best_bits,
         fitness=best_fit,
         accuracy=ensemble_accuracy_matrix(matrix, y, best_bits),
-        diversity=diversity(matrix, best_bits, config.diversity_norm),
+        diversity=diversity(matrix, best_bits, config.diversity_norm, distances),
         history=tuple(history),
     )
 

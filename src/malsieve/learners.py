@@ -8,6 +8,10 @@ resolved to +1, the fail-safe direction for a detector.
 `loss_and_gradient` is the single source of truth for the objective; the
 training loop and the finite-difference checks in the test suite both go
 through it.
+
+`train_rows` is the one training routine. It reads its samples as rows of
+a dense matrix shared by every learner of a pool, so a bootstrap replicate
+is an index array and is never copied; `train` is its all-rows case.
 """
 
 from __future__ import annotations
@@ -123,8 +127,7 @@ def loss_and_gradient(
     n = X.shape[0]
     if kind == "linear":
         z = X @ params["w"] + params["b"][0]
-        loss = float(np.mean(np.logaddexp(0.0, -y * z)))
-        loss += 0.5 * l2 * float(params["w"] @ params["w"])
+        loss = _loss(kind, params, z, y, l2)
         gz = -y * _sigmoid(-y * z) / n
         return loss, {
             "w": X.T @ gz + l2 * params["w"],
@@ -133,10 +136,7 @@ def loss_and_gradient(
 
     H = np.tanh(X @ params["W1"] + params["b1"])
     z = H @ params["w2"] + params["b2"][0]
-    loss = float(np.mean(np.logaddexp(0.0, -y * z)))
-    loss += 0.5 * l2 * (
-        float(np.sum(params["W1"] ** 2)) + float(params["w2"] @ params["w2"])
-    )
+    loss = _loss(kind, params, z, y, l2)
     gz = -y * _sigmoid(-y * z) / n
     g_pre = (gz[:, None] * params["w2"][None, :]) * (1.0 - H * H)
     return loss, {
@@ -145,6 +145,18 @@ def loss_and_gradient(
         "w2": H.T @ gz + l2 * params["w2"],
         "b2": np.array([np.sum(gz)]),
     }
+
+
+def _loss(
+    kind: str, params: dict[str, np.ndarray], z: np.ndarray, y: np.ndarray, l2: float
+) -> float:
+    """The loss part of `loss_and_gradient`, from the margins z."""
+    loss = float(np.mean(np.logaddexp(0.0, -y * z)))
+    if kind == "linear":
+        return loss + 0.5 * l2 * float(params["w"] @ params["w"])
+    return loss + 0.5 * l2 * (
+        float(np.sum(params["W1"] ** 2)) + float(params["w2"] @ params["w2"])
+    )
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -168,27 +180,54 @@ def train(
     """
     if len(data) == 0:
         raise SingleClassData("empty dataset")
-    X = data.to_dense()
-    y = data.label_array().astype(np.float64)
+    return train_rows(
+        spec, data.to_dense(), data.label_array(), np.arange(len(data)), loss_history
+    )
+
+
+def train_rows(
+    spec: LearnerSpec,
+    X: np.ndarray,
+    labels: np.ndarray,
+    rows: np.ndarray,
+    loss_history: list[float] | None = None,
+) -> TrainedLearner:
+    """`train` on the dataset whose sample k is row rows[k] of X, labelled
+    labels[rows[k]].
+
+    X is only read, so one matrix serves every learner of a pool: each
+    minibatch is gathered into one buffer, and the epoch loss comes from
+    the margins of X picked by rows, so X[rows] is never built.
+    """
+    y = labels[rows].astype(np.float64)
     if not (np.any(y > 0) and np.any(y < 0)):
         raise SingleClassData("training data must contain both classes")
 
-    params = init_params(spec, data.dimension)
+    dim = X.shape[1]
+    params = init_params(spec, dim)
     rng = make_rng(spec.rng_seed, "order")
-    n = X.shape[0]
+    n = rows.shape[0]
     batch = n if spec.batch_size is None else min(spec.batch_size, n)
+    buf = np.empty((batch, dim))
+
+    def full_loss() -> float:
+        z = decision_values(spec.kind, params, X)[rows]
+        return _loss(spec.kind, params, z, y, spec.l2)
 
     if loss_history is not None:
-        loss_history.append(loss_and_gradient(spec.kind, params, X, y, spec.l2)[0])
+        loss_history.append(full_loss())
 
     for _epoch in range(spec.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            _, grads = loss_and_gradient(spec.kind, params, X[idx], y[idx], spec.l2)
+            # mode="clip" skips the bounds check that makes take(out=) slow;
+            # rows are valid indices by construction
+            Xb = np.take(X, rows[idx], axis=0, out=buf[: len(idx)], mode="clip")
+            _, grads = loss_and_gradient(spec.kind, params, Xb, y[idx], spec.l2)
             for key, g in grads.items():
                 params[key] -= spec.learning_rate * g
-        epoch_loss = loss_and_gradient(spec.kind, params, X, y, spec.l2)[0]
+        epoch_loss = full_loss()
         if not np.isfinite(epoch_loss):
             raise NonFiniteLoss(
                 f"loss became {epoch_loss!r}; lower the learning rate"
@@ -196,7 +235,7 @@ def train(
         if loss_history is not None:
             loss_history.append(epoch_loss)
 
-    return TrainedLearner(kind=spec.kind, dim=data.dimension, spec=spec, params=params)
+    return TrainedLearner(kind=spec.kind, dim=dim, spec=spec, params=params)
 
 
 def decision_margin(learner: TrainedLearner, x: FeatureVector) -> float:
@@ -244,6 +283,7 @@ def load_model(path: str | os.PathLike) -> TrainedLearner:
         raise FormatError("not a model file", 1)
     fields: dict[str, str] = {}
     params: dict[str, np.ndarray] = {}
+    param_lines: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -255,6 +295,7 @@ def load_model(path: str | os.PathLike) -> TrainedLearner:
                 params[name] = np.array(values).reshape(shape)
             except ValueError:
                 raise FormatError("bad param line", lineno)
+            param_lines[name] = lineno
         elif "=" in line:
             key, _, value = line.partition("=")
             fields[key] = value
@@ -274,7 +315,19 @@ def load_model(path: str | os.PathLike) -> TrainedLearner:
         dim = int(fields["dim"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad or missing header field ({exc})", None)
-    expected = {"linear": {"w", "b"}, "mlp": {"W1", "b1", "w2", "b2"}}[spec.kind]
-    if set(params) != expected:
-        raise FormatError(f"model needs params {sorted(expected)}", None)
+    h = spec.hidden_units
+    shapes = {
+        "linear": {"w": (dim,), "b": (1,)},
+        "mlp": {"W1": (dim, h), "b1": (h,), "w2": (h,), "b2": (1,)},
+    }[spec.kind]
+    if set(params) != set(shapes):
+        raise FormatError(f"model needs params {sorted(shapes)}", None)
+    for name, shape in shapes.items():
+        if params[name].shape != shape:
+            raise FormatError(
+                f"param {name} has shape {params[name].shape}, expected {shape}",
+                param_lines[name],
+            )
+        if not np.all(np.isfinite(params[name])):
+            raise FormatError(f"param {name} holds a non-finite value", param_lines[name])
     return TrainedLearner(kind=spec.kind, dim=dim, spec=spec, params=params)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from malsieve.cli import main
-from malsieve.ensemble import EnsemblePool, WeightVector, save_pool, save_selection
+from malsieve.ensemble import EnsemblePool, WeightVector, save_pool, save_selection, vote
 from malsieve.learners import LearnerSpec, TrainedLearner
 from malsieve.records import load_records
 from malsieve.vectorize import load_dataset, load_vocabulary
@@ -187,6 +187,39 @@ def test_predict_dataset_input_and_tie_rule(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["sample_0\t+1", "sample_1\t+1"]
+
+
+def test_predict_batch_matches_per_sample_vote(tmp_path, capsys):
+    # 150 samples span several blocks of densified rows, the last one partial
+    rng = np.random.default_rng(4)
+    learners = tuple(
+        TrainedLearner(
+            kind="mlp",
+            dim=6,
+            spec=LearnerSpec(kind="mlp", hidden_units=3),
+            params={"W1": rng.normal(size=(6, 3)), "b1": rng.normal(size=3),
+                    "w2": rng.normal(size=3), "b2": np.zeros(1)},
+        )
+        for _ in range(5)
+    )
+    pool = EnsemblePool(learners=learners, bootstrap_seeds=(0,) * 5)
+    save_pool(pool, tmp_path / "pool")
+    omega = WeightVector((1, 0, 1, 1, 1))
+    save_selection(omega, tmp_path / "selection.txt")
+    lines = ["+1 " + " ".join(map(str, np.flatnonzero(rng.random(6) < 0.4)))
+             for _ in range(150)]
+    dataset = tmp_path / "d.svm"
+    dataset.write_text("dim=6 n=150\n" + "\n".join(line.strip() for line in lines) + "\n")
+    code = main(["predict", str(tmp_path / "pool"), str(dataset),
+                 "--selection", str(tmp_path / "selection.txt")])
+    assert code == 0
+    expected = [
+        f"sample_{k}\t{'+1' if vote(pool, omega, v) == 1 else '-1'}"
+        for k, v in enumerate(load_dataset(dataset).vectors)
+    ]
+    out = capsys.readouterr().out.splitlines()
+    assert out == expected
+    assert {line[-2:] for line in out} == {"+1", "-1"}
 
 
 def test_predict_zero_known_features_is_tieward(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import malsieve.ensemble
 from malsieve.ensemble import (
     EnsemblePool,
     SelectiveEnsemble,
@@ -17,8 +19,9 @@ from malsieve.ensemble import (
     train_pool,
     vote,
 )
-from malsieve.errors import AllZeroWeights, DimensionMismatch
-from malsieve.learners import LearnerSpec
+from malsieve.errors import AllZeroWeights, DimensionMismatch, FormatError, RunFailed
+from malsieve.learners import LearnerSpec, train
+from malsieve.rng import derive_seed
 from malsieve.vectorize import Dataset, FeatureVector
 
 from mlfixtures import (
@@ -96,6 +99,63 @@ def test_train_pool_propagates_failure_with_index():
     data = Dataset([FeatureVector(2, (0,), 1) for _ in range(10)], dimension=2)
     with pytest.raises(Exception, match="learner 0"):
         train_pool(data, 3, LearnerSpec(kind="linear", epochs=1), master_seed=0)
+
+
+def sparse_training_data(m=61, d=40, seed=5):
+    rng = np.random.default_rng(seed)
+    vectors = []
+    for _ in range(m):
+        idx = tuple(sorted(rng.choice(d, size=int(rng.integers(1, 8)), replace=False).tolist()))
+        label = 1 if sum(i % 3 == 0 for i in idx) * 2 >= len(idx) else -1
+        vectors.append(FeatureVector(d, idx, label))
+    return Dataset(vectors, dimension=d)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("batch_size", [None, 8])  # 8 does not divide 61
+def test_train_pool_matches_training_each_replicate(kind, batch_size):
+    """Rows of one shared matrix train each learner bit for bit as a
+    densified copy of its bootstrap replicate does."""
+    data = sparse_training_data()
+    spec = LearnerSpec(kind=kind, learning_rate=0.2, epochs=6, hidden_units=5,
+                       l2=1e-3, batch_size=batch_size, rng_seed=11)
+    pool = train_pool(data, 4, spec, master_seed=21)
+    for i, learner in enumerate(pool.learners):
+        seed = derive_seed(21, "bootstrap", i)
+        assert pool.bootstrap_seeds[i] == seed
+        reference = train(
+            replace(spec, rng_seed=derive_seed(21, "learner", i, spec.rng_seed)),
+            bootstrap_sample(data, seed),
+        )
+        assert learner.spec == reference.spec
+        assert set(learner.params) == set(reference.params)
+        for key in learner.params:
+            assert np.array_equal(learner.params[key], reference.params[key]), key
+
+
+def test_train_pool_failure_keeps_error_type_and_line(monkeypatch):
+    original = FormatError("bad weights", 7)
+
+    def fail(*args, **kwargs):
+        raise original
+
+    monkeypatch.setattr(malsieve.ensemble, "train_rows", fail)
+    with pytest.raises(FormatError, match="learner 0: line 7: bad weights") as info:
+        train_pool(small_training_data(), 2, LearnerSpec(kind="linear"), master_seed=0)
+    assert info.value.line == 7
+    assert info.value.__cause__ is original
+
+
+def test_train_pool_failure_wraps_multi_argument_exception(monkeypatch):
+    original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    def fail(*args, **kwargs):
+        raise original
+
+    monkeypatch.setattr(malsieve.ensemble, "train_rows", fail)
+    with pytest.raises(RunFailed, match="learner 0: UnicodeDecodeError") as info:
+        train_pool(small_training_data(), 2, LearnerSpec(kind="linear"), master_seed=0)
+    assert info.value.__cause__ is original
 
 
 # --- voting ---

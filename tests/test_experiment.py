@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from malsieve.errors import InvalidConfig, SingleClassData
+import malsieve.experiment
+from malsieve.errors import FormatError, InvalidConfig, RunFailed, SingleClassData
 from malsieve.evaluation import NoiseSpec, SplitSpec, inject_label_noise, split
 from malsieve.experiment import (
     DEFAULT_CONFIG_TEXT,
@@ -154,6 +155,31 @@ def test_failure_propagates_with_run_index():
     )
     with pytest.raises(SingleClassData, match="run 0"):
         repeated_experiment(tiny_config(), source=all_positive)
+
+
+def test_failure_keeps_error_type_and_line(monkeypatch):
+    original = FormatError("bad weights", 7)
+
+    def fail(*args, **kwargs):
+        raise original
+
+    monkeypatch.setattr(malsieve.experiment, "run_one", fail)
+    with pytest.raises(FormatError, match="run 0: line 7: bad weights") as info:
+        repeated_experiment(tiny_config(), source=synthetic_dataset(40, 4, 0.1, seed=1))
+    assert info.value.line == 7
+    assert info.value.__cause__ is original
+
+
+def test_failure_wraps_multi_argument_exception(monkeypatch):
+    original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    def fail(*args, **kwargs):
+        raise original
+
+    monkeypatch.setattr(malsieve.experiment, "run_one", fail)
+    with pytest.raises(RunFailed, match="run 0: UnicodeDecodeError") as info:
+        repeated_experiment(tiny_config(), source=synthetic_dataset(40, 4, 0.1, seed=1))
+    assert info.value.__cause__ is original
 
 
 def test_allow_partial_records_failures():

@@ -387,3 +387,26 @@ def test_ga_report_contents():
     assert f"best omega={result.omega.to_string()}" in report
     assert "generation 4 " in report
     assert "best accuracy=" in report and "best diversity=" in report
+
+
+@pytest.mark.parametrize("norm", ["selected", "pairs"])
+def test_run_ga_matches_per_call_fitness(monkeypatch, norm):
+    """run_ga's one distance matrix per run gives the GAResult of scoring
+    every chromosome from the prediction matrix alone."""
+    import malsieve.ga as ga
+
+    pool, data, matrix, labels = fixture_problem(seed=8, n=12, m=60)
+    config = GAConfig(pop_size=16, max_iter=20, rng_seed=4, diversity_norm=norm)
+    result = run_ga(pool, data, config=config)
+
+    per_call = ga.fitness
+    calls = []
+
+    def fitness_without_distances(matrix, labels, omega, norm="selected", distances=None):
+        calls.append(omega)
+        return per_call(matrix, labels, omega, norm)
+
+    monkeypatch.setattr(ga, "fitness", fitness_without_distances)
+    assert run_ga(pool, data, config=config) == result
+    assert len(calls) == len(set(calls)) > config.pop_size
+    assert result.diversity == diversity(matrix, result.omega, norm)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from malsieve.errors import DimensionMismatch, NonFiniteLoss, SingleClassData
+from malsieve.errors import DimensionMismatch, FormatError, NonFiniteLoss, SingleClassData
 from malsieve.learners import (
     LearnerSpec,
     TrainedLearner,
@@ -214,3 +214,46 @@ def test_model_file_round_trip_is_exact(kind, tmp_path):
     rng = np.random.default_rng(0)
     X = rng.integers(0, 2, size=(20, 2)).astype(np.float64)
     assert np.array_equal(loaded.margins(X), learner.margins(X))
+
+
+def saved_three_wide_model(kind, tmp_path):
+    data = Dataset(
+        [labeled(3, (0,), 1), labeled(3, (1, 2), -1), labeled(3, (0, 2), 1)],
+        dimension=3,
+    )
+    spec = LearnerSpec(kind=kind, epochs=2, hidden_units=4, rng_seed=1)
+    path = tmp_path / "m.model"
+    save_model(train(spec, data), path)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_load_model_rejects_params_that_disagree_with_dim(kind, tmp_path):
+    path = saved_three_wide_model(kind, tmp_path)
+    text = path.read_text()
+    assert "\ndim=3\n" in text
+    path.write_text(text.replace("\ndim=3\n", "\ndim=4\n"))
+    with pytest.raises(FormatError, match="shape"):
+        load_model(path)
+
+
+def test_load_model_rejects_params_that_disagree_with_hidden_units(tmp_path):
+    path = saved_three_wide_model("mlp", tmp_path)
+    text = path.read_text()
+    path.write_text(text.replace("\nhidden_units=4\n", "\nhidden_units=5\n"))
+    with pytest.raises(FormatError, match="shape"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("token", ["nan", "-inf"])
+def test_load_model_rejects_non_finite_values(kind, token, tmp_path):
+    path = saved_three_wide_model(kind, tmp_path)
+    lines = path.read_text().splitlines()
+    last = lines[-1].split(" ")
+    last[-1] = token
+    lines[-1] = " ".join(last)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="non-finite") as info:
+        load_model(path)
+    assert info.value.line == len(lines)
