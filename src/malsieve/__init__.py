@@ -14,10 +14,10 @@ from .axml import ManifestFeatures, parse_manifest
 from .dex import DexFeatures, parse_dex
 from .ensemble import (
     EnsemblePool,
-    SelectiveEnsemble,
     WeightVector,
     bootstrap_sample,
-    ensemble_accuracy,
+    majority_vote_matrix,
+    precompute_predictions,
     train_pool,
     vote,
 )
@@ -31,7 +31,7 @@ from .evaluation import (
 )
 from .experiment import ExperimentConfig, parse_config, repeated_experiment
 from .ga import GAConfig, diversity, fitness, run_ga
-from .learners import LearnerSpec, TrainedLearner, predict_label, train
+from .learners import LearnerSpec, TrainedLearner, predict_labels, train
 from .records import FeatureRecord, extract_features
 from .vectorize import (
     Dataset,

@@ -26,7 +26,7 @@ from . import ensemble as ens
 from . import experiment as exp
 from .errors import DimensionMismatch, FormatError, InvalidConfig, MalsieveError
 from .evaluation import compute_metrics
-from .ga import GAConfig, format_ga_report, precompute_predictions, run_ga
+from .ga import GAConfig, format_ga_report, run_ga
 from .learners import LearnerSpec
 from .records import format_record, load_records
 from .vectorize import (
@@ -183,8 +183,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.selection
         else ens.WeightVector.ones(pool.size)
     )
-    matrix = precompute_predictions(pool, data)
-    votes = ens.majority_vote_matrix(matrix, omega)
+    votes = ens.majority_vote_matrix(ens.precompute_predictions(pool, data), omega)
     report = compute_metrics(votes, data.label_array())
     sys.stdout.write(
         f"selected={omega.selected_count}/{pool.size} {report.as_fields()}\n"
@@ -228,7 +227,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     # batch size
     for start in range(0, len(vectors), _PREDICT_BLOCK):
         block = Dataset(vectors[start : start + _PREDICT_BLOCK], dimension=pool.dim)
-        votes = ens.majority_vote_matrix(precompute_predictions(pool, block), omega)
+        votes = ens.majority_vote_matrix(ens.precompute_predictions(pool, block), omega)
         for app_id, label in zip(ids[start:], votes):
             out_lines.append(f"{app_id}\t{'+1' if label == 1 else '-1'}")
     _write_text(args.out, "".join(line + "\n" for line in out_lines))

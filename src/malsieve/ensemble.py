@@ -1,4 +1,4 @@
-"""Bootstrap pool construction and majority voting.
+"""Bootstrap pool construction, the prediction matrix and majority voting.
 
 A pool holds N learners, each trained on its own bootstrap replicate
 (M draws with replacement from the M training samples), kept as row
@@ -6,6 +6,11 @@ indices into the one dense matrix of the training set. A binary weight
 vector picks the sub-ensemble that actually votes: the prediction is the
 sign of the sum of the selected learners' +1/-1 outputs, with a tied sum
 counting as malicious. Deselected learners cannot influence the outcome.
+
+Every ensemble prediction takes one path: `precompute_predictions` turns
+a dataset into the (N learners x M samples) +-1 matrix, and
+`majority_vote_matrix` turns rows of it into the vote. The optimizer's
+fitness, the experiment's scores and the CLI all go through these two.
 """
 
 from __future__ import annotations
@@ -21,9 +26,17 @@ from .errors import (
     DimensionMismatch,
     EmptyDataset,
     FormatError,
+    InvalidConfig,
     with_context,
 )
-from .learners import LearnerSpec, TrainedLearner, load_model, save_model, train_rows
+from .learners import (
+    LearnerSpec,
+    TrainedLearner,
+    load_model,
+    predict_labels,
+    save_model,
+    train_rows,
+)
 from .rng import derive_seed, make_rng
 from .vectorize import Dataset, FeatureVector
 
@@ -88,27 +101,6 @@ class EnsemblePool:
         return self.learners[0].dim
 
 
-@dataclass(frozen=True)
-class SelectiveEnsemble:
-    """A pool plus the weight vector the optimizer settled on."""
-
-    pool: EnsemblePool
-    omega: WeightVector
-
-    def __post_init__(self):
-        if len(self.omega) != self.pool.size:
-            raise DimensionMismatch("weight vector length != pool size")
-        if self.omega.selected_count < 1:
-            raise AllZeroWeights("ensemble must select at least one learner")
-
-    @property
-    def selected_count(self) -> int:
-        return self.omega.selected_count
-
-    def predict(self, x: FeatureVector) -> int:
-        return vote(self.pool, self.omega, x)
-
-
 def bootstrap_indices(m: int, seed: int) -> np.ndarray:
     """Row indices of m uniform draws with replacement from range(m);
     deterministic per seed."""
@@ -135,7 +127,7 @@ def train_pool(
     `bootstrap_sample(data, seed_i)`.
     """
     if n < 1:
-        raise ValueError("pool size must be >= 1")
+        raise InvalidConfig("pool size must be >= 1")
     X = data.to_dense()
     labels = data.label_array()
     learners: list[TrainedLearner] = []
@@ -165,40 +157,25 @@ def _check_omega(pool_size: int, omega: WeightVector) -> None:
         raise AllZeroWeights("no learners selected")
 
 
-def vote(pool: EnsemblePool, omega: WeightVector, x: FeatureVector) -> int:
-    """Sign of the selected learners' summed +1/-1 predictions; a tie
-    counts as +1."""
-    _check_omega(pool.size, omega)
-    total = 0
-    for i in omega.selected_indices():
-        learner = pool.learners[i]
-        total += 1 if learner.margin(x) >= 0.0 else -1
-    return 1 if total >= 0 else -1
+def precompute_predictions(pool: EnsemblePool, data: Dataset) -> np.ndarray:
+    """(N x M) matrix of each learner's +-1 prediction on each sample."""
+    X = data.to_dense()
+    return np.array([predict_labels(l, X) for l in pool.learners], dtype=np.int8)
 
 
 def majority_vote_matrix(matrix: np.ndarray, omega: WeightVector) -> np.ndarray:
-    """Row-wise vote over a precomputed (N learners x M samples) +-1
-    prediction matrix. Shared by the optimizer's fitness evaluation."""
+    """Column-wise vote of the rows omega selects from a
+    `precompute_predictions` matrix; a tied sum counts as +1."""
     _check_omega(matrix.shape[0], omega)
-    w = np.array(omega.bits, dtype=np.int64)
-    sums = w @ matrix.astype(np.int64)
+    sums = matrix[omega.selected_indices()].sum(axis=0, dtype=np.int64)
     return np.where(sums >= 0, 1, -1).astype(np.int8)
 
 
-def ensemble_accuracy(pool: EnsemblePool, omega: WeightVector, data: Dataset) -> float:
-    """Fraction of samples whose vote matches the label."""
-    if len(data) == 0:
-        raise EmptyDataset("accuracy needs at least one sample")
-    _check_omega(pool.size, omega)
-    X = data.to_dense()
-    y = data.label_array()
-    w = np.array(omega.bits, dtype=np.int64)
-    sums = np.zeros(len(data), dtype=np.int64)
-    for i in omega.selected_indices():
-        m = pool.learners[i].margins(X)
-        sums += np.where(m >= 0.0, 1, -1)
-    votes = np.where(sums >= 0, 1, -1)
-    return float(np.mean(votes == y))
+def vote(pool: EnsemblePool, omega: WeightVector, x: FeatureVector) -> int:
+    """The vote on one sample: `majority_vote_matrix` over its one-column
+    prediction matrix."""
+    one = Dataset([x], dimension=pool.dim)
+    return int(majority_vote_matrix(precompute_predictions(pool, one), omega)[0])
 
 
 # --- serialization ---

@@ -40,16 +40,10 @@ class SplitSpec:
 class NoiseSpec:
     flip_fraction: float = 0.1
     seed: int = 0
-    apply_to: tuple[str, ...] = ("train", "validation")
 
     def __post_init__(self):
         if not 0.0 <= self.flip_fraction <= 0.5:
             raise InvalidConfig("flip_fraction must be in [0, 0.5]")
-        for part in self.apply_to:
-            if part not in ("train", "validation"):
-                raise InvalidConfig(
-                    f"noise may target only train/validation, not {part!r}"
-                )
 
 
 def stratified_split_indices(

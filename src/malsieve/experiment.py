@@ -23,7 +23,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ensemble import WeightVector, majority_vote_matrix, train_pool
+from .ensemble import (
+    WeightVector,
+    majority_vote_matrix,
+    precompute_predictions,
+    train_pool,
+)
 from .errors import InvalidConfig, with_context
 from .evaluation import (
     METRIC_NAMES,
@@ -37,7 +42,7 @@ from .evaluation import (
     stratified_split_indices,
     summarize_metric,
 )
-from .ga import GAConfig, GAResult, precompute_predictions, run_ga
+from .ga import GAConfig, GAResult, run_ga
 from .learners import LearnerSpec, predict_labels, train
 from .records import FeatureRecord, load_records
 from .rng import derive_seed, make_rng
@@ -50,6 +55,7 @@ from .vectorize import (
 )
 
 METHODS = ("single", "full_pool", "selective")
+FITNESS_SPLITS = ("train", "validation")
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,8 @@ class ExperimentConfig:
             raise InvalidConfig("synthetic_concept_noise must be in [0, 0.5]")
         if self.pool_size < 1:
             raise InvalidConfig("pool_size must be >= 1")
+        if self.fitness_split not in FITNESS_SPLITS:
+            raise InvalidConfig(f"fitness_split must be one of {FITNESS_SPLITS}")
         # delegate range checks on shared fields
         self.split_spec(0)
         self.noise_spec(0)
@@ -110,18 +118,15 @@ class ExperimentConfig:
         return NoiseSpec(self.noise_fraction, seed)
 
     def learner_spec(self, seed: int) -> LearnerSpec:
-        try:
-            return LearnerSpec(
-                kind=self.learner,
-                learning_rate=self.learning_rate,
-                epochs=self.epochs,
-                hidden_units=self.hidden_units,
-                l2=self.l2,
-                rng_seed=seed,
-                batch_size=self.batch_size,
-            )
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from exc
+        return LearnerSpec(
+            kind=self.learner,
+            learning_rate=self.learning_rate,
+            epochs=self.epochs,
+            hidden_units=self.hidden_units,
+            l2=self.l2,
+            rng_seed=seed,
+            batch_size=self.batch_size,
+        )
 
     def ga_config(self, seed: int) -> GAConfig:
         return GAConfig(
@@ -131,7 +136,6 @@ class ExperimentConfig:
             mutation_rate=self.mutation_rate,
             elite_count=self.elite_count,
             rng_seed=seed,
-            fitness_split=self.fitness_split,
             diversity_norm=self.diversity_norm,
         )
 

@@ -15,10 +15,12 @@ pairs, so its diversity and hence fitness are 0: the search inherently
 favors real ensembles that disagree somewhere yet vote correctly.
 
 Predictions are +-1, so the pairwise distance reduces to
-2*sqrt(#disagreements); everything is evaluated on one precomputed
-(N learners x M samples) prediction matrix. A run turns that matrix into
-the (N x N) distance matrix once, so scoring a chromosome sums a k x k
-sub-block instead of touching all M samples again.
+2*sqrt(#disagreements); everything is evaluated on the one (N learners x
+M samples) prediction matrix that `ensemble.precompute_predictions`
+builds, and accuracy is that of `ensemble.majority_vote_matrix`. A run
+turns the matrix into the (N x N) distance matrix once, so scoring a
+chromosome sums a k x k sub-block instead of touching all M samples
+again.
 
 The by-selected-count normalization makes the factor grow roughly
 linearly with ensemble size; diversity_norm="pairs" divides by the pair
@@ -31,12 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsemblePool, WeightVector, majority_vote_matrix
+from .ensemble import (
+    EnsemblePool,
+    WeightVector,
+    majority_vote_matrix,
+    precompute_predictions,
+)
 from .errors import AllZeroWeights, DimensionMismatch, InvalidConfig, LengthMismatch
 from .rng import make_rng
 from .vectorize import Dataset
 
-FITNESS_SPLITS = ("train", "validation")
 DIVERSITY_NORMS = ("selected", "pairs")
 
 
@@ -48,7 +54,6 @@ class GAConfig:
     mutation_rate: float = 0.05
     elite_count: int = 2
     rng_seed: int = 0
-    fitness_split: str = "validation"
     diversity_norm: str = "selected"
 
     def __post_init__(self):
@@ -62,17 +67,8 @@ class GAConfig:
             raise InvalidConfig("mutation_rate must be in [0, 1]")
         if not 0 <= self.elite_count < self.pop_size:
             raise InvalidConfig("elite_count must be in [0, pop_size)")
-        if self.fitness_split not in FITNESS_SPLITS:
-            raise InvalidConfig(f"fitness_split must be one of {FITNESS_SPLITS}")
         if self.diversity_norm not in DIVERSITY_NORMS:
             raise InvalidConfig(f"diversity_norm must be one of {DIVERSITY_NORMS}")
-
-
-def precompute_predictions(pool: EnsemblePool, data: Dataset) -> np.ndarray:
-    """(N x M) matrix of each learner's +-1 prediction on each sample."""
-    X = data.to_dense()
-    rows = [np.where(l.margins(X) >= 0.0, 1, -1) for l in pool.learners]
-    return np.array(rows, dtype=np.int8)
 
 
 def pairwise_distances(matrix: np.ndarray) -> np.ndarray:
@@ -306,7 +302,7 @@ def format_ga_report(result: GAResult, config: GAConfig) -> str:
     lines = ["malsieve-ga-report v1"]
     for key in (
         "pop_size", "max_iter", "crossover_rate", "mutation_rate",
-        "elite_count", "rng_seed", "fitness_split", "diversity_norm",
+        "elite_count", "rng_seed", "diversity_norm",
     ):
         lines.append(f"config {key}={getattr(config, key)!r}")
     for s in result.history:

@@ -5,9 +5,11 @@ Labels are +1 (malicious) / -1 (benign) throughout. A learner's decision
 margin is a real score; the predicted label is its sign with the tie at 0
 resolved to +1, the fail-safe direction for a detector.
 
-`loss_and_gradient` is the single source of truth for the objective; the
-training loop and the finite-difference checks in the test suite both go
-through it.
+`loss` is the objective, computed from the margins, and `gradient` is its
+exact analytic gradient. Training takes a `gradient` step per minibatch
+and the full-data `loss` once per epoch; the finite-difference checks in
+the test suite compare the two. `predict_labels` is the one place a
+margin becomes a label.
 
 `train_rows` is the one training routine. It reads its samples as rows of
 a dense matrix shared by every learner of a pool, so a bootstrap replicate
@@ -24,11 +26,12 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     FormatError,
+    InvalidConfig,
     NonFiniteLoss,
     SingleClassData,
 )
 from .rng import make_rng
-from .vectorize import Dataset, FeatureVector
+from .vectorize import Dataset
 
 KINDS = ("linear", "mlp")
 
@@ -45,17 +48,17 @@ class LearnerSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
+            raise InvalidConfig(f"kind must be one of {KINDS}")
         if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+            raise InvalidConfig("learning_rate must be > 0")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise InvalidConfig("epochs must be >= 1")
         if self.hidden_units < 1:
-            raise ValueError("hidden_units must be >= 1")
+            raise InvalidConfig("hidden_units must be >= 1")
         if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+            raise InvalidConfig("l2 must be >= 0")
         if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1 or None")
+            raise InvalidConfig("batch_size must be >= 1 or None")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,13 +78,6 @@ class TrainedLearner:
             and set(self.params) == set(other.params)
             and all(np.array_equal(self.params[k], other.params[k]) for k in self.params)
         )
-
-    def margin(self, x: FeatureVector) -> float:
-        if x.dimension != self.dim:
-            raise DimensionMismatch(
-                f"vector dimension {x.dimension} != learner dimension {self.dim}"
-            )
-        return float(decision_values(self.kind, self.params, x.to_dense()[None, :])[0])
 
     def margins(self, X: np.ndarray) -> np.ndarray:
         if X.shape[1] != self.dim:
@@ -115,31 +111,28 @@ def decision_values(kind: str, params: dict[str, np.ndarray], X: np.ndarray) -> 
     return H @ params["w2"] + params["b2"][0]
 
 
-def loss_and_gradient(
+def gradient(
     kind: str,
     params: dict[str, np.ndarray],
     X: np.ndarray,
     y: np.ndarray,
     l2: float,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean logistic loss over the batch plus L2 on the weight matrices
-    (biases excluded), with its exact analytic gradient."""
+) -> dict[str, np.ndarray]:
+    """Exact analytic gradient of `loss` over the batch (X, y)."""
     n = X.shape[0]
     if kind == "linear":
         z = X @ params["w"] + params["b"][0]
-        loss = _loss(kind, params, z, y, l2)
         gz = -y * _sigmoid(-y * z) / n
-        return loss, {
+        return {
             "w": X.T @ gz + l2 * params["w"],
             "b": np.array([np.sum(gz)]),
         }
 
     H = np.tanh(X @ params["W1"] + params["b1"])
     z = H @ params["w2"] + params["b2"][0]
-    loss = _loss(kind, params, z, y, l2)
     gz = -y * _sigmoid(-y * z) / n
     g_pre = (gz[:, None] * params["w2"][None, :]) * (1.0 - H * H)
-    return loss, {
+    return {
         "W1": X.T @ g_pre + l2 * params["W1"],
         "b1": np.sum(g_pre, axis=0),
         "w2": H.T @ gz + l2 * params["w2"],
@@ -147,14 +140,15 @@ def loss_and_gradient(
     }
 
 
-def _loss(
+def loss(
     kind: str, params: dict[str, np.ndarray], z: np.ndarray, y: np.ndarray, l2: float
 ) -> float:
-    """The loss part of `loss_and_gradient`, from the margins z."""
-    loss = float(np.mean(np.logaddexp(0.0, -y * z)))
+    """Mean logistic loss of the margins z = decision_values(kind, params, X)
+    against y, plus L2 on the weight matrices (biases excluded)."""
+    mean = float(np.mean(np.logaddexp(0.0, -y * z)))
     if kind == "linear":
-        return loss + 0.5 * l2 * float(params["w"] @ params["w"])
-    return loss + 0.5 * l2 * (
+        return mean + 0.5 * l2 * float(params["w"] @ params["w"])
+    return mean + 0.5 * l2 * (
         float(np.sum(params["W1"] ** 2)) + float(params["w2"] @ params["w2"])
     )
 
@@ -212,7 +206,7 @@ def train_rows(
 
     def full_loss() -> float:
         z = decision_values(spec.kind, params, X)[rows]
-        return _loss(spec.kind, params, z, y, spec.l2)
+        return loss(spec.kind, params, z, y, spec.l2)
 
     if loss_history is not None:
         loss_history.append(full_loss())
@@ -224,7 +218,7 @@ def train_rows(
             # mode="clip" skips the bounds check that makes take(out=) slow;
             # rows are valid indices by construction
             Xb = np.take(X, rows[idx], axis=0, out=buf[: len(idx)], mode="clip")
-            _, grads = loss_and_gradient(spec.kind, params, Xb, y[idx], spec.l2)
+            grads = gradient(spec.kind, params, Xb, y[idx], spec.l2)
             for key, g in grads.items():
                 params[key] -= spec.learning_rate * g
         epoch_loss = full_loss()
@@ -238,16 +232,9 @@ def train_rows(
     return TrainedLearner(kind=spec.kind, dim=dim, spec=spec, params=params)
 
 
-def decision_margin(learner: TrainedLearner, x: FeatureVector) -> float:
-    return learner.margin(x)
-
-
-def predict_label(learner: TrainedLearner, x: FeatureVector) -> int:
-    """Sign of the margin; an exact 0 counts as malicious."""
-    return 1 if learner.margin(x) >= 0.0 else -1
-
-
 def predict_labels(learner: TrainedLearner, X: np.ndarray) -> np.ndarray:
+    """+1/-1 per row of X: the sign of the margin, an exact 0 counting as
+    malicious."""
     m = learner.margins(X)
     return np.where(m >= 0.0, 1, -1).astype(np.int8)
 
@@ -313,7 +300,7 @@ def load_model(path: str | os.PathLike) -> TrainedLearner:
             batch_size=None if batch_text == "none" else int(batch_text),
         )
         dim = int(fields["dim"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, InvalidConfig) as exc:
         raise FormatError(f"bad or missing header field ({exc})", None)
     h = spec.hidden_units
     shapes = {

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyCorpus, FormatError
+from .errors import DimensionMismatch, EmptyCorpus, FormatError, InvalidConfig
 from .records import ACTION_PREFIX, API_PREFIX, PERM_PREFIX, FeatureRecord
 
 _BLOCK_PREFIXES = (PERM_PREFIX, ACTION_PREFIX, API_PREFIX)
@@ -80,7 +80,7 @@ class FeatureVector:
                 raise ValueError("indices must be strictly increasing")
             prev = i
         if prev >= self.dimension:
-            raise ValueError("index out of range")
+            raise ValueError(f"index {prev} >= dimension {self.dimension}")
 
     def to_dense(self) -> np.ndarray:
         row = np.zeros(self.dimension, dtype=np.float64)
@@ -163,9 +163,9 @@ def build_vocabulary(records: Iterable[FeatureRecord],
     max_api_features most frequent, ties broken by name.
     """
     if min_doc_freq < 1:
-        raise ValueError("min_doc_freq must be >= 1")
+        raise InvalidConfig("min_doc_freq must be >= 1")
     if max_api_features < 0:
-        raise ValueError("max_api_features must be >= 0")
+        raise InvalidConfig("max_api_features must be >= 0")
 
     freq: dict[str, int] = {}
     n_records = 0
@@ -302,16 +302,9 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             label = 1 if tokens[0] == "+1" else -1
             try:
                 indices = tuple(int(t) for t in tokens[1:])
-            except ValueError:
-                raise FormatError("indices must be integers", lineno)
-            prev = -1
-            for i in indices:
-                if i <= prev:
-                    raise FormatError("indices must be strictly increasing", lineno)
-                prev = i
-            if prev >= dim:
-                raise FormatError(f"index {prev} >= dimension {dim}", lineno)
-            vectors.append(FeatureVector(dim, indices, label))
+                vectors.append(FeatureVector(dim, indices, label))
+            except ValueError as exc:
+                raise FormatError(str(exc), lineno)
 
     if len(vectors) != n:
         raise DimensionMismatch(

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from malsieve.cli import main
-from malsieve.ensemble import WeightVector, bootstrap_sample, train_pool
+from malsieve.ensemble import (
+    WeightVector,
+    bootstrap_sample,
+    precompute_predictions,
+    train_pool,
+)
 from malsieve.errors import MalformedAxml, MalformedDex, TruncatedArchive
 from malsieve.evaluation import (
     NoiseSpec,
@@ -29,8 +34,8 @@ from malsieve.experiment import (
     repeated_experiment,
     synthetic_dataset,
 )
-from malsieve.ga import GAConfig, diversity, fitness, precompute_predictions, run_ga
-from malsieve.learners import LearnerSpec, init_params, loss_and_gradient
+from malsieve.ga import GAConfig, diversity, fitness, run_ga
+from malsieve.learners import LearnerSpec, gradient, init_params
 from malsieve.vectorize import Dataset, FeatureVector
 
 from binfixtures import STORED, build_dex, build_zip, simple_manifest
@@ -157,7 +162,7 @@ def test_criterion_4_gradient_check():
                     k: v + rng.normal(scale=0.3, size=v.shape)
                     for k, v in params.items()
                 }
-            _, analytic = loss_and_gradient(kind, params, X, y, l2)
+            analytic = gradient(kind, params, X, y, l2)
             numeric = finite_difference_gradients(kind, params, X, y, l2)
             a = np.concatenate([analytic[k].ravel() for k in sorted(params)])
             f = np.concatenate([numeric[k].ravel() for k in sorted(params)])

@@ -261,6 +261,33 @@ def test_predict_dimension_mismatch_fails(tmp_path):
     assert code == 1
 
 
+# --- bad flags ---
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--pool-size", "0"], ["--learning-rate", "-1"], ["--batch-size", "-3"]],
+)
+def test_train_pool_bad_flag_is_usage_error(tmp_path, capsys, flags):
+    dataset = tmp_path / "d.svm"
+    dataset.write_text("dim=2 n=2\n+1 0\n-1 1\n")
+    code = main(["train-pool", str(dataset), "--out", str(tmp_path / "p"), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "InvalidConfig" in err and "Traceback" not in err
+
+
+def test_vectorize_bad_min_doc_freq_is_usage_error(tmp_path, capsys):
+    records = tmp_path / "r.records"
+    records.write_text("a\t+1\tperm:" + INTERNET + "\n")
+    out = tmp_path / "o.svm"
+    code = main(
+        ["vectorize", str(records), "--dataset-out", str(out), "--min-doc-freq", "0"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "InvalidConfig" in err and "Traceback" not in err
+
+
 # --- experiment command ---
 
 TINY_EXPERIMENT = """

@@ -7,19 +7,19 @@ import pytest
 import malsieve.ensemble
 from malsieve.ensemble import (
     EnsemblePool,
-    SelectiveEnsemble,
     WeightVector,
     bootstrap_sample,
-    ensemble_accuracy,
     load_pool,
     load_selection,
     majority_vote_matrix,
+    precompute_predictions,
     save_pool,
     save_selection,
     train_pool,
     vote,
 )
 from malsieve.errors import AllZeroWeights, DimensionMismatch, FormatError, RunFailed
+from malsieve.ga import ensemble_accuracy_matrix
 from malsieve.learners import LearnerSpec, train
 from malsieve.rng import derive_seed
 from malsieve.vectorize import Dataset, FeatureVector
@@ -251,7 +251,10 @@ def test_accuracy_echoing_labels():
     matrix = np.array([labels, labels], dtype=np.int8)
     pool = pool_from_matrix(matrix)
     data = one_hot_dataset(4, labels)
-    assert ensemble_accuracy(pool, WeightVector((1, 1)), data) == 1.0
+    accuracy = ensemble_accuracy_matrix(
+        precompute_predictions(pool, data), data.label_array(), WeightVector((1, 1))
+    )
+    assert accuracy == 1.0
 
 
 def test_accuracy_constant_learner_on_balanced_data():
@@ -259,7 +262,10 @@ def test_accuracy_constant_learner_on_balanced_data():
     matrix = np.array([[1, 1, 1, 1]], dtype=np.int8)
     pool = pool_from_matrix(matrix)
     data = one_hot_dataset(4, labels)
-    assert ensemble_accuracy(pool, WeightVector((1,)), data) == 0.5
+    accuracy = ensemble_accuracy_matrix(
+        precompute_predictions(pool, data), data.label_array(), WeightVector((1,))
+    )
+    assert accuracy == 0.5
 
 
 def test_accuracy_matches_hand_count_on_fixture():
@@ -281,7 +287,10 @@ def test_accuracy_matches_hand_count_on_fixture():
     labels = [1, 1, -1, -1, 1, -1]
     pool = pool_from_matrix(matrix)
     data = one_hot_dataset(6, labels)
-    assert ensemble_accuracy(pool, WeightVector((1, 1, 1)), data) == pytest.approx(4 / 6)
+    accuracy = ensemble_accuracy_matrix(
+        precompute_predictions(pool, data), data.label_array(), WeightVector((1, 1, 1))
+    )
+    assert accuracy == pytest.approx(4 / 6)
 
 
 # --- serialization ---
@@ -301,12 +310,3 @@ def test_selection_round_trip(tmp_path):
     save_selection(omega, path)
     assert load_selection(path) == omega
     assert "omega=10110" in path.read_text()
-
-
-def test_selective_ensemble_invariants():
-    pool = pool_from_matrix(np.array([[1], [1]], dtype=np.int8))
-    ens = SelectiveEnsemble(pool=pool, omega=WeightVector((1, 0)))
-    assert ens.selected_count == 1
-    assert ens.predict(FeatureVector(1, (0,), None)) == 1
-    with pytest.raises(AllZeroWeights):
-        SelectiveEnsemble(pool=pool, omega=WeightVector((0, 0)))

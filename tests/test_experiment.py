@@ -67,6 +67,11 @@ def test_out_of_range_learner_rate_rejected():
         ExperimentConfig(learning_rate=-1.0)
 
 
+def test_unknown_fitness_split_rejected():
+    with pytest.raises(InvalidConfig, match="fitness_split"):
+        ExperimentConfig(fitness_split="test")
+
+
 # --- synthetic data ---
 
 def test_synthetic_dataset_balanced_and_deterministic():

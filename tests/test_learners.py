@@ -5,11 +5,12 @@ from malsieve.errors import DimensionMismatch, FormatError, NonFiniteLoss, Singl
 from malsieve.learners import (
     LearnerSpec,
     TrainedLearner,
-    decision_margin,
+    decision_values,
+    gradient,
     init_params,
     load_model,
-    loss_and_gradient,
-    predict_label,
+    loss,
+    predict_labels,
     save_model,
     train,
 )
@@ -32,9 +33,14 @@ def xor_dataset(n_per_corner=50):
     return Dataset(vectors, dimension=2)
 
 
+def row(x):
+    """One sample as a one-row dense matrix."""
+    return Dataset([x]).to_dense()
+
+
 def training_accuracy(learner, data):
-    preds = [predict_label(learner, v) for v in data.vectors]
-    return float(np.mean([p == v.label for p, v in zip(preds, data.vectors)]))
+    preds = predict_labels(learner, data.to_dense())
+    return float(np.mean(preds == data.label_array()))
 
 
 def test_linear_fits_separable_data():
@@ -46,7 +52,7 @@ def test_linear_fits_separable_data():
 def test_held_out_positive_predicted_positive():
     spec = LearnerSpec(kind="linear", learning_rate=0.5, epochs=50, rng_seed=1)
     learner = train(spec, separable_1d())
-    assert predict_label(learner, labeled(1, (0,), None)) == 1
+    assert predict_labels(learner, row(labeled(1, (0,), None)))[0] == 1
 
 
 def test_single_class_data_rejected():
@@ -71,9 +77,9 @@ def test_zero_weight_margin_is_zero_and_predicts_malicious():
         spec=LearnerSpec(kind="linear"),
         params={"w": np.zeros(3), "b": np.zeros(1)},
     )
-    x = labeled(3, (1,), None)
-    assert decision_margin(learner, x) == 0.0
-    assert predict_label(learner, x) == 1
+    x = row(labeled(3, (1,), None))
+    assert learner.margins(x)[0] == 0.0
+    assert predict_labels(learner, x)[0] == 1
 
 
 def test_positive_weight_on_active_index():
@@ -83,8 +89,8 @@ def test_positive_weight_on_active_index():
         spec=LearnerSpec(kind="linear"),
         params={"w": np.array([1.0, 0.0]), "b": np.zeros(1)},
     )
-    assert predict_label(learner, labeled(2, (0,), None)) == 1
-    assert predict_label(learner, labeled(2, (1,), None)) == 1  # margin 0 tie
+    assert predict_labels(learner, row(labeled(2, (0,), None)))[0] == 1
+    assert predict_labels(learner, row(labeled(2, (1,), None)))[0] == 1  # margin 0 tie
 
 
 def test_margin_sign_matches_predicted_label():
@@ -97,15 +103,15 @@ def test_margin_sign_matches_predicted_label():
     )
     for _ in range(100):
         k = int(rng.integers(0, 7))
-        x = labeled(6, sorted(rng.choice(6, size=k, replace=False).tolist()), None)
-        m = decision_margin(learner, x)
-        assert predict_label(learner, x) == (1 if m >= 0 else -1)
-        assert predict_label(learner, x) in (1, -1)
+        x = row(labeled(6, sorted(rng.choice(6, size=k, replace=False).tolist()), None))
+        m = learner.margins(x)[0]
+        assert predict_labels(learner, x)[0] == (1 if m >= 0 else -1)
+        assert predict_labels(learner, x)[0] in (1, -1)
 
 
 def test_margin_monotone_in_single_weight():
     base = np.array([0.3, -0.2])
-    x = labeled(2, (0,), None)
+    x = row(labeled(2, (0,), None))
     margins = []
     for delta in (-0.5, 0.0, 0.5, 1.0):
         learner = TrainedLearner(
@@ -114,7 +120,7 @@ def test_margin_monotone_in_single_weight():
             spec=LearnerSpec(kind="linear"),
             params={"w": base + np.array([delta, 0.0]), "b": np.zeros(1)},
         )
-        margins.append(decision_margin(learner, x))
+        margins.append(learner.margins(x)[0])
     assert margins == sorted(margins)
     assert margins[-1] - margins[0] == pytest.approx(1.5)
 
@@ -127,7 +133,9 @@ def test_dimension_mismatch():
         params={"w": np.zeros(4), "b": np.zeros(1)},
     )
     with pytest.raises(DimensionMismatch):
-        predict_label(learner, labeled(3, (0,), None))
+        predict_labels(learner, row(labeled(3, (0,), None)))
+    with pytest.raises(DimensionMismatch):
+        learner.margins(row(labeled(3, (0,), None)))
 
 
 def finite_difference_gradients(kind, params, X, y, l2, h=1e-6):
@@ -137,9 +145,9 @@ def finite_difference_gradients(kind, params, X, y, l2, h=1e-6):
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + h
-            up = loss_and_gradient(kind, params, X, y, l2)[0]
+            up = loss(kind, params, decision_values(kind, params, X), y, l2)
             arr[idx] = orig - h
-            down = loss_and_gradient(kind, params, X, y, l2)[0]
+            down = loss(kind, params, decision_values(kind, params, X), y, l2)
             arr[idx] = orig
             g[idx] = (up - down) / (2 * h)
         numeric[key] = g
@@ -159,7 +167,7 @@ def gradient_relative_error(kind, seed):
     else:
         params = init_params(LearnerSpec(kind="mlp", hidden_units=4, rng_seed=seed), d)
         params = {k: v + rng.normal(scale=0.3, size=v.shape) for k, v in params.items()}
-    _, analytic = loss_and_gradient(kind, params, X, y, l2)
+    analytic = gradient(kind, params, X, y, l2)
     numeric = finite_difference_gradients(kind, params, X, y, l2)
     a = np.concatenate([analytic[k].ravel() for k in sorted(params)])
     f = np.concatenate([numeric[k].ravel() for k in sorted(params)])

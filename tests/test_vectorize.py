@@ -223,6 +223,19 @@ def test_dataset_non_increasing_indices_rejected(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "bad_line", ["+1 3 1", "-1 2 2", "+1 0 x", "-1 -2"]
+)
+def test_dataset_bad_indices_name_their_line(tmp_path, bad_line):
+    # decreasing, duplicate, non-integer, negative (out of range:
+    # test_dataset_index_at_dimension_rejected)
+    path = tmp_path / "d.svm"
+    path.write_text(f"dim=5 n=3\n+1 0 4\n{bad_line}\n-1\n")
+    with pytest.raises(FormatError) as exc_info:
+        load_dataset(path)
+    assert exc_info.value.line == 3
+
+
 def test_vectorize_all_stream():
     vocab = fixture_vocab()
     data = vectorize_all(
