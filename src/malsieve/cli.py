@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import ensemble as ens
 from . import experiment as exp
-from .errors import DimensionMismatch, FormatError, InvalidConfig, MalsieveError
+from .errors import DimensionMismatch, FormatError, InvalidConfig, MalsieveError, open_text
 from .evaluation import compute_metrics
 from .ga import GAConfig, format_ga_report, run_ga
 from .learners import LearnerSpec
@@ -200,7 +200,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if args.selection
         else ens.WeightVector.ones(pool.size)
     )
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open_text(args.input) as fh:
         first = fh.readline()
     if first.startswith("dim="):
         data = load_dataset(args.input)
@@ -243,7 +243,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if not args.config:
         _log("experiment: config path required")
         return _EXIT_USAGE
-    config = exp.parse_config(Path(args.config).read_text(encoding="utf-8"))
+    with open_text(args.config, InvalidConfig) as fh:
+        config = exp.parse_config(fh.read())
     summary = exp.repeated_experiment(config)
     _write_text(args.out, exp.format_report(summary, config))
     _log(f"experiment: {config.repeats} repeats done")

@@ -27,6 +27,7 @@ from .errors import (
     EmptyDataset,
     FormatError,
     InvalidConfig,
+    open_text,
     with_context,
 )
 from .learners import (
@@ -204,12 +205,12 @@ def load_pool(directory: str | os.PathLike) -> EnsemblePool:
     manifest = root / "pool.txt"
     if not manifest.exists():
         raise FormatError(f"no pool manifest at {manifest}", None)
-    with open(manifest, "r", encoding="utf-8") as fh:
+    with open_text(manifest) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _POOL_TAG:
         raise FormatError("not a pool manifest", 1)
     header: dict[str, str] = {}
-    entries: list[tuple[int, int, str]] = []
+    entries: list[tuple[int, int, str, int]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -219,7 +220,8 @@ def load_pool(directory: str | os.PathLike) -> EnsemblePool:
                 entries.append(
                     (int(idx_text),
                      int(seed_field.removeprefix("seed=")),
-                     file_field.removeprefix("file="))
+                     file_field.removeprefix("file="),
+                     lineno)
                 )
             except ValueError:
                 raise FormatError("bad learner line", lineno)
@@ -234,13 +236,18 @@ def load_pool(directory: str | os.PathLike) -> EnsemblePool:
         master_seed = int(header["master_seed"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad or missing header field ({exc})", None)
-    if sorted(e[0] for e in entries) != list(range(n)):
+    if n < 1:
+        raise FormatError(f"pool needs n >= 1 learners, got n={n}", None)
+    if len(entries) != n or sorted(e[0] for e in entries) != list(range(n)):
         raise FormatError(f"manifest must list learners 0..{n - 1}", None)
     entries.sort()
-    learners = tuple(load_model(root / fname) for _, _, fname in entries)
+    for _, _, fname, lineno in entries:
+        if not (root / fname).is_file():
+            raise FormatError(f"no model file {fname!r} in {root}", lineno)
+    learners = tuple(load_model(root / fname) for _, _, fname, _ in entries)
     pool = EnsemblePool(
         learners=learners,
-        bootstrap_seeds=tuple(seed for _, seed, _ in entries),
+        bootstrap_seeds=tuple(seed for _, seed, _, _ in entries),
         master_seed=master_seed,
     )
     if pool.dim != dim:
@@ -256,7 +263,7 @@ def save_selection(omega: WeightVector, path: str | os.PathLike) -> None:
 
 
 def load_selection(path: str | os.PathLike) -> WeightVector:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _SELECTION_TAG:
         raise FormatError("not a selection file", 1)

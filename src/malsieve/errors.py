@@ -1,8 +1,16 @@
 """Exception types raised across the pipeline.
 
 Every malformed input or contract violation maps to one of these; nothing
-in the package intentionally lets a raw struct/index error escape.
+in the package intentionally lets a raw struct/index error escape. Every
+text artifact is read through `open_text`, so bytes that are not UTF-8
+raise a typed error too.
 """
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from typing import IO, Iterator
 
 
 class MalsieveError(Exception):
@@ -68,8 +76,8 @@ class SingleClassData(MalsieveError):
 
 
 class NonFiniteLoss(MalsieveError):
-    """Training diverged (loss became NaN or infinite); the learning rate
-    is almost certainly too high."""
+    """Training diverged (a parameter became NaN or infinite after an
+    epoch); the learning rate is almost certainly too high."""
 
 
 class AllZeroWeights(MalsieveError):
@@ -114,3 +122,16 @@ def with_context(exc: Exception, prefix: str) -> MalsieveError:
     copy.__dict__.update(exc.__dict__)
     copy.args = (f"{prefix}: {exc}",)
     return copy
+
+
+@contextmanager
+def open_text(
+    path: str | os.PathLike, error: type[MalsieveError] = FormatError
+) -> Iterator[IO[str]]:
+    """Open path as UTF-8 text; a decode failure while the block reads it
+    raises `error` (FormatError, or InvalidConfig for a config file)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{os.fspath(path)} is not UTF-8 text ({exc.reason})") from exc

@@ -29,7 +29,7 @@ from .ensemble import (
     precompute_predictions,
     train_pool,
 )
-from .errors import InvalidConfig, with_context
+from .errors import InvalidConfig, open_text, with_context
 from .evaluation import (
     METRIC_NAMES,
     MetricsReport,
@@ -242,7 +242,7 @@ def _load_source(config: ExperimentConfig) -> Dataset | list[FeatureRecord]:
             config.synthetic_concept_noise,
             derive_seed(config.master_seed, "synthetic"),
         )
-    with open(config.dataset, "r", encoding="utf-8") as fh:
+    with open_text(config.dataset) as fh:
         first = fh.readline()
     if first.startswith("dim="):
         return load_dataset(config.dataset)
@@ -265,9 +265,6 @@ class RepeatSummary:
     outcomes: tuple[RunOutcome | None, ...]
     failures: tuple[tuple[int, str], ...]
     summaries: dict[tuple[str, str], MetricSummary]
-
-    def reports_for(self, method: str) -> list[MetricsReport]:
-        return [o.metrics[method] for o in self.outcomes if o is not None]
 
 
 def run_one(

@@ -39,7 +39,13 @@ from .ensemble import (
     majority_vote_matrix,
     precompute_predictions,
 )
-from .errors import AllZeroWeights, DimensionMismatch, InvalidConfig, LengthMismatch
+from .errors import (
+    AllZeroWeights,
+    DimensionMismatch,
+    EmptyDataset,
+    InvalidConfig,
+    LengthMismatch,
+)
 from .rng import make_rng
 from .vectorize import Dataset
 
@@ -248,6 +254,8 @@ def run_ga(
     dataset's own labels; passing them separately lets the caller score
     against labels other than the embedded ones.
     """
+    if len(data) == 0:
+        raise EmptyDataset("the GA needs at least one sample to score")
     matrix = precompute_predictions(pool, data)
     if labels is None:
         y = data.label_array()

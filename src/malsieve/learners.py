@@ -6,10 +6,11 @@ margin is a real score; the predicted label is its sign with the tie at 0
 resolved to +1, the fail-safe direction for a detector.
 
 `loss` is the objective, computed from the margins, and `gradient` is its
-exact analytic gradient. Training takes a `gradient` step per minibatch
-and the full-data `loss` once per epoch; the finite-difference checks in
-the test suite compare the two. `predict_labels` is the one place a
-margin becomes a label.
+exact analytic gradient; the finite-difference checks in the test suite
+compare the two. Training takes a `gradient` step per minibatch and never
+computes the loss itself; after each epoch it checks that every parameter
+is still finite. `predict_labels` is the one place a margin becomes a
+label.
 
 `train_rows` is the one training routine. It reads its samples as rows of
 a dense matrix shared by every learner of a pool, so a bootstrap replicate
@@ -29,6 +30,7 @@ from .errors import (
     InvalidConfig,
     NonFiniteLoss,
     SingleClassData,
+    open_text,
 )
 from .rng import make_rng
 from .vectorize import Dataset
@@ -162,36 +164,24 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def train(
-    spec: LearnerSpec,
-    data: Dataset,
-    loss_history: list[float] | None = None,
-) -> TrainedLearner:
+def train(spec: LearnerSpec, data: Dataset) -> TrainedLearner:
     """Seeded minibatch gradient descent on the logistic loss.
 
-    Deterministic given (spec, data). When loss_history is passed, the
-    full-dataset loss is appended before training and after every epoch.
+    Deterministic given (spec, data).
     """
     if len(data) == 0:
         raise SingleClassData("empty dataset")
-    return train_rows(
-        spec, data.to_dense(), data.label_array(), np.arange(len(data)), loss_history
-    )
+    return train_rows(spec, data.to_dense(), data.label_array(), np.arange(len(data)))
 
 
 def train_rows(
-    spec: LearnerSpec,
-    X: np.ndarray,
-    labels: np.ndarray,
-    rows: np.ndarray,
-    loss_history: list[float] | None = None,
+    spec: LearnerSpec, X: np.ndarray, labels: np.ndarray, rows: np.ndarray
 ) -> TrainedLearner:
     """`train` on the dataset whose sample k is row rows[k] of X, labelled
     labels[rows[k]].
 
     X is only read, so one matrix serves every learner of a pool: each
-    minibatch is gathered into one buffer, and the epoch loss comes from
-    the margins of X picked by rows, so X[rows] is never built.
+    minibatch is gathered into one buffer, so X[rows] is never built.
     """
     y = labels[rows].astype(np.float64)
     if not (np.any(y > 0) and np.any(y < 0)):
@@ -204,13 +194,6 @@ def train_rows(
     batch = n if spec.batch_size is None else min(spec.batch_size, n)
     buf = np.empty((batch, dim))
 
-    def full_loss() -> float:
-        z = decision_values(spec.kind, params, X)[rows]
-        return loss(spec.kind, params, z, y, spec.l2)
-
-    if loss_history is not None:
-        loss_history.append(full_loss())
-
     for _epoch in range(spec.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
@@ -221,13 +204,8 @@ def train_rows(
             grads = gradient(spec.kind, params, Xb, y[idx], spec.l2)
             for key, g in grads.items():
                 params[key] -= spec.learning_rate * g
-        epoch_loss = full_loss()
-        if not np.isfinite(epoch_loss):
-            raise NonFiniteLoss(
-                f"loss became {epoch_loss!r}; lower the learning rate"
-            )
-        if loss_history is not None:
-            loss_history.append(epoch_loss)
+        if not all(np.all(np.isfinite(p)) for p in params.values()):
+            raise NonFiniteLoss("parameters became non-finite; lower the learning rate")
 
     return TrainedLearner(kind=spec.kind, dim=dim, spec=spec, params=params)
 
@@ -264,7 +242,7 @@ def save_model(learner: TrainedLearner, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> TrainedLearner:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _FORMAT_TAG:
         raise FormatError("not a model file", 1)
@@ -278,9 +256,9 @@ def load_model(path: str | os.PathLike) -> TrainedLearner:
             try:
                 _, name, shape_text, tokens = line.split(" ", 3)
                 shape = tuple(int(s) for s in shape_text.split("x"))
-                values = [float.fromhex(t) for t in tokens.split()]
+                values = list(map(float.fromhex, tokens.split()))
                 params[name] = np.array(values).reshape(shape)
-            except ValueError:
+            except (ValueError, OverflowError):  # fromhex overflows past 2**1024
                 raise FormatError("bad param line", lineno)
             param_lines[name] = lineno
         elif "=" in line:

@@ -1,13 +1,15 @@
 """Per-app feature records and their on-disk line format.
 
-One record per app: app id, optional label, manifest features, DEX
-features. The text serialization is one tab-separated line per record,
+One record per app: app id, optional label and its features. A feature
+is a name carrying its block prefix (perm:, action: or api:), so
+permissions, intent actions and API references share one name space,
+the one the vectorizer keys on. A record holds each feature once, in
+perm/action/api block order, exactly as its line in a records file
+does. The text serialization is one tab-separated line per record,
 
     app_id<TAB>label<TAB>perm:<name>...<TAB>action:<name>...<TAB>api:<name>...
 
-with label +1 (malicious), -1 (benign) or ? (unlabeled), features in
-perm/action/api block order and each feature carrying its block prefix.
-The vectorizer keys on those prefixes, so they are part of the format.
+with label +1 (malicious), -1 (benign) or ? (unlabeled).
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .archive import ApkArchive
-from .axml import ManifestFeatures, parse_manifest
-from .dex import DexFeatures, parse_dex
-from .errors import FormatError, MissingManifest
+from .axml import parse_manifest
+from .dex import parse_dex
+from .errors import FormatError, MissingManifest, open_text
 
 PERM_PREFIX = "perm:"
 ACTION_PREFIX = "action:"
 API_PREFIX = "api:"
+BLOCK_PREFIXES = (PERM_PREFIX, ACTION_PREFIX, API_PREFIX)
 
 _LABEL_TO_TEXT = {1: "+1", -1: "-1", None: "?"}
 _TEXT_TO_LABEL = {"+1": 1, "-1": -1, "?": None}
@@ -31,10 +34,11 @@ _TEXT_TO_LABEL = {"+1": 1, "-1": -1, "?": None}
 
 @dataclass(frozen=True)
 class FeatureRecord:
+    """An app's prefixed feature names, each once, in block order."""
+
     app_id: str
     label: int | None
-    manifest: ManifestFeatures
-    dex: DexFeatures
+    features: tuple[str, ...]
 
     def __post_init__(self):
         if not self.app_id:
@@ -42,18 +46,12 @@ class FeatureRecord:
         if self.label not in (1, -1, None):
             raise ValueError("label must be +1, -1 or None")
 
-    def prefixed_features(self) -> list[str]:
-        """All features with block prefixes, in block order."""
-        out = [PERM_PREFIX + p for p in self.manifest.permissions]
-        out += [ACTION_PREFIX + a for a in self.manifest.intent_actions]
-        out += [API_PREFIX + a for a in self.dex.api_refs]
-        return out
-
 
 def extract_features(
     archive: ApkArchive, app_id: str, label: int | None = None
 ) -> FeatureRecord:
-    """Run both parsers over an archive and combine their output.
+    """Run both parsers over an archive and combine their output into one
+    record of prefixed features.
 
     The manifest is mandatory; DEX entries are optional and their method
     references are unioned in classes.dex, classes2.dex, ... order.
@@ -63,19 +61,12 @@ def extract_features(
         raise MissingManifest("archive has no AndroidManifest.xml")
     manifest = parse_manifest(archive.read(entry))
 
-    api_refs: list[str] = []
-    seen: set[str] = set()
+    features = [PERM_PREFIX + p for p in manifest.permissions]
+    features += [ACTION_PREFIX + a for a in manifest.intent_actions]
     for dex_entry in archive.dex_entries:
-        for ref in parse_dex(archive.read(dex_entry)).api_refs:
-            if ref not in seen:
-                seen.add(ref)
-                api_refs.append(ref)
-
+        features += [API_PREFIX + r for r in parse_dex(archive.read(dex_entry)).api_refs]
     return FeatureRecord(
-        app_id=app_id,
-        label=label,
-        manifest=manifest,
-        dex=DexFeatures(api_refs=tuple(api_refs)),
+        app_id=app_id, label=label, features=tuple(dict.fromkeys(features))
     )
 
 
@@ -87,7 +78,7 @@ def _printable(name: str) -> bool:
 
 def format_record(record: FeatureRecord) -> str:
     fields = [record.app_id, _LABEL_TO_TEXT[record.label]]
-    fields += [f for f in record.prefixed_features() if _printable(f)]
+    fields += [f for f in record.features if _printable(f)]
     return "\t".join(fields)
 
 
@@ -119,28 +110,16 @@ def parse_record_line(line: str, lineno: int | None = None) -> FeatureRecord:
 def _build_record(
     app_id: str, label: int | None, feature_fields: list[str], lineno: int | None
 ) -> FeatureRecord:
-    perms: list[str] = []
-    actions: list[str] = []
-    apis: list[str] = []
-    seen: set[str] = set()
-    for field in feature_fields:
-        if field in seen:
-            continue
-        seen.add(field)
-        if field.startswith(PERM_PREFIX):
-            perms.append(field[len(PERM_PREFIX):])
-        elif field.startswith(ACTION_PREFIX):
-            actions.append(field[len(ACTION_PREFIX):])
-        elif field.startswith(API_PREFIX):
-            apis.append(field[len(API_PREFIX):])
-        else:
-            raise FormatError(f"feature without a known prefix: {field!r}", lineno)
-    return FeatureRecord(
-        app_id=app_id,
-        label=label,
-        manifest=ManifestFeatures(tuple(perms), tuple(actions)),
-        dex=DexFeatures(tuple(apis)),
-    )
+    unique = dict.fromkeys(feature_fields)
+    # one pass per block is faster than testing every field against each
+    # prefix; the prefixes are disjoint, so the blocks partition the
+    # fields unless some field has none of them
+    blocks = [[f for f in unique if f.startswith(p)] for p in BLOCK_PREFIXES]
+    features = tuple(blocks[0] + blocks[1] + blocks[2])
+    if len(features) != len(unique):
+        bad = next(f for f in unique if not f.startswith(BLOCK_PREFIXES))
+        raise FormatError(f"feature without a known prefix: {bad!r}", lineno)
+    return FeatureRecord(app_id=app_id, label=label, features=features)
 
 
 def read_records(fh: IO[str]) -> Iterator[FeatureRecord]:
@@ -150,5 +129,5 @@ def read_records(fh: IO[str]) -> Iterator[FeatureRecord]:
 
 
 def load_records(path: str | os.PathLike) -> list[FeatureRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return list(read_records(fh))

@@ -23,10 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyCorpus, FormatError, InvalidConfig
-from .records import ACTION_PREFIX, API_PREFIX, PERM_PREFIX, FeatureRecord
-
-_BLOCK_PREFIXES = (PERM_PREFIX, ACTION_PREFIX, API_PREFIX)
+from .errors import DimensionMismatch, EmptyCorpus, FormatError, InvalidConfig, open_text
+from .records import BLOCK_PREFIXES, FeatureRecord
 
 
 class Vocabulary:
@@ -171,20 +169,15 @@ def build_vocabulary(records: Iterable[FeatureRecord],
     n_records = 0
     for record in records:
         n_records += 1
-        for name in set(record.prefixed_features()):
+        for name in record.features:
             freq[name] = freq.get(name, 0) + 1
     if n_records == 0:
         raise EmptyCorpus("no records")
 
-    def surviving(prefix: str) -> list[str]:
-        return sorted(
-            name for name, c in freq.items()
-            if name.startswith(prefix) and c >= min_doc_freq
-        )
-
-    perms = surviving(PERM_PREFIX)
-    actions = surviving(ACTION_PREFIX)
-    apis = surviving(API_PREFIX)
+    kept = sorted(name for name, c in freq.items() if c >= min_doc_freq)
+    perms, actions, apis = (
+        [name for name in kept if name.startswith(p)] for p in BLOCK_PREFIXES
+    )
     if len(apis) > max_api_features:
         ranked = sorted(apis, key=lambda name: (-freq[name], name))
         apis = sorted(ranked[:max_api_features])
@@ -205,7 +198,7 @@ def vectorize(record: FeatureRecord, vocab: Vocabulary) -> FeatureVector:
     """Map a record onto the frozen vocabulary; unknown features drop out."""
     active = {
         vocab.index[name]
-        for name in record.prefixed_features()
+        for name in record.features
         if name in vocab.index
     }
     return FeatureVector(
@@ -231,8 +224,10 @@ def save_vocabulary(vocab: Vocabulary, path: str | os.PathLike) -> None:
 def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
     names: list[str] = []
     freqs: list[int] = []
-    block_of: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    seen: set[str] = set()
+    block_sizes = [0, 0, 0]
+    block = 0  # of the previous name; blocks only move forward
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -246,25 +241,23 @@ def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
                 raise FormatError("index and doc_freq must be integers", lineno)
             if idx != len(names):
                 raise FormatError(f"expected index {len(names)}, got {idx}", lineno)
-            for block, prefix in enumerate(_BLOCK_PREFIXES):
+            for name_block, prefix in enumerate(BLOCK_PREFIXES):
                 if name.startswith(prefix):
-                    block_of.append(block)
                     break
             else:
                 raise FormatError(f"unknown feature prefix in {name!r}", lineno)
-            if block_of[-1] < max(block_of[:-1], default=0):
+            if name_block < block:
                 raise FormatError("blocks out of perm/action/api order", lineno)
+            if name in seen:
+                raise FormatError(f"duplicate feature name {name!r}", lineno)
+            block = name_block
+            block_sizes[block] += 1
+            seen.add(name)
             names.append(name)
             freqs.append(df)
     if not names:
         raise FormatError("empty vocabulary file", None)
-    return Vocabulary(
-        names=names,
-        doc_freq=freqs,
-        perm_count=block_of.count(0),
-        action_count=block_of.count(1),
-        api_count=block_of.count(2),
-    )
+    return Vocabulary(names, freqs, *block_sizes)
 
 
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
@@ -278,7 +271,7 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline()
         parts = header.split()
         if (len(parts) != 2 or not parts[0].startswith("dim=")

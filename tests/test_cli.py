@@ -337,3 +337,68 @@ def test_print_default_config_round_trips(tmp_path, capsys):
     from malsieve.experiment import ExperimentConfig, parse_config
 
     assert parse_config(text) == ExperimentConfig()
+
+
+# --- malformed text artifacts ---
+
+def write_small_artifacts(tmp_path):
+    learners = tuple(
+        TrainedLearner(
+            kind="linear",
+            dim=3,
+            spec=LearnerSpec(kind="linear"),
+            params={"w": np.array([1.0, -1.0, 0.5]), "b": np.zeros(1)},
+        )
+        for _ in range(2)
+    )
+    save_pool(EnsemblePool(learners=learners, bootstrap_seeds=(0, 1)), tmp_path / "pool")
+    save_selection(WeightVector((1, 1)), tmp_path / "selection.txt")
+    (tmp_path / "vocab.tsv").write_text("0\tperm:a\t2\n1\tperm:b\t2\n2\tapi:c\t2\n")
+    (tmp_path / "d.svm").write_text("dim=3 n=2\n+1 0\n-1 1 2\n")
+    (tmp_path / "r.records").write_text("app1\t+1\tperm:a\napp2\t-1\tapi:c\n")
+    (tmp_path / "exp.cfg").write_text(TINY_EXPERIMENT)
+
+
+@pytest.mark.parametrize(
+    "path, content, argv, error",
+    [
+        ("d.svm", b"dim=3 n=1\n+1 0\xff\n",
+         ["evaluate", "{t}/pool", "{t}/d.svm"], "FormatError"),
+        ("r.records", b"app1\t+1\tperm:\xe9\n",
+         ["vectorize", "{t}/r.records", "--dataset-out", "{t}/o.svm"], "FormatError"),
+        ("pool/learner_000.model", b"malsieve-model v1\nkind=\xc0\n",
+         ["predict", "{t}/pool", "{t}/d.svm"], "FormatError"),
+        ("selection.txt", b"malsieve-selection v1\nn=2\nomega=1\x801\n",
+         ["predict", "{t}/pool", "{t}/d.svm", "--selection", "{t}/selection.txt"],
+         "FormatError"),
+        ("exp.cfg", b"repeats=2\n\xfe\n",
+         ["experiment", "{t}/exp.cfg"], "InvalidConfig"),
+        ("vocab.tsv", b"0\tperm:a\t2\n1\tperm:b\t2\n2\tperm:a\t2\n",
+         ["predict", "{t}/pool", "{t}/r.records", "--vocab", "{t}/vocab.tsv"],
+         "FormatError"),
+        ("pool/pool.txt", b"malsieve-pool v1\nn=0\ndim=3\nmaster_seed=0\n",
+         ["predict", "{t}/pool", "{t}/d.svm"], "FormatError"),
+        ("pool/pool.txt",
+         b"malsieve-pool v1\nn=1\ndim=3\nmaster_seed=0\nlearner 0 seed=0 file=gone.model\n",
+         ["predict", "{t}/pool", "{t}/d.svm"], "FormatError"),
+    ],
+    ids=["dataset-not-utf8", "records-not-utf8", "model-not-utf8", "selection-not-utf8",
+         "config-not-utf8", "vocab-duplicate-name", "pool-n-0", "pool-model-missing"],
+)
+def test_malformed_text_artifact_is_usage_error(tmp_path, capsys, path, content, argv, error):
+    write_small_artifacts(tmp_path)
+    (tmp_path / path).write_bytes(content)
+    code = main([arg.format(t=tmp_path) for arg in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert error in err and "Traceback" not in err
+
+
+def test_select_on_empty_dataset_fails_with_empty_dataset(tmp_path, capsys):
+    write_small_artifacts(tmp_path)
+    (tmp_path / "empty.svm").write_text("dim=3 n=0\n")
+    code = main(["select", str(tmp_path / "pool"), str(tmp_path / "empty.svm"),
+                 "--out", str(tmp_path / "s.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "EmptyDataset" in err and "Traceback" not in err

@@ -208,8 +208,6 @@ def test_noise_test_protocol_changes_scores():
 
 
 def test_records_source_pipeline(tmp_path):
-    from malsieve.axml import ManifestFeatures
-    from malsieve.dex import DexFeatures
     from malsieve.records import FeatureRecord, save_records
 
     rng = np.random.default_rng(4)
@@ -222,8 +220,7 @@ def test_records_source_pipeline(tmp_path):
             FeatureRecord(
                 app_id=f"app{i}",
                 label=label,
-                manifest=ManifestFeatures(tuple(dict.fromkeys(perms)), ()),
-                dex=DexFeatures(()),
+                features=tuple(dict.fromkeys(f"perm:{p}" for p in perms)),
             )
         )
     path = tmp_path / "corpus.records"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from malsieve.ensemble import WeightVector, precompute_predictions
-from malsieve.errors import AllZeroWeights, InvalidConfig, LengthMismatch
+from malsieve.errors import AllZeroWeights, EmptyDataset, InvalidConfig, LengthMismatch
 from malsieve.ga import (
     GAConfig,
     crossover,
@@ -15,6 +15,7 @@ from malsieve.ga import (
     select_newpop,
 )
 from malsieve.rng import make_rng
+from malsieve.vectorize import Dataset
 
 from mlfixtures import (
     brute_force_diversity,
@@ -363,6 +364,14 @@ def test_run_ga_label_length_mismatch():
     pool, data, _, _ = fixture_problem(seed=5, n=4, m=10)
     with pytest.raises(LengthMismatch):
         run_ga(pool, data, labels=np.ones(3, dtype=np.int8), config=GAConfig())
+
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_ga_on_empty_dataset_raises_empty_dataset():
+    pool, _, _, _ = fixture_problem(seed=5, n=4, m=10)
+    with pytest.raises(EmptyDataset):
+        run_ga(pool, Dataset([], dimension=pool.dim), config=GAConfig())
 
 
 def test_invalid_configs_rejected():

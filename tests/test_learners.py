@@ -193,12 +193,18 @@ def test_training_is_bit_deterministic(kind):
 
 def test_full_batch_loss_non_increasing():
     data = separable_1d(30)
-    spec = LearnerSpec(
-        kind="linear", learning_rate=0.05, epochs=40, batch_size=None, rng_seed=0
-    )
-    history: list[float] = []
-    train(spec, data, loss_history=history)
-    assert len(history) == 41
+    X, y = data.to_dense(), data.label_array().astype(np.float64)
+
+    def full_loss(params):
+        return loss("linear", params, decision_values("linear", params, X), y, 0.0)
+
+    # a run of k epochs replays the first k epochs of a longer one
+    history = [full_loss(init_params(LearnerSpec(kind="linear"), 1))]
+    for k in range(1, 41):
+        spec = LearnerSpec(
+            kind="linear", learning_rate=0.05, epochs=k, batch_size=None, rng_seed=0
+        )
+        history.append(full_loss(train(spec, data).params))
     assert all(later <= earlier + 1e-12 for earlier, later in zip(history, history[1:]))
 
 
@@ -263,5 +269,15 @@ def test_load_model_rejects_non_finite_values(kind, token, tmp_path):
     lines[-1] = " ".join(last)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="non-finite") as info:
+        load_model(path)
+    assert info.value.line == len(lines)
+
+
+def test_load_model_rejects_hex_float_past_the_float_range(tmp_path):
+    path = saved_three_wide_model("linear", tmp_path)
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(" ", 1)[0] + " 0x1p+1024"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="bad param line") as info:
         load_model(path)
     assert info.value.line == len(lines)

@@ -3,8 +3,6 @@ import io
 import pytest
 
 from malsieve.archive import parse_archive
-from malsieve.axml import ManifestFeatures
-from malsieve.dex import DexFeatures
 from malsieve.errors import FormatError, MissingManifest
 from malsieve.records import (
     FeatureRecord,
@@ -22,6 +20,7 @@ INTERNET = "android.permission.INTERNET"
 BOOT = "android.intent.action.BOOT_COMPLETED"
 SMS_REF = ("Landroid/telephony/SmsManager;", "sendTextMessage")
 EXEC_REF = ("Ljava/lang/Runtime;", "exec")
+SMS_API = "api:Landroid/telephony/SmsManager;->sendTextMessage"
 
 
 def apk_bytes(manifest=True, dex_payloads=()):
@@ -37,15 +36,13 @@ def apk_bytes(manifest=True, dex_payloads=()):
 def test_manifest_plus_dex_composition():
     archive = parse_archive(apk_bytes(dex_payloads=[build_dex([SMS_REF])]))
     record = extract_features(archive, app_id="app-1", label=1)
-    assert record.manifest.permissions == (INTERNET,)
-    assert record.manifest.intent_actions == (BOOT,)
-    assert record.dex.api_refs == ("Landroid/telephony/SmsManager;->sendTextMessage",)
+    assert record.features == (f"perm:{INTERNET}", f"action:{BOOT}", SMS_API)
     assert record.label == 1
 
 
 def test_manifest_only_archive():
     record = extract_features(parse_archive(apk_bytes()), app_id="x")
-    assert record.dex.api_refs == ()
+    assert record.features == (f"perm:{INTERNET}", f"action:{BOOT}")
     assert record.label is None
 
 
@@ -60,10 +57,11 @@ def test_multidex_union_in_file_order():
     d2 = build_dex([EXEC_REF, ("Ljava/lang/Object;", "toString")])
     archive = parse_archive(apk_bytes(dex_payloads=[d1, d2]))
     record = extract_features(archive, app_id="x")
-    solo1 = set(f"{c}->{m}" for c, m in [SMS_REF, EXEC_REF])
-    solo2 = {"Ljava/lang/Runtime;->exec", "Ljava/lang/Object;->toString"}
-    assert set(record.dex.api_refs) == solo1 | solo2
-    assert len(record.dex.api_refs) == len(set(record.dex.api_refs))
+    apis = [f for f in record.features if f.startswith("api:")]
+    solo1 = set(f"api:{c}->{m}" for c, m in [SMS_REF, EXEC_REF])
+    solo2 = {"api:Ljava/lang/Runtime;->exec", "api:Ljava/lang/Object;->toString"}
+    assert set(apis) == solo1 | solo2
+    assert len(apis) == len(set(apis))
 
 
 def test_extraction_deterministic():
@@ -77,8 +75,7 @@ def sample_record(label=1):
     return FeatureRecord(
         app_id="com.example.app",
         label=label,
-        manifest=ManifestFeatures((INTERNET,), (BOOT,)),
-        dex=DexFeatures(("Landroid/telephony/SmsManager;->sendTextMessage",)),
+        features=(f"perm:{INTERNET}", f"action:{BOOT}", SMS_API),
     )
 
 
@@ -114,18 +111,26 @@ def test_unknown_prefix_rejected():
         parse_record_line("app\t+1\tbogus:thing")
 
 
+def test_first_unprefixed_feature_named_with_its_line():
+    line = "app\t+1\tapi:a\tnope\tperm:p\tbogus:thing"
+    with pytest.raises(FormatError, match="'nope'") as exc_info:
+        parse_record_line(line, 7)
+    assert exc_info.value.line == 7
+
+
+def test_parsed_features_deduplicated_in_block_order():
+    line = "app\t+1\tapi:b\tperm:p\tapi:a\taction:x\tapi:b\tperm:p\tperm:o"
+    record = parse_record_line(line)
+    assert record.features == ("perm:p", "perm:o", "action:x", "api:b", "api:a")
+
+
 def test_missing_fields_rejected():
     with pytest.raises(FormatError):
         parse_record_line("lonely-app-id")
 
 
 def test_feature_with_tab_dropped_at_write():
-    record = FeatureRecord(
-        app_id="x",
-        label=1,
-        manifest=ManifestFeatures(("good", "bad\tname"), ()),
-        dex=DexFeatures(()),
-    )
+    record = FeatureRecord(app_id="x", label=1, features=("perm:good", "perm:bad\tname"))
     assert format_record(record) == "x\t+1\tperm:good"
 
 

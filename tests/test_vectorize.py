@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from malsieve.axml import ManifestFeatures
-from malsieve.dex import DexFeatures
 from malsieve.errors import DimensionMismatch, EmptyCorpus, FormatError
 from malsieve.records import FeatureRecord
 from malsieve.vectorize import (
@@ -19,12 +17,9 @@ from malsieve.vectorize import (
 
 
 def record(perms=(), actions=(), apis=(), label=1, app_id="app"):
-    return FeatureRecord(
-        app_id=app_id,
-        label=label,
-        manifest=ManifestFeatures(tuple(perms), tuple(actions)),
-        dex=DexFeatures(tuple(apis)),
-    )
+    features = [f"perm:{p}" for p in perms] + [f"action:{a}" for a in actions]
+    features += [f"api:{a}" for a in apis]
+    return FeatureRecord(app_id=app_id, label=label, features=tuple(dict.fromkeys(features)))
 
 
 def test_doc_freq_threshold_boundary():
@@ -134,11 +129,11 @@ def test_sub_threshold_features_never_included():
         records.append(record(perms=perms, app_id=f"r{i}"))
     freq_by_name = {}
     for r in records:
-        for name in set(r.manifest.permissions):
+        for name in r.features:
             freq_by_name[name] = freq_by_name.get(name, 0) + 1
     vocab = build_vocabulary(records, min_doc_freq=3, max_api_features=10)
     for name in vocab.names:
-        assert freq_by_name[name.removeprefix("perm:")] >= 3
+        assert freq_by_name[name] >= 3
 
 
 def test_vocabulary_file_round_trip(tmp_path):
@@ -163,6 +158,14 @@ def test_vocabulary_file_rejects_block_disorder(tmp_path):
     path.write_text("0\tapi:m\t3\n1\tperm:p\t2\n")
     with pytest.raises(FormatError):
         load_vocabulary(path)
+
+
+def test_vocabulary_file_rejects_duplicate_name_with_its_line(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("0\tperm:a\t3\n1\tperm:b\t2\n2\tperm:a\t2\n")
+    with pytest.raises(FormatError, match="duplicate") as exc_info:
+        load_vocabulary(path)
+    assert exc_info.value.line == 3
 
 
 def random_dataset(rng, n=20, dim=15):
