@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Iterable, Iterator
 
 from .archive import ApkArchive
@@ -77,9 +78,20 @@ def _printable(name: str) -> bool:
 
 
 def format_record(record: FeatureRecord) -> str:
-    fields = [record.app_id, _LABEL_TO_TEXT[record.label]]
-    fields += [f for f in record.features if _printable(f)]
-    return "\t".join(fields)
+    """The record's line, without its newline. Names that hold a tab,
+    newline or carriage return are dropped; an app id that holds one
+    raises FormatError."""
+    label = _LABEL_TO_TEXT[record.label]
+    line = "\t".join((record.app_id, label) + record.features)
+    # one scan per character over the joined line; only a line that fails
+    # it is taken apart name by name
+    tabs_ok = line.count("\t") == len(record.features) + 1
+    if tabs_ok and "\n" not in line and "\r" not in line:
+        return line
+    if not _printable(record.app_id):
+        raise FormatError(f"app id {record.app_id!r} holds a tab, newline or carriage return")
+    kept = [f for f in record.features if _printable(f)]
+    return "\t".join([record.app_id, label] + kept)
 
 
 def write_records(records: Iterable[FeatureRecord], fh: IO[str]) -> int:
@@ -95,7 +107,12 @@ def save_records(records: Iterable[FeatureRecord], path: str | os.PathLike) -> i
         return write_records(records, fh)
 
 
-def parse_record_line(line: str, lineno: int | None = None) -> FeatureRecord:
+def parse_record_line(
+    line: str, lineno: int | None = None, names: dict[str, str] | None = None
+) -> FeatureRecord:
+    """One record from its line. With `names`, every feature name is
+    replaced by the equal string already in it (and added when new), so
+    that the records parsed with one dict share one string per name."""
     fields = line.rstrip("\n").split("\t")
     if len(fields) < 2:
         raise FormatError("record needs at least app_id and label", lineno)
@@ -104,13 +121,27 @@ def parse_record_line(line: str, lineno: int | None = None) -> FeatureRecord:
         raise FormatError("empty app_id", lineno)
     if label_text not in _TEXT_TO_LABEL:
         raise FormatError(f"bad label {label_text!r}", lineno)
-    return _build_record(app_id, _TEXT_TO_LABEL[label_text], fields[2:], lineno)
+    features = fields[2:]
+    if names is not None:
+        features = map(names.setdefault, features, features)
+    return FeatureRecord(
+        app_id=app_id,
+        label=_TEXT_TO_LABEL[label_text],
+        features=_block_order(tuple(dict.fromkeys(features)), lineno),
+    )
 
 
-def _build_record(
-    app_id: str, label: int | None, feature_fields: list[str], lineno: int | None
-) -> FeatureRecord:
-    unique = dict.fromkeys(feature_fields)
+def _block_order(unique: tuple[str, ...], lineno: int | None) -> tuple[str, ...]:
+    """Distinct feature names in perm/action/api block order, keeping the
+    order within each block."""
+    # every line format_record writes is in block order already: skip the
+    # few perm and action names, then test the api tail in one C-level pass
+    i, n = 0, len(unique)
+    for prefix in (PERM_PREFIX, ACTION_PREFIX):
+        while i < n and unique[i].startswith(prefix):
+            i += 1
+    if all(map(str.startswith, unique[i:], repeat(API_PREFIX))):
+        return unique
     # one pass per block is faster than testing every field against each
     # prefix; the prefixes are disjoint, so the blocks partition the
     # fields unless some field has none of them
@@ -119,13 +150,16 @@ def _build_record(
     if len(features) != len(unique):
         bad = next(f for f in unique if not f.startswith(BLOCK_PREFIXES))
         raise FormatError(f"feature without a known prefix: {bad!r}", lineno)
-    return FeatureRecord(app_id=app_id, label=label, features=features)
+    return features
 
 
 def read_records(fh: IO[str]) -> Iterator[FeatureRecord]:
+    """The records of fh's lines, blank lines skipped. The records share
+    one string per distinct feature name."""
+    names: dict[str, str] = {}
     for lineno, line in enumerate(fh, start=1):
         if line.strip():
-            yield parse_record_line(line, lineno)
+            yield parse_record_line(line, lineno, names)
 
 
 def load_records(path: str | os.PathLike) -> list[FeatureRecord]:

@@ -170,6 +170,7 @@ def test_criterion_4_gradient_check():
             assert rel <= 1e-4, f"case {case} ({kind}): relative error {rel:.2e}"
 
 
+@pytest.mark.slow
 def test_criterion_5_robustness_experiment():
     with Budget("5 robustness experiment (30 repeats)", 600.0):
         config = parse_config((REPO / "configs" / "synthetic-benchmark.cfg").read_text())

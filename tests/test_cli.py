@@ -89,6 +89,19 @@ def test_extract_all_inputs_failing(tmp_path):
     assert code != 0
 
 
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+def test_extract_skips_file_name_that_cannot_be_an_app_id(tmp_path, capsys, char):
+    apks = tmp_path / "apks"
+    apks.mkdir()
+    write_apk(apks / "good.apk", [INTERNET])
+    write_apk(apks / f"ab{char}cd.apk", [SEND_SMS])
+    out = tmp_path / "records.tsv"
+    assert main(["extract", str(apks), "--label", "+1", "--out", str(out)]) == 0
+    assert "FormatError: app id" in capsys.readouterr().err
+    assert [r.app_id for r in load_records(out)] == ["good"]
+    assert main(["extract", str(apks), "--strict", "--out", str(out)]) == 1
+
+
 # --- pipeline chain ---
 
 @pytest.fixture()

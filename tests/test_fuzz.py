@@ -1,9 +1,12 @@
-"""Mutation fuzzing of the binary parsers and the text artifacts.
+"""Mutation fuzzing of the binary parsers and the text artifacts, and
+properties of the fast paths that replaced simpler code.
 
 Random byte flips and truncations of the fixture APK, manifest and DEX,
 and of each text file the package writes (records, vocabulary, dataset,
 model, pool manifest and selection), must either load or raise a
 MalsieveError; any other exception is a hole in the error contract. The
+DEX reader must agree with the row-by-row walk it replaced, and record
+lines must round-trip and parse like the block partition they skip. The
 seeds are fixed, so every run tries the same inputs.
 """
 
@@ -18,9 +21,16 @@ from malsieve import ensemble  # noqa: E402
 from malsieve.archive import parse_archive  # noqa: E402
 from malsieve.axml import parse_manifest  # noqa: E402
 from malsieve.dex import parse_dex  # noqa: E402
-from malsieve.errors import MalsieveError  # noqa: E402
+from malsieve.errors import FormatError, MalsieveError  # noqa: E402
 from malsieve.learners import LearnerSpec, load_model, train  # noqa: E402
-from malsieve.records import extract_features, load_records, save_records  # noqa: E402
+from malsieve.records import (  # noqa: E402
+    FeatureRecord,
+    extract_features,
+    format_record,
+    load_records,
+    parse_record_line,
+    save_records,
+)
 from malsieve.vectorize import (  # noqa: E402
     build_vocabulary,
     load_dataset,
@@ -31,6 +41,7 @@ from malsieve.vectorize import (  # noqa: E402
 )
 
 from binfixtures import DEFLATED, STORED, build_dex, build_zip, simple_manifest  # noqa: E402
+from test_dex import WIDE_DEX, assert_matches_walk  # noqa: E402
 
 MANIFEST = simple_manifest(
     ["android.permission.INTERNET", "android.permission.SEND_SMS"],
@@ -92,6 +103,77 @@ def test_mutated_manifest(data):
 @given(mutations(DEX))
 def test_mutated_dex(data):
     parses_or_raises_typed(parse_dex, data)
+
+
+@st.composite
+def table_mutations(draw, data: bytes) -> bytes:
+    """data with up to 4 bytes of its header fields, identifier tables or
+    string data XORed, so that indices, offsets and lengths go bad."""
+    buf = bytearray(data)
+    region = draw(st.sampled_from([(56, 112), (112, len(buf))]))
+    for _ in range(draw(st.integers(1, 4))):
+        buf[draw(st.integers(region[0], region[1] - 1))] ^= draw(st.integers(1, 255))
+    return bytes(buf)
+
+
+@seed(413)
+@settings(FUZZ, max_examples=400)
+@given(st.one_of(mutations(WIDE_DEX), table_mutations(WIDE_DEX)))
+def test_mutated_dex_matches_walk(data):
+    """The array reader returns what the row-by-row walk returns, or
+    raises the same error with the same message."""
+    assert_matches_walk(data)
+
+
+# --- record lines ---
+
+LINE_SAFE = st.text(st.characters(blacklist_characters="\t\n\r"), max_size=12)
+
+
+@st.composite
+def records(draw) -> FeatureRecord:
+    """Records whose app id and names hold no tab, newline or carriage
+    return: distinct names in perm/action/api block order."""
+    features = []
+    for prefix in ("perm:", "action:", "api:"):
+        features += [prefix + name for name in draw(st.lists(LINE_SAFE, unique=True))]
+    return FeatureRecord(
+        app_id=draw(LINE_SAFE.filter(bool)),
+        label=draw(st.sampled_from([1, -1, None])),
+        features=tuple(features),
+    )
+
+
+@seed(414)
+@FUZZ
+@given(records())
+def test_record_line_round_trips(record):
+    assert parse_record_line(format_record(record)) == record
+
+
+def partitioned(fields: list[str], lineno: int):
+    """What a record line's fields parse to by the plain block partition:
+    the distinct names, perm then action then api, or FormatError naming
+    the first name without a prefix."""
+    unique = list(dict.fromkeys(fields))
+    for f in unique:
+        if not f.startswith(("perm:", "action:", "api:")):
+            return FormatError, f"line {lineno}: feature without a known prefix: {f!r}"
+    return tuple(f for p in ("perm:", "action:", "api:") for f in unique if f.startswith(p))
+
+
+@seed(415)
+@FUZZ
+@given(st.lists(st.sampled_from(
+    ["perm:a", "perm:b", "action:a", "action:b", "api:a", "api:b", "api:c", "apiX", ""]
+), max_size=10), st.integers(1, 99))
+def test_record_line_fields_parse_like_the_block_partition(fields, lineno):
+    line = "\t".join(["app", "+1"] + fields)
+    try:
+        parsed = parse_record_line(line, lineno).features
+    except FormatError as exc:
+        parsed = FormatError, str(exc)
+    assert parsed == partitioned(fields, lineno)
 
 
 # --- text artifacts ---

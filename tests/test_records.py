@@ -134,6 +134,54 @@ def test_feature_with_tab_dropped_at_write():
     assert format_record(record) == "x\t+1\tperm:good"
 
 
+@pytest.mark.parametrize("char", ["\n", "\r"])
+def test_feature_with_line_break_dropped_at_write(char):
+    record = FeatureRecord(
+        app_id="x", label=1, features=("perm:good", f"perm:bad{char}name", "api:a")
+    )
+    assert format_record(record) == "x\t+1\tperm:good\tapi:a"
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+def test_app_id_that_breaks_the_line_rejected_at_write(char):
+    record = FeatureRecord(app_id=f"ab{char}cd", label=1, features=("perm:p",))
+    with pytest.raises(FormatError, match="app id"):
+        format_record(record)
+
+
+def test_record_without_features_round_trips():
+    record = FeatureRecord(app_id="bare", label=None, features=())
+    assert format_record(record) == "bare\t?"
+    assert parse_record_line(format_record(record)) == record
+
+
+def test_repeated_names_in_block_order_kept_once():
+    record = parse_record_line("app\t-1\tperm:p\tperm:p\taction:a\tapi:x\tapi:y\tapi:x")
+    assert record.features == ("perm:p", "action:a", "api:x", "api:y")
+
+
+def test_api_block_before_perm_block_reordered():
+    record = parse_record_line("app\t+1\tapi:x\taction:a\tperm:p")
+    assert record.features == ("perm:p", "action:a", "api:x")
+
+
+def test_unprefixed_field_in_api_tail_rejected_with_its_line():
+    with pytest.raises(FormatError, match="'api'") as exc_info:
+        parse_record_line("app\t+1\tperm:p\tapi:x\tapi", 3)
+    assert exc_info.value.line == 3
+
+
+def test_loaded_records_share_one_string_per_name(tmp_path):
+    path = tmp_path / "corpus.records"
+    path.write_text("".join(
+        f"app{i}\t+1\tperm:{INTERNET}\t{SMS_API}\n" for i in range(3)
+    ))
+    records = load_records(path)
+    assert records[0].features == records[2].features
+    for k in range(2):
+        assert len({id(r.features[k]) for r in records}) == 1
+
+
 def test_blank_lines_skipped():
     text = format_record(sample_record()) + "\n\n" + format_record(sample_record(-1)) + "\n"
     records = list(read_records(io.StringIO(text)))
