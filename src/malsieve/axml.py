@@ -21,7 +21,7 @@ element with no matching start.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MalformedAxml
 
@@ -30,11 +30,8 @@ ANDROID_NS = "http://schemas.android.com/apk/res/android"
 _RES_STRING_POOL = 0x0001
 _RES_XML = 0x0003
 _RES_XML_START_NAMESPACE = 0x0100
-_RES_XML_END_NAMESPACE = 0x0101
 _RES_XML_START_ELEMENT = 0x0102
 _RES_XML_END_ELEMENT = 0x0103
-_RES_XML_CDATA = 0x0104
-_RES_XML_RESOURCE_MAP = 0x0180
 
 _UTF8_FLAG = 1 << 8
 _NO_INDEX = 0xFFFFFFFF
@@ -47,17 +44,6 @@ class ManifestFeatures:
 
     permissions: tuple[str, ...] = ()
     intent_actions: tuple[str, ...] = ()
-
-
-@dataclass
-class _OrderedSet:
-    items: list[str] = field(default_factory=list)
-    seen: set[str] = field(default_factory=set)
-
-    def add(self, value: str) -> None:
-        if value and value not in self.seen:
-            self.seen.add(value)
-            self.items.append(value)
 
 
 def _read_string_pool(data: bytes, start: int, header_size: int, size: int) -> list[str]:
@@ -123,8 +109,9 @@ class _Parser:
         self.strings: list[str] | None = None
         self.android_ns_seen = False
         self.element_stack: list[str] = []
-        self.permissions = _OrderedSet()
-        self.actions = _OrderedSet()
+        # insertion-ordered sets of the names found
+        self.permissions: dict[str, None] = {}
+        self.actions: dict[str, None] = {}
 
     def string(self, idx: int) -> str:
         if self.strings is None:
@@ -161,16 +148,12 @@ class _Parser:
                 if not self.element_stack:
                     raise MalformedAxml("end element without open element")
                 self.element_stack.pop()
-            elif ctype in (_RES_XML_END_NAMESPACE, _RES_XML_CDATA, _RES_XML_RESOURCE_MAP):
-                pass
-            else:
-                # unknown chunk types are skipped; their size field was validated
-                pass
+            # other chunk types are skipped; their size field was validated
             pos += csize
 
         return ManifestFeatures(
-            permissions=tuple(self.permissions.items),
-            intent_actions=tuple(self.actions.items),
+            permissions=tuple(self.permissions),
+            intent_actions=tuple(self.actions),
         )
 
     def start_namespace(self, pos: int, cheader: int, csize: int) -> None:
@@ -210,12 +193,8 @@ class _Parser:
             if not self._namespace_matches(a_ns):
                 continue
             value = self._attr_value(a_raw, vtype, vdata)
-            if value is None:
-                continue
-            if wants_permission:
-                self.permissions.add(value)
-            else:
-                self.actions.add(value)
+            if value:  # an empty name is no feature
+                (self.permissions if wants_permission else self.actions)[value] = None
 
     def _namespace_matches(self, a_ns: int) -> bool:
         if a_ns != _NO_INDEX and self.string(a_ns) == ANDROID_NS:

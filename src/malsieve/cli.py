@@ -183,7 +183,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.selection
         else ens.WeightVector.ones(pool.size)
     )
-    votes = ens.majority_vote_matrix(ens.precompute_predictions(pool, data), omega)
+    votes = ens.majority_vote_matrix(ens.precompute_predictions(pool, data), omega.bits)
     report = compute_metrics(votes, data.label_array())
     sys.stdout.write(
         f"selected={omega.selected_count}/{pool.size} {report.as_fields()}\n"
@@ -227,7 +227,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     # batch size
     for start in range(0, len(vectors), _PREDICT_BLOCK):
         block = Dataset(vectors[start : start + _PREDICT_BLOCK], dimension=pool.dim)
-        votes = ens.majority_vote_matrix(ens.precompute_predictions(pool, block), omega)
+        votes = ens.majority_vote_matrix(ens.precompute_predictions(pool, block), omega.bits)
         for app_id, label in zip(ids[start:], votes):
             out_lines.append(f"{app_id}\t{'+1' if label == 1 else '-1'}")
     _write_text(args.out, "".join(line + "\n" for line in out_lines))

@@ -61,9 +61,6 @@ class WeightVector:
     def selected_count(self) -> int:
         return sum(self.bits)
 
-    def selected_indices(self) -> list[int]:
-        return [i for i, b in enumerate(self.bits) if b]
-
     def to_string(self) -> str:
         return "".join(map(str, self.bits))
 
@@ -149,13 +146,17 @@ def train_pool(
     )
 
 
-def _check_omega(pool_size: int, omega: WeightVector) -> None:
-    if len(omega) != pool_size:
+def selection_masks(masks, pool_size: int) -> np.ndarray:
+    """0/1 masks over a pool as an int64 array, an (N,) mask or a (P x N)
+    stack; every mask must have pool_size positions and select a learner."""
+    masks = np.asarray(masks, dtype=np.int64)
+    if masks.shape[-1] != pool_size:
         raise DimensionMismatch(
-            f"weight vector length {len(omega)} != pool size {pool_size}"
+            f"weight vector length {masks.shape[-1]} != pool size {pool_size}"
         )
-    if omega.selected_count < 1:
+    if not masks.any(axis=-1).all():
         raise AllZeroWeights("no learners selected")
+    return masks
 
 
 def precompute_predictions(pool: EnsemblePool, data: Dataset) -> np.ndarray:
@@ -164,11 +165,11 @@ def precompute_predictions(pool: EnsemblePool, data: Dataset) -> np.ndarray:
     return np.array([predict_labels(l, X) for l in pool.learners], dtype=np.int8)
 
 
-def majority_vote_matrix(matrix: np.ndarray, omega: WeightVector) -> np.ndarray:
-    """Column-wise vote of the rows omega selects from a
-    `precompute_predictions` matrix; a tied sum counts as +1."""
-    _check_omega(matrix.shape[0], omega)
-    sums = matrix[omega.selected_indices()].sum(axis=0, dtype=np.int64)
+def majority_vote_matrix(matrix: np.ndarray, masks) -> np.ndarray:
+    """Column-wise vote of the rows a 0/1 mask selects from a
+    `precompute_predictions` matrix; a tied sum counts as +1. An (N,) mask
+    gives (M,) votes, a (P x N) stack of masks gives (P x M)."""
+    sums = selection_masks(masks, matrix.shape[0]) @ matrix
     return np.where(sums >= 0, 1, -1).astype(np.int8)
 
 
@@ -176,7 +177,7 @@ def vote(pool: EnsemblePool, omega: WeightVector, x: FeatureVector) -> int:
     """The vote on one sample: `majority_vote_matrix` over its one-column
     prediction matrix."""
     one = Dataset([x], dimension=pool.dim)
-    return int(majority_vote_matrix(precompute_predictions(pool, one), omega)[0])
+    return int(majority_vote_matrix(precompute_predictions(pool, one), omega.bits)[0])
 
 
 # --- serialization ---

@@ -310,8 +310,8 @@ def run_one(
     test_matrix = precompute_predictions(pool, test_set)
     predictions = {
         "single": predict_labels(single, X_test),
-        "full_pool": majority_vote_matrix(test_matrix, WeightVector.ones(pool.size)),
-        "selective": majority_vote_matrix(test_matrix, ga_result.omega),
+        "full_pool": majority_vote_matrix(test_matrix, np.ones(pool.size)),
+        "selective": majority_vote_matrix(test_matrix, ga_result.omega.bits),
     }
     metrics = {m: compute_metrics(predictions[m], y_test) for m in METHODS}
     return RunOutcome(metrics=metrics, omega=ga_result.omega, ga=ga_result)

@@ -1,9 +1,9 @@
 """Genetic search for the best sub-ensemble.
 
-Chromosomes are the 0/1 weight vectors over the learner pool. Each
-generation runs crossover, then per-gene mutation, then fitness
-evaluation, then selection (elitism plus fitness-proportional roulette).
-The objective is
+Chromosomes are 0/1 masks over the learner pool, and a population is one
+(P x N) int8 array of them, one row per chromosome. Each generation runs
+crossover, then per-gene mutation, then fitness evaluation, then
+selection (elitism plus fitness-proportional roulette). The objective is
 
     fitness = ensemble accuracy * diversity factor
 
@@ -17,10 +17,12 @@ favors real ensembles that disagree somewhere yet vote correctly.
 Predictions are +-1, so the pairwise distance reduces to
 2*sqrt(#disagreements); everything is evaluated on the one (N learners x
 M samples) prediction matrix that `ensemble.precompute_predictions`
-builds, and accuracy is that of `ensemble.majority_vote_matrix`. A run
-turns the matrix into the (N x N) distance matrix once, so scoring a
-chromosome sums a k x k sub-block instead of touching all M samples
-again.
+builds. A run turns that matrix into the (N x N) distance matrix once and
+then scores each generation with one `fitness` call on the whole
+population: the votes of all P chromosomes are one (P x N) @ (N x M)
+product through `ensemble.majority_vote_matrix`, and each chromosome's
+diversity sums the cached distances between its selected pairs. Nothing
+is memoised; a chromosome that recurs is scored again.
 
 The by-selected-count normalization makes the factor grow roughly
 linearly with ensemble size; diversity_norm="pairs" divides by the pair
@@ -38,14 +40,9 @@ from .ensemble import (
     WeightVector,
     majority_vote_matrix,
     precompute_predictions,
+    selection_masks,
 )
-from .errors import (
-    AllZeroWeights,
-    DimensionMismatch,
-    EmptyDataset,
-    InvalidConfig,
-    LengthMismatch,
-)
+from .errors import EmptyDataset, InvalidConfig, LengthMismatch
 from .rng import make_rng
 from .vectorize import Dataset
 
@@ -86,84 +83,67 @@ def pairwise_distances(matrix: np.ndarray) -> np.ndarray:
 
 def diversity(
     matrix: np.ndarray,
-    omega: WeightVector,
+    masks,
     norm: str = "selected",
     distances: np.ndarray | None = None,
-) -> float:
-    """Summed pairwise Euclidean distance between selected prediction
-    rows, divided by the selected count ("selected") or pair count ("pairs").
-    One selected learner has no pairs: the factor is 0.
+):
+    """Summed pairwise Euclidean distance between the prediction rows a
+    0/1 mask selects, divided by the selected count ("selected") or pair
+    count ("pairs"). One selected learner has no pairs: the factor is 0.
+    An (N,) mask gives a float, a (P x N) stack one value per row.
 
-    `distances`, when given, is `pairwise_distances(matrix)`, computed once
-    by the caller; without it only the selected rows' distances are made.
+    `distances` is `pairwise_distances(matrix)`; a caller that scores many
+    masks computes it once and passes it in.
     """
     if norm not in DIVERSITY_NORMS:
         raise InvalidConfig(f"diversity norm must be one of {DIVERSITY_NORMS}")
-    if matrix.shape[0] != len(omega):
-        raise DimensionMismatch(
-            f"matrix has {matrix.shape[0]} rows, weight vector {len(omega)}"
-        )
-    if omega.selected_count < 1:
-        raise AllZeroWeights("no learners selected")
-    sel = omega.selected_indices()
-    k = len(sel)
-    if k == 1:
-        return 0.0
+    masks = selection_masks(masks, matrix.shape[0])
     if distances is None:
-        dist = pairwise_distances(matrix[sel])
-    else:
-        dist = distances[np.ix_(sel, sel)]
-    total = float(np.sum(dist[np.triu_indices(k, 1)]))
-    denom = k if norm == "selected" else k * (k - 1) // 2
-    return total / denom
+        distances = pairwise_distances(matrix)
+    rows = np.atleast_2d(masks).astype(bool)
+    i, j = np.triu_indices(matrix.shape[0], 1)
+    upper = distances[i, j]  # row-major pair order
+    totals = np.array([np.sum(upper[pairs]) for pairs in rows[:, i] & rows[:, j]])
+    k = rows.sum(axis=1)
+    denom = k if norm == "selected" else np.maximum(k * (k - 1) // 2, 1)
+    values = totals / denom
+    return values if masks.ndim == 2 else float(values[0])
 
 
-def ensemble_accuracy_matrix(
-    matrix: np.ndarray, labels: np.ndarray, omega: WeightVector
-) -> float:
-    if matrix.shape[1] != labels.shape[0]:
-        raise LengthMismatch("label count != matrix sample count")
-    votes = majority_vote_matrix(matrix, omega)
-    return float(np.mean(votes == labels))
+def _accuracy(matrix: np.ndarray, labels: np.ndarray, masks):
+    return np.mean(majority_vote_matrix(matrix, masks) == labels, axis=-1)
 
 
 def fitness(
     matrix: np.ndarray,
     labels: np.ndarray,
-    omega: WeightVector,
+    masks,
     norm: str = "selected",
     distances: np.ndarray | None = None,
-) -> float:
-    """Majority-vote accuracy times diversity factor; `distances` as in
-    `diversity`."""
-    return ensemble_accuracy_matrix(matrix, labels, omega) * diversity(
-        matrix, omega, norm, distances
-    )
+):
+    """Majority-vote accuracy times diversity factor, for one (N,) mask or
+    for each row of a (P x N) stack; `distances` as in `diversity`."""
+    return _accuracy(matrix, labels, masks) * diversity(matrix, masks, norm, distances)
 
 
-# --- operators; populations are lists of WeightVector ---
+# --- operators; a population is a (P x N) int8 array of 0/1 rows ---
 
-def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """An all-zero chromosome cannot vote; set one random gene."""
-    if not bits.any():
-        bits = bits.copy()
-        bits[rng.integers(0, bits.shape[0])] = 1
-    return bits
-
-
-def _to_population(rows: list[np.ndarray]) -> list[WeightVector]:
-    return [WeightVector(tuple(int(b) for b in row)) for row in rows]
+def _repair(population: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """An all-zero chromosome cannot vote; set one random gene in each,
+    in row order."""
+    for row in np.flatnonzero(~population.any(axis=1)):
+        population[row, rng.integers(0, population.shape[1])] = 1
+    return population
 
 
-def init_population(pop_size: int, n: int, rng: np.random.Generator) -> list[WeightVector]:
+def init_population(pop_size: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """pop_size chromosomes, each gene Bernoulli(0.5), repaired."""
-    rows = [rng.integers(0, 2, size=n) for _ in range(pop_size)]
-    return _to_population([_repair(r, rng) for r in rows])
+    return _repair(rng.integers(0, 2, size=(pop_size, n)).astype(np.int8), rng)
 
 
 def crossover(
-    population: list[WeightVector], crossover_rate: float, rng: np.random.Generator
-) -> list[WeightVector]:
+    population: np.ndarray, crossover_rate: float, rng: np.random.Generator
+) -> np.ndarray:
     """Single-point tail exchange over pairs drawn in shuffled order.
 
     Each pair crosses with probability crossover_rate at a cut uniform in
@@ -171,58 +151,45 @@ def crossover(
     emitted in pairing order, so the per-column gene multiset is
     preserved (before repair).
     """
-    order = rng.permutation(len(population))
-    n = len(population[0].bits)
-    out: list[np.ndarray] = []
-    for slot in range(0, len(order) - 1, 2):
-        a = np.array(population[order[slot]].bits)
-        b = np.array(population[order[slot + 1]].bits)
+    out = population[rng.permutation(population.shape[0])]
+    n = out.shape[1]
+    for a in range(0, out.shape[0] - 1, 2):
         if n >= 2 and rng.random() < crossover_rate:
             cut = int(rng.integers(1, n))
-            a, b = (
-                np.concatenate([a[:cut], b[cut:]]),
-                np.concatenate([b[:cut], a[cut:]]),
-            )
-        out.append(a)
-        out.append(b)
-    if len(order) % 2:
-        out.append(np.array(population[order[-1]].bits))
-    return _to_population([_repair(r, rng) for r in out])
+            out[[a, a + 1], cut:] = out[[a + 1, a], cut:]
+    return _repair(out, rng)
 
 
 def mutation(
-    population: list[WeightVector], mutation_rate: float, rng: np.random.Generator
-) -> list[WeightVector]:
-    """Independent per-gene flips, then repair."""
-    out: list[np.ndarray] = []
-    for chrom in population:
-        bits = np.array(chrom.bits)
-        flips = rng.random(bits.shape[0]) < mutation_rate
-        out.append(_repair(np.where(flips, 1 - bits, bits), rng))
-    return _to_population(out)
+    population: np.ndarray, mutation_rate: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Independent per-gene flips, then repair, one chromosome at a time."""
+    out = population.copy()
+    for row in out:
+        row ^= rng.random(out.shape[1]) < mutation_rate
+        _repair(row[np.newaxis], rng)
+    return out
 
 
 def select_newpop(
-    population: list[WeightVector],
+    population: np.ndarray,
     fitnesses: np.ndarray,
     elite_count: int,
     rng: np.random.Generator,
-) -> list[WeightVector]:
+) -> np.ndarray:
     """Keep the elite_count fittest unchanged (ties by lower index), fill
     the rest by fitness-proportional roulette; all-zero fitness mass
     degenerates to uniform."""
-    if len(population) != fitnesses.shape[0]:
+    if population.shape[0] != fitnesses.shape[0]:
         raise LengthMismatch("one fitness value per chromosome required")
     if np.any(~np.isfinite(fitnesses)) or np.any(fitnesses < 0):
         raise ValueError("fitness values must be finite and >= 0")
-    order = sorted(range(len(population)), key=lambda i: (-fitnesses[i], i))
-    new_pop = [population[i] for i in order[:elite_count]]
-    remaining = len(population) - elite_count
+    elite = np.argsort(-fitnesses, kind="stable")[:elite_count]
     total = float(np.sum(fitnesses))
     probs = fitnesses / total if total > 0 else None
-    picks = rng.choice(len(population), size=remaining, replace=True, p=probs)
-    new_pop.extend(population[i] for i in picks)
-    return new_pop
+    picks = rng.choice(population.shape[0], size=population.shape[0] - elite_count,
+                       replace=True, p=probs)
+    return population[np.concatenate([elite, picks])]
 
 
 @dataclass(frozen=True)
@@ -241,66 +208,42 @@ class GAResult:
     history: tuple[GenerationStats, ...]
 
 
-def run_ga(
-    pool: EnsemblePool,
-    data: Dataset,
-    labels: np.ndarray | None = None,
-    config: GAConfig = GAConfig(),
-) -> GAResult:
-    """Search weight vectors over the pool; returns the best chromosome
-    ever evaluated, its fitness decomposition and per-generation stats.
-
-    Deterministic per config.rng_seed. `labels` defaults to the
-    dataset's own labels; passing them separately lets the caller score
-    against labels other than the embedded ones.
+def run_ga(pool: EnsemblePool, data: Dataset, config: GAConfig = GAConfig()) -> GAResult:
+    """Search weight vectors over the pool against the dataset's labels;
+    returns the best chromosome ever evaluated, its fitness decomposition
+    and per-generation stats. Deterministic per config.rng_seed.
     """
     if len(data) == 0:
         raise EmptyDataset("the GA needs at least one sample to score")
     matrix = precompute_predictions(pool, data)
-    if labels is None:
-        y = data.label_array()
-    else:
-        y = np.asarray(labels, dtype=np.int8)
-    if y.shape[0] != matrix.shape[1]:
-        raise LengthMismatch("label count != sample count")
-    if not np.all(np.abs(y) == 1):
-        raise ValueError("labels must be +-1")
-
+    y = data.label_array()
     distances = pairwise_distances(matrix)
     rng = make_rng(config.rng_seed, "ga")
-    memo: dict[tuple[int, ...], float] = {}
-
-    def evaluate(chrom: WeightVector) -> float:
-        cached = memo.get(chrom.bits)
-        if cached is None:
-            cached = fitness(matrix, y, chrom, config.diversity_norm, distances)
-            memo[chrom.bits] = cached
-        return cached
 
     population = init_population(config.pop_size, pool.size, rng)
-    best_bits: WeightVector | None = None
+    best: np.ndarray | None = None
     best_fit = -1.0
     history: list[GenerationStats] = []
 
     for generation in range(1, config.max_iter + 1):
         population = crossover(population, config.crossover_rate, rng)
         population = mutation(population, config.mutation_rate, rng)
-        fits = np.array([evaluate(c) for c in population])
+        fits = fitness(matrix, y, population, config.diversity_norm, distances)
         gen_best = int(np.argmax(fits))
         if fits[gen_best] > best_fit:
             best_fit = float(fits[gen_best])
-            best_bits = population[gen_best]
+            best = population[gen_best].copy()
         history.append(
             GenerationStats(generation, float(fits[gen_best]), float(np.mean(fits)))
         )
         population = select_newpop(population, fits, config.elite_count, rng)
 
-    assert best_bits is not None
+    assert best is not None
     return GAResult(
-        omega=best_bits,
+        omega=WeightVector(tuple(best.tolist())),
         fitness=best_fit,
-        accuracy=ensemble_accuracy_matrix(matrix, y, best_bits),
-        diversity=diversity(matrix, best_bits, config.diversity_norm, distances),
+        accuracy=float(_accuracy(matrix, y, best)),
+        diversity=diversity(matrix, best, config.diversity_norm, distances),
         history=tuple(history),
     )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import IO, Iterable, Iterator
 
 from .archive import ApkArchive
@@ -62,13 +62,14 @@ def extract_features(
         raise MissingManifest("archive has no AndroidManifest.xml")
     manifest = parse_manifest(archive.read(entry))
 
+    refs = [parse_dex(archive.read(e)).api_refs for e in archive.dex_entries]
+    # each parser's names are already distinct; only several DEX entries'
+    # refs can repeat one another
+    api_refs = refs[0] if len(refs) == 1 else dict.fromkeys(chain.from_iterable(refs))
     features = [PERM_PREFIX + p for p in manifest.permissions]
     features += [ACTION_PREFIX + a for a in manifest.intent_actions]
-    for dex_entry in archive.dex_entries:
-        features += [API_PREFIX + r for r in parse_dex(archive.read(dex_entry)).api_refs]
-    return FeatureRecord(
-        app_id=app_id, label=label, features=tuple(dict.fromkeys(features))
-    )
+    features += [API_PREFIX + r for r in api_refs]
+    return FeatureRecord(app_id=app_id, label=label, features=tuple(features))
 
 
 def _printable(name: str) -> bool:

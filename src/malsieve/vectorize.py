@@ -196,14 +196,11 @@ def build_vocabulary(records: Iterable[FeatureRecord],
 
 def vectorize(record: FeatureRecord, vocab: Vocabulary) -> FeatureVector:
     """Map a record onto the frozen vocabulary; unknown features drop out."""
-    active = {
-        vocab.index[name]
-        for name in record.features
-        if name in vocab.index
-    }
+    # one membership test per feature, in C; only the known ones are indexed
+    known = vocab.index.keys() & record.features
     return FeatureVector(
         dimension=vocab.dimension,
-        indices=tuple(sorted(active)),
+        indices=tuple(sorted(map(vocab.index.__getitem__, known))),
         label=record.label,
     )
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from malsieve.ensemble import EnsemblePool, WeightVector
+from malsieve.ensemble import EnsemblePool
 from malsieve.learners import LearnerSpec, TrainedLearner
 from malsieve.vectorize import Dataset, FeatureVector
 
@@ -84,18 +84,13 @@ def brute_force_fitness(matrix, labels, bits, norm: str = "selected") -> float:
 
 def exhaustive_best_fitness(matrix, labels, norm: str = "selected"):
     """Max fitness over every nonzero weight vector, via the public
-    fitness function (bit-exact comparison target for the GA)."""
+    fitness function scored on all of them at once (bit-exact comparison
+    target for the GA); ties go to the first in lexicographic order."""
     from itertools import product
 
     from malsieve.ga import fitness
 
-    best_bits = None
-    best = -1.0
-    for bits in product((0, 1), repeat=matrix.shape[0]):
-        if not any(bits):
-            continue
-        value = fitness(matrix, labels, WeightVector(bits), norm)
-        if value > best:
-            best = value
-            best_bits = bits
-    return best, best_bits
+    masks = np.array(list(product((0, 1), repeat=matrix.shape[0]))[1:])
+    values = fitness(matrix, labels, masks, norm)
+    best = int(np.argmax(values))
+    return float(values[best]), tuple(masks[best].tolist())

@@ -83,7 +83,7 @@ def test_criterion_1_voting_oracle():
             if not any(bits):
                 continue
             omega = WeightVector(bits)
-            votes = majority_vote_matrix(matrix, omega)
+            votes = majority_vote_matrix(matrix, bits)
             for k in range(m):
                 expected = brute_force_vote(matrix, bits, k)
                 assert votes[k] == expected
@@ -102,17 +102,17 @@ def test_criterion_2_diversity_oracle():
             bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
             if not any(bits):
                 bits = (1,) + bits[1:]
-            mine = diversity(matrix, WeightVector(bits))
+            mine = diversity(matrix, bits)
             oracle = brute_force_diversity(matrix, bits)
             assert abs(mine - oracle) <= 1e-9
 
         # worked examples
         row = np.array([1, -1, 1, 1], dtype=np.int8)
-        assert diversity(np.vstack([row, row, row]), WeightVector((1, 1, 1))) == 0.0
+        assert diversity(np.vstack([row, row, row]), (1, 1, 1)) == 0.0
         two = np.array([[1, 1, 1, 1], [1, 1, 1, -1]], dtype=np.int8)
-        assert abs(diversity(two, WeightVector((1, 1))) - 1.0) <= 1e-9
+        assert abs(diversity(two, (1, 1)) - 1.0) <= 1e-9
         three = np.array([[1, 1, 1, 1], [1, 1, 1, -1], [1, -1, -1, 1]], dtype=np.int8)
-        assert abs(diversity(three, WeightVector((1, 1, 1))) - 2.7642) <= 1e-4
+        assert abs(diversity(three, (1, 1, 1)) - 2.7642) <= 1e-4
 
 
 def ga_oracle_problem():

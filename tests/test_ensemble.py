@@ -19,7 +19,6 @@ from malsieve.ensemble import (
     vote,
 )
 from malsieve.errors import AllZeroWeights, DimensionMismatch, FormatError, RunFailed
-from malsieve.ga import ensemble_accuracy_matrix
 from malsieve.learners import LearnerSpec, train
 from malsieve.rng import derive_seed
 from malsieve.vectorize import Dataset, FeatureVector
@@ -183,11 +182,23 @@ def test_vote_matches_brute_force_for_all_nonzero_omegas():
         if not any(bits):
             continue
         omega = WeightVector(bits)
-        fast = majority_vote_matrix(matrix, omega)
+        fast = majority_vote_matrix(matrix, bits)
         for k in range(m):
             expected = brute_force_vote(matrix, bits, k)
             assert vote(pool, omega, samples.vectors[k]) == expected
             assert fast[k] == expected
+
+
+def test_stacked_masks_vote_row_by_row():
+    rng = np.random.default_rng(19)
+    matrix = random_sign_matrix(rng, 6, 40)
+    masks = np.array([bits for bits in itertools.product((0, 1), repeat=6)][1:])
+    votes = majority_vote_matrix(matrix, masks)
+    assert votes.shape == (63, 40)
+    for mask, row in zip(masks, votes):
+        assert np.array_equal(row, majority_vote_matrix(matrix, mask))
+    with pytest.raises(AllZeroWeights):
+        majority_vote_matrix(matrix, np.vstack([masks[:2], np.zeros(6, dtype=int)]))
 
 
 def test_single_bit_omega_equals_learner_prediction():
@@ -195,7 +206,7 @@ def test_single_bit_omega_equals_learner_prediction():
     matrix = random_sign_matrix(rng, 5, 30)
     for i in range(5):
         bits = tuple(1 if j == i else 0 for j in range(5))
-        votes = majority_vote_matrix(matrix, WeightVector(bits))
+        votes = majority_vote_matrix(matrix, bits)
         assert np.array_equal(votes, matrix[i])
 
 
@@ -206,25 +217,24 @@ def test_deselected_learners_are_inert():
         bits = tuple(int(b) for b in rng.integers(0, 2, size=7))
         if not any(bits):
             bits = (1,) + bits[1:]
-        omega = WeightVector(bits)
-        baseline = majority_vote_matrix(matrix, omega)
+        baseline = majority_vote_matrix(matrix, bits)
         flipped = matrix.copy()
         for i, b in enumerate(bits):
             if b == 0:
                 flipped[i] = -flipped[i]
-        assert np.array_equal(majority_vote_matrix(flipped, omega), baseline)
+        assert np.array_equal(majority_vote_matrix(flipped, bits), baseline)
 
 
 def test_duplicating_a_selected_learner_keeps_strict_majorities():
     rng = np.random.default_rng(31)
     for _ in range(20):
         matrix = random_sign_matrix(rng, 5, 30)
-        omega = WeightVector((1, 1, 1, 1, 1))
-        sums = np.array(omega.bits) @ matrix.astype(np.int64)
+        omega = (1, 1, 1, 1, 1)
+        sums = np.array(omega) @ matrix.astype(np.int64)
         votes = majority_vote_matrix(matrix, omega)
         dup = int(rng.integers(0, 5))
         bigger = np.vstack([matrix, matrix[dup]])
-        votes2 = majority_vote_matrix(bigger, WeightVector((1,) * 6))
+        votes2 = majority_vote_matrix(bigger, (1,) * 6)
         strict = np.abs(sums) >= 2
         assert np.array_equal(votes2[strict], votes[strict])
 
@@ -235,7 +245,7 @@ def test_all_zero_weights_rejected():
     with pytest.raises(AllZeroWeights):
         vote(pool, WeightVector((0,)), FeatureVector(2, (0,), None))
     with pytest.raises(AllZeroWeights):
-        majority_vote_matrix(matrix, WeightVector((0,)))
+        majority_vote_matrix(matrix, (0,))
 
 
 def test_vote_dimension_mismatch():
@@ -251,8 +261,8 @@ def test_accuracy_echoing_labels():
     matrix = np.array([labels, labels], dtype=np.int8)
     pool = pool_from_matrix(matrix)
     data = one_hot_dataset(4, labels)
-    accuracy = ensemble_accuracy_matrix(
-        precompute_predictions(pool, data), data.label_array(), WeightVector((1, 1))
+    accuracy = np.mean(
+        majority_vote_matrix(precompute_predictions(pool, data), (1, 1)) == data.label_array()
     )
     assert accuracy == 1.0
 
@@ -262,8 +272,8 @@ def test_accuracy_constant_learner_on_balanced_data():
     matrix = np.array([[1, 1, 1, 1]], dtype=np.int8)
     pool = pool_from_matrix(matrix)
     data = one_hot_dataset(4, labels)
-    accuracy = ensemble_accuracy_matrix(
-        precompute_predictions(pool, data), data.label_array(), WeightVector((1,))
+    accuracy = np.mean(
+        majority_vote_matrix(precompute_predictions(pool, data), (1,)) == data.label_array()
     )
     assert accuracy == 0.5
 
@@ -287,8 +297,8 @@ def test_accuracy_matches_hand_count_on_fixture():
     labels = [1, 1, -1, -1, 1, -1]
     pool = pool_from_matrix(matrix)
     data = one_hot_dataset(6, labels)
-    accuracy = ensemble_accuracy_matrix(
-        precompute_predictions(pool, data), data.label_array(), WeightVector((1, 1, 1))
+    accuracy = np.mean(
+        majority_vote_matrix(precompute_predictions(pool, data), (1, 1, 1)) == data.label_array()
     )
     assert accuracy == pytest.approx(4 / 6)
 

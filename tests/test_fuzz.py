@@ -6,10 +6,16 @@ and of each text file the package writes (records, vocabulary, dataset,
 model, pool manifest and selection), must either load or raise a
 MalsieveError; any other exception is a hole in the error contract. The
 DEX reader must agree with the row-by-row walk it replaced, and record
-lines must round-trip and parse like the block partition they skip. The
-seeds are fixed, so every run tries the same inputs.
+lines must round-trip and parse like the block partition they skip.
+Saving then loading a vocabulary, dataset, model, pool or selection must
+give an equal object. The seeds are fixed, so every run tries the same
+inputs.
 """
 
+import tempfile
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -22,7 +28,13 @@ from malsieve.archive import parse_archive  # noqa: E402
 from malsieve.axml import parse_manifest  # noqa: E402
 from malsieve.dex import parse_dex  # noqa: E402
 from malsieve.errors import FormatError, MalsieveError  # noqa: E402
-from malsieve.learners import LearnerSpec, load_model, train  # noqa: E402
+from malsieve.learners import (  # noqa: E402
+    LearnerSpec,
+    TrainedLearner,
+    load_model,
+    save_model,
+    train,
+)
 from malsieve.records import (  # noqa: E402
     FeatureRecord,
     extract_features,
@@ -32,6 +44,10 @@ from malsieve.records import (  # noqa: E402
     save_records,
 )
 from malsieve.vectorize import (  # noqa: E402
+    BLOCK_PREFIXES,
+    Dataset,
+    FeatureVector,
+    Vocabulary,
     build_vocabulary,
     load_dataset,
     load_vocabulary,
@@ -234,3 +250,123 @@ def test_mutated_text_artifact(artifacts, name, data):
         parses_or_raises_typed(LOADERS[name], path)
     finally:
         path.write_bytes(original)
+
+
+# --- save then load gives an equal object ---
+
+ROUND_TRIP = settings(max_examples=80, deadline=None, database=None)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def round_trip(save, load, obj, name="artifact"):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        save(obj, path)
+        return load(path)
+
+
+@st.composite
+def vocabularies(draw) -> Vocabulary:
+    blocks = [
+        sorted(draw(st.sets(LINE_SAFE.map(lambda n, p=prefix: p + n), max_size=6)))
+        for prefix in BLOCK_PREFIXES
+    ]
+    if not any(blocks):  # a vocabulary file holds at least one name
+        blocks[2] = [BLOCK_PREFIXES[2] + "x"]
+    names = [n for block in blocks for n in block]
+    freqs = draw(st.lists(st.integers(0, 10**6), min_size=len(names), max_size=len(names)))
+    return Vocabulary(names, freqs, *map(len, blocks))
+
+
+@seed(430)
+@ROUND_TRIP
+@given(vocabularies())
+def test_vocabulary_round_trips(vocab):
+    loaded = round_trip(save_vocabulary, load_vocabulary, vocab)
+    assert loaded.names == vocab.names
+    assert loaded.doc_freq == vocab.doc_freq
+    assert (loaded.perm_count, loaded.action_count, loaded.api_count) == (
+        vocab.perm_count, vocab.action_count, vocab.api_count
+    )
+
+
+@st.composite
+def datasets(draw) -> Dataset:
+    dim = draw(st.integers(1, 30))
+    vectors = draw(st.lists(st.builds(
+        FeatureVector,
+        st.just(dim),
+        st.sets(st.integers(0, dim - 1)).map(lambda s: tuple(sorted(s))),
+        st.sampled_from((1, -1)),
+    ), max_size=8))
+    return Dataset(vectors, dimension=dim)
+
+
+@seed(431)
+@ROUND_TRIP
+@given(datasets())
+def test_dataset_round_trips(data):
+    loaded = round_trip(save_dataset, load_dataset, data)
+    assert loaded.dimension == data.dimension
+    assert loaded.vectors == data.vectors
+
+
+@st.composite
+def learners(draw, dim=None) -> TrainedLearner:
+    spec = LearnerSpec(
+        kind=draw(st.sampled_from(("linear", "mlp"))),
+        learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+        epochs=draw(st.integers(1, 1000)),
+        hidden_units=draw(st.integers(1, 4)),
+        l2=draw(st.floats(min_value=0.0, allow_nan=False)),
+        rng_seed=draw(st.integers(0, 2**63 - 1)),
+        batch_size=draw(st.one_of(st.none(), st.integers(1, 4096))),
+    )
+    dim = draw(st.integers(1, 5)) if dim is None else dim
+    h = spec.hidden_units
+    shapes = {
+        "linear": {"w": (dim,), "b": (1,)},
+        "mlp": {"W1": (dim, h), "b1": (h,), "w2": (h,), "b2": (1,)},
+    }[spec.kind]
+    params = {
+        name: np.array(draw(st.lists(FINITE, min_size=int(np.prod(shape)),
+                                     max_size=int(np.prod(shape))))).reshape(shape)
+        for name, shape in shapes.items()
+    }
+    return TrainedLearner(kind=spec.kind, dim=dim, spec=spec, params=params)
+
+
+@seed(432)
+@ROUND_TRIP
+@given(learners())
+def test_model_round_trips(learner):
+    assert round_trip(save_model, load_model, learner) == learner
+
+
+@st.composite
+def pools(draw) -> ensemble.EnsemblePool:
+    dim = draw(st.integers(1, 4))
+    members = draw(st.lists(learners(dim), min_size=1, max_size=3))
+    seeds = draw(st.lists(st.integers(0, 2**63 - 1),
+                          min_size=len(members), max_size=len(members)))
+    master = draw(st.integers(0, 2**63 - 1))
+    return ensemble.EnsemblePool(tuple(members), tuple(seeds), master)
+
+
+@seed(433)
+@ROUND_TRIP
+@given(pools())
+def test_pool_round_trips(pool):
+    loaded = round_trip(ensemble.save_pool, ensemble.load_pool, pool, "pool")
+    assert loaded.learners == pool.learners
+    assert loaded.bootstrap_seeds == pool.bootstrap_seeds
+    assert loaded.master_seed == pool.master_seed
+
+
+@seed(434)
+@ROUND_TRIP
+@given(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=60))
+def test_selection_round_trips(bits):
+    omega = ensemble.WeightVector(tuple(bits))
+    assert round_trip(ensemble.save_selection, ensemble.load_selection, omega) == omega

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from malsieve.ensemble import WeightVector, precompute_predictions
-from malsieve.errors import AllZeroWeights, EmptyDataset, InvalidConfig, LengthMismatch
+from malsieve.errors import AllZeroWeights, EmptyDataset, InvalidConfig
 from malsieve.ga import (
+    DIVERSITY_NORMS,
     GAConfig,
     crossover,
     diversity,
@@ -57,19 +58,19 @@ def test_precompute_matches_predict_label():
 def test_identical_learners_have_zero_diversity():
     row = np.array([1, -1, 1, 1], dtype=np.int8)
     matrix = np.vstack([row, row, row])
-    assert diversity(matrix, WeightVector((1, 1, 1))) == 0.0
+    assert diversity(matrix, (1, 1, 1)) == 0.0
 
 
 def test_two_learners_one_disagreement():
     matrix = np.array([[1, 1, 1, 1], [1, 1, 1, -1]], dtype=np.int8)
-    assert diversity(matrix, WeightVector((1, 1))) == pytest.approx(1.0, abs=1e-12)
+    assert diversity(matrix, (1, 1)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_three_learner_worked_example():
     matrix = np.array(
         [[1, 1, 1, 1], [1, 1, 1, -1], [1, -1, -1, 1]], dtype=np.int8
     )
-    value = diversity(matrix, WeightVector((1, 1, 1)))
+    value = diversity(matrix, (1, 1, 1))
     expected = (2.0 + np.sqrt(8.0) + np.sqrt(12.0)) / 3.0
     assert value == pytest.approx(expected, abs=1e-12)
     assert value == pytest.approx(2.7642, abs=1e-4)
@@ -78,7 +79,7 @@ def test_three_learner_worked_example():
 def test_single_selection_diversity_zero():
     rng = np.random.default_rng(0)
     matrix = random_sign_matrix(rng, 5, 9)
-    assert diversity(matrix, WeightVector((0, 0, 1, 0, 0))) == 0.0
+    assert diversity(matrix, (0, 0, 1, 0, 0)) == 0.0
 
 
 def test_diversity_matches_brute_force_oracle():
@@ -91,7 +92,7 @@ def test_diversity_matches_brute_force_oracle():
         if not any(bits):
             bits = (1,) + bits[1:]
         for norm in ("selected", "pairs"):
-            mine = diversity(matrix, WeightVector(bits), norm)
+            mine = diversity(matrix, bits, norm)
             oracle = brute_force_diversity(matrix, bits, norm)
             assert mine == pytest.approx(oracle, abs=1e-9)
 
@@ -100,15 +101,15 @@ def test_diversity_ignores_deselected_rows_and_order():
     rng = np.random.default_rng(13)
     matrix = random_sign_matrix(rng, 6, 20)
     bits = (1, 0, 1, 0, 1, 0)
-    baseline = diversity(matrix, WeightVector(bits))
+    baseline = diversity(matrix, bits)
     # permute the selected rows among themselves
     permuted = matrix.copy()
     permuted[[0, 2, 4]] = matrix[[4, 0, 2]]
-    assert diversity(permuted, WeightVector(bits)) == pytest.approx(baseline, abs=1e-12)
+    assert diversity(permuted, bits) == pytest.approx(baseline, abs=1e-12)
     # rewrite the deselected rows entirely
     scrambled = matrix.copy()
     scrambled[[1, 3, 5]] = -scrambled[[1, 3, 5]]
-    assert diversity(scrambled, WeightVector(bits)) == baseline
+    assert diversity(scrambled, bits) == baseline
 
 
 def test_diversity_upper_bound():
@@ -122,12 +123,12 @@ def test_diversity_upper_bound():
             bits = (1,) + bits[1:]
         n_sel = sum(bits)
         bound = (n_sel - 1) / 2 * 2 * np.sqrt(m)
-        assert diversity(matrix, WeightVector(bits)) <= bound + 1e-9
+        assert diversity(matrix, bits) <= bound + 1e-9
 
 
 def test_diversity_rejects_all_zero():
     with pytest.raises(AllZeroWeights):
-        diversity(np.array([[1, -1]], dtype=np.int8), WeightVector((0,)))
+        diversity(np.array([[1, -1]], dtype=np.int8), (0,))
 
 
 # --- fitness ---
@@ -136,7 +137,7 @@ def test_single_learner_fitness_zero():
     rng = np.random.default_rng(19)
     matrix = random_sign_matrix(rng, 4, 10)
     labels = random_sign_matrix(rng, 1, 10)[0]
-    assert fitness(matrix, labels, WeightVector((0, 1, 0, 0))) == 0.0
+    assert fitness(matrix, labels, (0, 1, 0, 0)) == 0.0
 
 
 def test_fitness_decomposition_fixture():
@@ -144,7 +145,7 @@ def test_fitness_decomposition_fixture():
     # (tie -> +1) gets three of four labels right
     matrix = np.array([[1, 1, -1, -1], [1, 1, -1, 1]], dtype=np.int8)
     labels = np.array([1, 1, -1, -1], dtype=np.int8)
-    omega = WeightVector((1, 1))
+    omega = (1, 1)
     assert diversity(matrix, omega) == pytest.approx(1.0, abs=1e-12)
     assert fitness(matrix, labels, omega) == pytest.approx(0.75, abs=1e-12)
 
@@ -152,7 +153,7 @@ def test_fitness_decomposition_fixture():
 def test_always_wrong_ensemble_fitness_zero():
     labels = np.array([1, 1, 1, 1], dtype=np.int8)
     matrix = np.array([[-1, -1, -1, -1], [-1, -1, -1, -1]], dtype=np.int8)
-    assert fitness(matrix, labels, WeightVector((1, 1))) == 0.0
+    assert fitness(matrix, labels, (1, 1)) == 0.0
 
 
 def test_fitness_matches_brute_force_oracle():
@@ -165,28 +166,47 @@ def test_fitness_matches_brute_force_oracle():
         bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
         if not any(bits):
             bits = (1,) + bits[1:]
-        mine = fitness(matrix, labels, WeightVector(bits))
+        mine = fitness(matrix, labels, bits)
         oracle = brute_force_fitness(matrix, labels, bits)
         assert mine == pytest.approx(oracle, abs=1e-9)
 
 
+def test_stacked_masks_score_row_by_row():
+    rng = np.random.default_rng(31)
+    matrix = random_sign_matrix(rng, 7, 25)
+    labels = random_sign_matrix(rng, 1, 25)[0]
+    masks = rng.integers(0, 2, size=(40, 7))
+    masks[:, 0] = 1
+    for norm in ("selected", "pairs"):
+        div = diversity(matrix, masks, norm)
+        fit = fitness(matrix, labels, masks, norm)
+        assert div.shape == fit.shape == (40,)
+        for mask, d, f in zip(masks, div, fit):
+            assert d == diversity(matrix, mask, norm)
+            assert f == fitness(matrix, labels, mask, norm)
+
+
 # --- operators ---
+
+def population(*rows) -> np.ndarray:
+    return np.array(rows, dtype=np.int8)
+
 
 def test_init_population_repairs_single_gene():
     pop = init_population(2, 1, make_rng(0))
-    assert [c.bits for c in pop] == [(1,), (1,)]
+    assert pop.tolist() == [[1], [1]]
 
 
 def test_init_population_deterministic():
     a = init_population(10, 8, make_rng(42))
     b = init_population(10, 8, make_rng(42))
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 def test_init_population_gene_mean_near_half():
     rng = make_rng(7)
     pop = init_population(1000, 10, rng)
-    mean = np.mean([np.mean(c.bits) for c in pop])
+    mean = np.mean(pop)
     assert abs(mean - 0.5) <= 0.02
 
 
@@ -194,15 +214,15 @@ def test_crossover_rate_zero_preserves_population():
     rng = make_rng(1)
     pop = init_population(8, 6, rng)
     after = crossover(pop, 0.0, make_rng(2))
-    assert sorted(c.bits for c in after) == sorted(c.bits for c in pop)
+    assert sorted(after.tolist()) == sorted(pop.tolist())
 
 
 def test_crossover_single_point_tail_exchange():
-    parents = [WeightVector((1, 1, 1, 1)), WeightVector((0, 0, 0, 0))]
+    parents = population((1, 1, 1, 1), (0, 0, 0, 0))
     seen_cuts = set()
     for seed in range(30):
         offspring = crossover(parents, 1.0, make_rng(seed))
-        combined = sorted(c.bits for c in offspring)
+        combined = sorted(tuple(c) for c in offspring.tolist())
         # one offspring starts with the head of one parent and ends with
         # the tail of the other; cut in [1, 3]
         ones_first = max(combined)
@@ -219,85 +239,86 @@ def test_crossover_preserves_column_multisets():
     # never fires, making the conservation law exact
     rng = np.random.default_rng(29)
     for trial in range(20):
-        pop = []
+        rows = []
         for _ in range(10):
             middle = tuple(int(b) for b in rng.integers(0, 2, size=4))
-            pop.append(WeightVector((1,) + middle + (1,)))
+            rows.append((1,) + middle + (1,))
+        pop = population(*rows)
         after = crossover(pop, 0.8, make_rng(trial))
-        before_counts = np.sum([c.bits for c in pop], axis=0)
-        after_counts = np.sum([c.bits for c in after], axis=0)
+        before_counts = np.sum(pop, axis=0)
+        after_counts = np.sum(after, axis=0)
         assert np.array_equal(before_counts, after_counts)
 
 
 def test_mutation_rate_zero_is_identity():
     pop = init_population(6, 5, make_rng(3))
     after = mutation(pop, 0.0, make_rng(4))
-    assert after == pop
+    assert np.array_equal(after, pop)
 
 
 def test_mutation_rate_one_complements():
-    pop = [WeightVector((1, 0, 1, 0))]
+    pop = population((1, 0, 1, 0))
     after = mutation(pop, 1.0, make_rng(5))
-    assert after[0].bits == (0, 1, 0, 1)
+    assert after[0].tolist() == [0, 1, 0, 1]
 
 
 def test_mutation_flip_frequency():
     genes = 10_000
-    chrom = WeightVector(tuple([1, 0] * (genes // 2)))
+    chrom = population([1, 0] * (genes // 2))
     for rate in (0.05, 0.3):
-        after = mutation([chrom], rate, make_rng(6))
-        flips = sum(a != b for a, b in zip(chrom.bits, after[0].bits))
+        after = mutation(chrom, rate, make_rng(6))
+        flips = int(np.sum(chrom[0] != after[0]))
         assert abs(flips / genes - rate) <= 0.02
 
 
 def test_selection_all_mass_on_one_chromosome():
-    pop = [WeightVector((1, 0)), WeightVector((0, 1)), WeightVector((1, 1))]
+    pop = population((1, 0), (0, 1), (1, 1))
     fits = np.array([0.0, 5.0, 0.0])
     new = select_newpop(pop, fits, 0, make_rng(7))
-    assert all(c == pop[1] for c in new)
+    assert all(np.array_equal(c, pop[1]) for c in new)
 
 
 def test_selection_full_elitism_sorts():
-    pop = [WeightVector((1, 0)), WeightVector((0, 1)), WeightVector((1, 1))]
+    pop = population((1, 0), (0, 1), (1, 1))
     fits = np.array([1.0, 3.0, 2.0])
     new = select_newpop(pop, fits, 3, make_rng(8))
-    assert new == [pop[1], pop[2], pop[0]]
+    assert np.array_equal(new, pop[[1, 2, 0]])
 
 
 def test_selection_elite_ties_broken_by_lower_index():
-    pop = [WeightVector((1, 0)), WeightVector((0, 1)), WeightVector((1, 1))]
+    pop = population((1, 0), (0, 1), (1, 1))
     fits = np.array([2.0, 2.0, 1.0])
     new = select_newpop(pop, fits, 2, make_rng(9))
-    assert new[:2] == [pop[0], pop[1]]
+    assert np.array_equal(new[:2], pop[[0, 1]])
 
 
 def test_selection_roulette_proportional_to_fitness():
-    pop = [WeightVector((1, 0, 0)), WeightVector((0, 1, 0)),
-           WeightVector((0, 0, 1)), WeightVector((1, 1, 1))]
+    pop = population((1, 0, 0), (0, 1, 0),
+                     (0, 0, 1), (1, 1, 1))
     fits = np.array([1.0, 2.0, 3.0, 4.0])
     rng = make_rng(10)
-    counts = {c.bits: 0 for c in pop}
+    counts = {tuple(c): 0 for c in pop.tolist()}
     draws = 0
     for _ in range(2500):
-        for picked in select_newpop(pop, fits, 0, rng):
-            counts[picked.bits] += 1
+        for picked in select_newpop(pop, fits, 0, rng).tolist():
+            counts[tuple(picked)] += 1
             draws += 1
     total_fitness = float(np.sum(fits))
-    for chrom, fit in zip(pop, fits):
+    for chrom, fit in zip(pop.tolist(), fits):
         p = fit / total_fitness
         sigma = np.sqrt(draws * p * (1 - p))
-        assert abs(counts[chrom.bits] - draws * p) <= 3 * sigma
+        assert abs(counts[tuple(chrom)] - draws * p) <= 3 * sigma
 
 
 def test_selection_zero_mass_degenerates_to_uniform():
-    pop = [WeightVector((1, 0)), WeightVector((0, 1))]
+    pop = population((1, 0), (0, 1))
     fits = np.array([0.0, 0.0])
     rng = make_rng(11)
-    counts = {pop[0].bits: 0, pop[1].bits: 0}
+    counts = {(1, 0): 0, (0, 1): 0}
     for _ in range(2000):
-        for picked in select_newpop(pop, fits, 0, rng):
-            counts[picked.bits] += 1
-    assert abs(counts[pop[0].bits] - 2000) <= 3 * np.sqrt(4000 * 0.25)
+        for picked in select_newpop(pop, fits, 0, rng).tolist():
+            counts[tuple(picked)] += 1
+    assert abs(counts[(1, 0)] - 2000) <= 3 * np.sqrt(4000 * 0.25)
 
 
 # --- full GA runs ---
@@ -324,7 +345,7 @@ def test_run_ga_trivial_generation():
         fitness(matrix, labels, c) for c in initial
     )
     assert result.fitness == expected
-    assert result.omega in initial
+    assert list(result.omega.bits) in initial.tolist()
 
 
 def test_run_ga_deterministic():
@@ -360,13 +381,6 @@ def test_run_ga_never_beats_exhaustive_and_usually_matches():
     assert hits >= 4
 
 
-def test_run_ga_label_length_mismatch():
-    pool, data, _, _ = fixture_problem(seed=5, n=4, m=10)
-    with pytest.raises(LengthMismatch):
-        run_ga(pool, data, labels=np.ones(3, dtype=np.int8), config=GAConfig())
-
-
-
 @pytest.mark.filterwarnings("error")
 def test_run_ga_on_empty_dataset_raises_empty_dataset():
     pool, _, _, _ = fixture_problem(seed=5, n=4, m=10)
@@ -400,7 +414,7 @@ def test_ga_report_contents():
 @pytest.mark.parametrize("norm", ["selected", "pairs"])
 def test_run_ga_matches_per_call_fitness(monkeypatch, norm):
     """run_ga's one distance matrix per run gives the GAResult of scoring
-    every chromosome from the prediction matrix alone."""
+    every generation from the prediction matrix alone."""
     import malsieve.ga as ga
 
     pool, data, matrix, labels = fixture_problem(seed=8, n=12, m=60)
@@ -410,11 +424,171 @@ def test_run_ga_matches_per_call_fitness(monkeypatch, norm):
     per_call = ga.fitness
     calls = []
 
-    def fitness_without_distances(matrix, labels, omega, norm="selected", distances=None):
-        calls.append(omega)
-        return per_call(matrix, labels, omega, norm)
+    def fitness_without_distances(matrix, labels, masks, norm="selected", distances=None):
+        calls.append(masks.shape)
+        return per_call(matrix, labels, masks, norm)
 
     monkeypatch.setattr(ga, "fitness", fitness_without_distances)
     assert run_ga(pool, data, config=config) == result
-    assert len(calls) == len(set(calls)) > config.pop_size
-    assert result.diversity == diversity(matrix, result.omega, norm)
+    # one call per generation, on the whole population
+    assert calls == [(config.pop_size, pool.size)] * config.max_iter
+    assert result.diversity == diversity(matrix, result.omega.bits, norm)
+
+
+# --- equivalence with the per-chromosome GA that the array GA replaced ---
+#
+# A frozen copy of the earlier run_ga and its operators: populations are
+# lists of WeightVector, fitness is memoised per distinct chromosome and
+# computed one chromosome at a time. run_ga must return an equal GAResult,
+# history floats included.
+
+def _ref_vote(matrix, omega):
+    sel = [i for i, b in enumerate(omega.bits) if b]
+    sums = matrix[sel].sum(axis=0, dtype=np.int64)
+    return np.where(sums >= 0, 1, -1).astype(np.int8)
+
+
+def _ref_accuracy(matrix, labels, omega):
+    return float(np.mean(_ref_vote(matrix, omega) == labels))
+
+
+def _ref_distances(matrix):
+    P = matrix.astype(np.int64)
+    return np.sqrt((2 * (P.shape[1] - P @ P.T)).astype(np.float64))
+
+
+def _ref_diversity(omega, norm, distances):
+    sel = [i for i, b in enumerate(omega.bits) if b]
+    k = len(sel)
+    if k == 1:
+        return 0.0
+    dist = distances[np.ix_(sel, sel)]
+    total = float(np.sum(dist[np.triu_indices(k, 1)]))
+    return total / (k if norm == "selected" else k * (k - 1) // 2)
+
+
+def _ref_repair(bits, rng):
+    if not bits.any():
+        bits = bits.copy()
+        bits[rng.integers(0, bits.shape[0])] = 1
+    return bits
+
+
+def _ref_population(rows):
+    return [WeightVector(tuple(int(b) for b in row)) for row in rows]
+
+
+def _ref_init(pop_size, n, rng):
+    rows = [rng.integers(0, 2, size=n) for _ in range(pop_size)]
+    return _ref_population([_ref_repair(r, rng) for r in rows])
+
+
+def _ref_crossover(population, rate, rng):
+    order = rng.permutation(len(population))
+    n = len(population[0].bits)
+    out = []
+    for slot in range(0, len(order) - 1, 2):
+        a = np.array(population[order[slot]].bits)
+        b = np.array(population[order[slot + 1]].bits)
+        if n >= 2 and rng.random() < rate:
+            cut = int(rng.integers(1, n))
+            a, b = (
+                np.concatenate([a[:cut], b[cut:]]),
+                np.concatenate([b[:cut], a[cut:]]),
+            )
+        out.append(a)
+        out.append(b)
+    if len(order) % 2:
+        out.append(np.array(population[order[-1]].bits))
+    return _ref_population([_ref_repair(r, rng) for r in out])
+
+
+def _ref_mutation(population, rate, rng):
+    out = []
+    for chrom in population:
+        bits = np.array(chrom.bits)
+        flips = rng.random(bits.shape[0]) < rate
+        out.append(_ref_repair(np.where(flips, 1 - bits, bits), rng))
+    return _ref_population(out)
+
+
+def _ref_select(population, fitnesses, elite_count, rng):
+    order = sorted(range(len(population)), key=lambda i: (-fitnesses[i], i))
+    new_pop = [population[i] for i in order[:elite_count]]
+    total = float(np.sum(fitnesses))
+    probs = fitnesses / total if total > 0 else None
+    picks = rng.choice(
+        len(population), size=len(population) - elite_count, replace=True, p=probs
+    )
+    new_pop.extend(population[i] for i in picks)
+    return new_pop
+
+
+def reference_run_ga(pool, data, config):
+    from malsieve.ga import GAResult, GenerationStats
+
+    matrix = precompute_predictions(pool, data)
+    y = data.label_array()
+    distances = _ref_distances(matrix)
+    rng = make_rng(config.rng_seed, "ga")
+    memo = {}
+
+    def evaluate(chrom):
+        if chrom.bits not in memo:
+            memo[chrom.bits] = _ref_accuracy(matrix, y, chrom) * _ref_diversity(
+                chrom, config.diversity_norm, distances
+            )
+        return memo[chrom.bits]
+
+    population = _ref_init(config.pop_size, pool.size, rng)
+    best_bits, best_fit, history = None, -1.0, []
+    for generation in range(1, config.max_iter + 1):
+        population = _ref_crossover(population, config.crossover_rate, rng)
+        population = _ref_mutation(population, config.mutation_rate, rng)
+        fits = np.array([evaluate(c) for c in population])
+        gen_best = int(np.argmax(fits))
+        if fits[gen_best] > best_fit:
+            best_fit = float(fits[gen_best])
+            best_bits = population[gen_best]
+        history.append(
+            GenerationStats(generation, float(fits[gen_best]), float(np.mean(fits)))
+        )
+        population = _ref_select(population, fits, config.elite_count, rng)
+    return GAResult(
+        omega=best_bits,
+        fitness=best_fit,
+        accuracy=_ref_accuracy(matrix, y, best_bits),
+        diversity=_ref_diversity(best_bits, config.diversity_norm, distances),
+        history=tuple(history),
+    )
+
+
+def reference_problem(seed: int):
+    """Seed s has N = 1 + s % 30 learners and pop_size 2 + 7s % 29, and
+    cycles both norms, crossover and mutation rates {0, 1, typical, other}
+    and elite_count {0, pop_size - 1, 1}."""
+    rng = np.random.default_rng(1000 + seed)
+    n = 1 + seed % 30
+    m = int(rng.integers(1, 41))
+    matrix = random_sign_matrix(rng, n, m)
+    labels = random_sign_matrix(rng, 1, m)[0]
+    pop_size = 2 + (7 * seed) % 29
+    config = GAConfig(
+        pop_size=pop_size,
+        max_iter=1 + seed % 7,
+        crossover_rate=(0.0, 1.0, 0.8, 0.35)[seed % 4],
+        mutation_rate=(0.0, 1.0, 0.05, 0.2)[(seed // 4) % 4],
+        elite_count=(0, pop_size - 1, 1)[seed % 3],
+        rng_seed=seed,
+        diversity_norm=DIVERSITY_NORMS[(seed // 2) % 2],
+    )
+    return pool_from_matrix(matrix), one_hot_dataset(m, labels.tolist()), config
+
+
+@pytest.mark.parametrize("seed", range(64))
+def test_run_ga_matches_per_chromosome_reference(seed):
+    pool, data, config = reference_problem(seed)
+    result = run_ga(pool, data, config=config)
+    expected = reference_run_ga(pool, data, config)
+    assert result == expected
+    assert format_ga_report(result, config) == format_ga_report(expected, config)
