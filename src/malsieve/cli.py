@@ -20,18 +20,26 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import ensemble as ens
 from . import experiment as exp
-from .errors import DimensionMismatch, FormatError, InvalidConfig, MalsieveError, open_text
+from .errors import (
+    FIELD_PARSERS,
+    DimensionMismatch,
+    FormatError,
+    InvalidConfig,
+    MalsieveError,
+    open_text,
+)
 from .evaluation import compute_metrics
-from .ga import GAConfig, format_ga_report, run_ga
-from .learners import LearnerSpec
+from .ga import format_ga_report, run_ga
 from .records import format_record, load_records
 from .vectorize import (
     Dataset,
     build_vocabulary,
+    is_dataset_file,
     load_dataset,
     load_vocabulary,
     save_dataset,
@@ -125,23 +133,24 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 
 # --- train-pool ---
 
-def _learner_spec(args: argparse.Namespace, seed: int) -> LearnerSpec:
-    return LearnerSpec(
-        kind=args.learner,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        hidden_units=args.hidden_units,
-        l2=args.l2,
-        rng_seed=seed,
-        batch_size=None if args.batch_size == 0 else args.batch_size,
-    )
+# the ExperimentConfig keys that train-pool and select take as flags
+_POOL_KEYS = ("pool_size", "learner", "learning_rate", "epochs", "hidden_units", "l2",
+              "batch_size")
+_GA_KEYS = ("pop_size", "max_iter", "crossover_rate", "mutation_rate", "elite_count",
+            "diversity_norm")
+
+
+def _config(args: argparse.Namespace, keys: tuple[str, ...]) -> exp.ExperimentConfig:
+    values = {key: getattr(args, key) for key in keys}
+    if values.get("batch_size") == 0:  # --batch-size 0 is full batch
+        values["batch_size"] = None
+    return exp.ExperimentConfig(**values)
 
 
 def cmd_train_pool(args: argparse.Namespace) -> int:
+    spec = _config(args, _POOL_KEYS).learner_spec(args.seed)
     data = load_dataset(args.dataset)
-    pool = ens.train_pool(
-        data, args.pool_size, _learner_spec(args, args.seed), master_seed=args.seed
-    )
+    pool = ens.train_pool(data, args.pool_size, spec, master_seed=args.seed)
     ens.save_pool(pool, args.out)
     _log(f"train-pool: {pool.size} learners, dimension {pool.dim} -> {args.out}")
     return _EXIT_OK
@@ -150,22 +159,13 @@ def cmd_train_pool(args: argparse.Namespace) -> int:
 # --- select ---
 
 def cmd_select(args: argparse.Namespace) -> int:
+    config = _config(args, _GA_KEYS).ga_config(args.seed)
     pool = ens.load_pool(args.pool)
     data = load_dataset(args.dataset)
-    config = GAConfig(
-        pop_size=args.pop_size,
-        max_iter=args.max_iter,
-        crossover_rate=args.crossover_rate,
-        mutation_rate=args.mutation_rate,
-        elite_count=args.elite_count,
-        rng_seed=args.seed,
-        diversity_norm=args.diversity_norm,
-    )
     result = run_ga(pool, data, config=config)
     ens.save_selection(result.omega, args.out)
-    report = format_ga_report(result, config)
     if args.report:
-        _write_text(args.report, report)
+        _write_text(args.report, format_ga_report(result, config))
     _log(
         f"select: picked {result.omega.selected_count}/{pool.size} learners, "
         f"fitness {result.fitness:.6f}"
@@ -175,14 +175,17 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 # --- evaluate ---
 
+def _selection(args: argparse.Namespace, pool: ens.EnsemblePool) -> ens.WeightVector:
+    """--selection, or every learner of the pool."""
+    if args.selection:
+        return ens.load_selection(args.selection)
+    return ens.WeightVector.ones(pool.size)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     pool = ens.load_pool(args.pool)
     data = load_dataset(args.dataset)
-    omega = (
-        ens.load_selection(args.selection)
-        if args.selection
-        else ens.WeightVector.ones(pool.size)
-    )
+    omega = _selection(args, pool)
     votes = ens.majority_vote_matrix(ens.precompute_predictions(pool, data), omega.bits)
     report = compute_metrics(votes, data.label_array())
     sys.stdout.write(
@@ -195,14 +198,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     pool = ens.load_pool(args.pool)
-    omega = (
-        ens.load_selection(args.selection)
-        if args.selection
-        else ens.WeightVector.ones(pool.size)
-    )
-    with open_text(args.input) as fh:
-        first = fh.readline()
-    if first.startswith("dim="):
+    omega = _selection(args, pool)
+    if is_dataset_file(args.input):
         data = load_dataset(args.input)
         if data.dimension != pool.dim:
             raise DimensionMismatch(
@@ -251,6 +248,19 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+    """One flag per ExperimentConfig key (pool_size is --pool-size), read
+    and defaulted as the config reads and defaults it."""
+    for f in fields(exp.ExperimentConfig):
+        if f.name in keys:
+            parser.add_argument(
+                "--" + f.name.replace("_", "-"),
+                type=FIELD_PARSERS[f.type],
+                default=f.default,
+                help="default %(default)s",
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="malsieve",
@@ -260,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract feature records from APKs")
     p.add_argument("inputs", nargs="+", help="APK files or directories")
-    p.add_argument("--out", default=None, help="records file (default stdout)")
+    p.add_argument("--out", help="records file (default stdout)")
     p.add_argument("--label", choices=["+1", "-1", "?"], default="?")
     p.add_argument("--strict", action="store_true",
                    help="fail the whole batch on the first bad APK")
@@ -269,22 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vectorize", help="build vocabulary and dataset files")
     p.add_argument("records")
     p.add_argument("--dataset-out", required=True)
-    p.add_argument("--vocab-out", default=None)
-    p.add_argument("--vocab", default=None, help="reuse an existing vocabulary")
-    p.add_argument("--min-doc-freq", type=int, default=2)
-    p.add_argument("--max-api-features", type=int, default=2000)
+    p.add_argument("--vocab-out")
+    p.add_argument("--vocab", help="reuse an existing vocabulary")
+    _add_config_flags(p, ("min_doc_freq", "max_api_features"))
     p.set_defaults(func=cmd_vectorize)
 
-    p = sub.add_parser("train-pool", help="train a bootstrap pool of learners")
+    p = sub.add_parser("train-pool", help="train a bootstrap pool of learners",
+                       epilog="--batch-size 0 (or none) trains on the full batch")
     p.add_argument("dataset")
     p.add_argument("--out", required=True, help="pool directory")
-    p.add_argument("--pool-size", type=int, default=20)
-    p.add_argument("--learner", choices=["linear", "mlp"], default="mlp")
-    p.add_argument("--learning-rate", type=float, default=0.3)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--hidden-units", type=int, default=16)
-    p.add_argument("--l2", type=float, default=0.0001)
-    p.add_argument("--batch-size", type=int, default=32, help="0 = full batch")
+    _add_config_flags(p, _POOL_KEYS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_pool)
 
@@ -292,33 +296,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pool", help="pool directory")
     p.add_argument("dataset", help="dataset the fitness is evaluated on")
     p.add_argument("--out", required=True, help="selection file")
-    p.add_argument("--report", default=None, help="GA run report file")
-    p.add_argument("--pop-size", type=int, default=30)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--crossover-rate", type=float, default=0.8)
-    p.add_argument("--mutation-rate", type=float, default=0.05)
-    p.add_argument("--elite-count", type=int, default=2)
-    p.add_argument("--diversity-norm", choices=["selected", "pairs"], default="selected")
+    p.add_argument("--report", help="GA run report file")
+    _add_config_flags(p, _GA_KEYS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("evaluate", help="score an ensemble on a labeled dataset")
     p.add_argument("pool")
     p.add_argument("dataset")
-    p.add_argument("--selection", default=None, help="default: all learners")
+    p.add_argument("--selection", help="default: all learners")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="label records or dataset samples")
     p.add_argument("pool")
     p.add_argument("input", help="records file or dataset file")
-    p.add_argument("--selection", default=None)
-    p.add_argument("--vocab", default=None, help="required for records input")
-    p.add_argument("--out", default=None)
+    p.add_argument("--selection")
+    p.add_argument("--vocab", help="required for records input")
+    p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("experiment", help="run the repeated robustness experiment")
-    p.add_argument("config", nargs="?", default=None)
-    p.add_argument("--out", default=None, help="report file (default stdout)")
+    p.add_argument("config", nargs="?")
+    p.add_argument("--out", help="report file (default stdout)")
     p.add_argument("--print-default-config", action="store_true")
     p.set_defaults(func=cmd_experiment)
 

@@ -27,7 +27,7 @@ from .errors import (
     EmptyDataset,
     FormatError,
     InvalidConfig,
-    open_text,
+    read_tagged,
     with_context,
 )
 from .learners import (
@@ -147,9 +147,9 @@ def train_pool(
 
 
 def selection_masks(masks, pool_size: int) -> np.ndarray:
-    """0/1 masks over a pool as an int64 array, an (N,) mask or a (P x N)
+    """0/1 masks over a pool as a float64 array, an (N,) mask or a (P x N)
     stack; every mask must have pool_size positions and select a learner."""
-    masks = np.asarray(masks, dtype=np.int64)
+    masks = np.asarray(masks, dtype=np.float64)
     if masks.shape[-1] != pool_size:
         raise DimensionMismatch(
             f"weight vector length {masks.shape[-1]} != pool size {pool_size}"
@@ -169,7 +169,8 @@ def majority_vote_matrix(matrix: np.ndarray, masks) -> np.ndarray:
     """Column-wise vote of the rows a 0/1 mask selects from a
     `precompute_predictions` matrix; a tied sum counts as +1. An (N,) mask
     gives (M,) votes, a (P x N) stack of masks gives (P x M)."""
-    sums = selection_masks(masks, matrix.shape[0]) @ matrix
+    # float64, so the product runs on BLAS; exact for these small integer sums
+    sums = selection_masks(masks, matrix.shape[0]) @ matrix.astype(np.float64)
     return np.where(sums >= 0, 1, -1).astype(np.int8)
 
 
@@ -183,6 +184,7 @@ def vote(pool: EnsemblePool, omega: WeightVector, x: FeatureVector) -> int:
 # --- serialization ---
 
 _POOL_TAG = "malsieve-pool v1"
+_POOL_KEYS = ("n", "dim", "master_seed")
 _SELECTION_TAG = "malsieve-selection v1"
 
 
@@ -192,9 +194,8 @@ def save_pool(pool: EnsemblePool, directory: str | os.PathLike) -> None:
     root.mkdir(parents=True, exist_ok=True)
     with open(root / "pool.txt", "w", encoding="utf-8") as fh:
         fh.write(_POOL_TAG + "\n")
-        fh.write(f"n={pool.size}\n")
-        fh.write(f"dim={pool.dim}\n")
-        fh.write(f"master_seed={pool.master_seed}\n")
+        for key, value in zip(_POOL_KEYS, (pool.size, pool.dim, pool.master_seed)):
+            fh.write(f"{key}={value}\n")
         for i, (learner, seed) in enumerate(zip(pool.learners, pool.bootstrap_seeds)):
             name = f"learner_{i:03d}.model"
             save_model(learner, root / name)
@@ -206,37 +207,19 @@ def load_pool(directory: str | os.PathLike) -> EnsemblePool:
     manifest = root / "pool.txt"
     if not manifest.exists():
         raise FormatError(f"no pool manifest at {manifest}", None)
-    with open_text(manifest) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _POOL_TAG:
-        raise FormatError("not a pool manifest", 1)
-    header: dict[str, str] = {}
+    header, rows = read_tagged(manifest, _POOL_TAG, _POOL_KEYS, row="learner")
     entries: list[tuple[int, int, str, int]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.startswith("learner "):
-            try:
-                _, idx_text, seed_field, file_field = line.split(" ")
-                entries.append(
-                    (int(idx_text),
-                     int(seed_field.removeprefix("seed=")),
-                     file_field.removeprefix("file="),
-                     lineno)
-                )
-            except ValueError:
-                raise FormatError("bad learner line", lineno)
-        elif "=" in line:
-            key, _, value = line.partition("=")
-            header[key] = value
-        else:
-            raise FormatError("unrecognized line", lineno)
+    for lineno, row in rows:
+        try:
+            idx_text, seed_field, file_field = row.split(" ")
+            entries.append((int(idx_text), int(seed_field.removeprefix("seed=")),
+                            file_field.removeprefix("file="), lineno))
+        except ValueError:
+            raise FormatError("bad learner line", lineno)
     try:
-        n = int(header["n"])
-        dim = int(header["dim"])
-        master_seed = int(header["master_seed"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad or missing header field ({exc})", None)
+        n, dim, master_seed = (int(header[k]) for k in _POOL_KEYS)
+    except ValueError as exc:
+        raise FormatError(f"bad header field ({exc})", None)
     if n < 1:
         raise FormatError(f"pool needs n >= 1 learners, got n={n}", None)
     if len(entries) != n or sorted(e[0] for e in entries) != list(range(n)):
@@ -264,15 +247,11 @@ def save_selection(omega: WeightVector, path: str | os.PathLike) -> None:
 
 
 def load_selection(path: str | os.PathLike) -> WeightVector:
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _SELECTION_TAG:
-        raise FormatError("not a selection file", 1)
-    fields = dict(line.partition("=")[::2] for line in lines[1:] if "=" in line)
+    header, _ = read_tagged(path, _SELECTION_TAG, ("n", "omega"))
     try:
-        n = int(fields["n"])
-        omega = WeightVector.from_string(fields["omega"])
-    except (KeyError, ValueError) as exc:
+        n = int(header["n"])
+        omega = WeightVector.from_string(header["omega"])
+    except ValueError as exc:
         raise FormatError(f"bad selection file ({exc})", None)
     if len(omega) != n:
         raise FormatError("omega length disagrees with n", None)

@@ -1,16 +1,20 @@
-"""Exception types raised across the pipeline.
+"""Exception types raised across the pipeline, and the shared readers of
+text artifacts.
 
 Every malformed input or contract violation maps to one of these; nothing
 in the package intentionally lets a raw struct/index error escape. Every
 text artifact is read through `open_text`, so bytes that are not UTF-8
-raise a typed error too.
+raise a typed error too. The model, pool-manifest and selection files are
+all read by `read_tagged`, and every setting (an experiment config key, a
+model header field) goes between text and value through `value_text` and
+`FIELD_PARSERS`, by the type its dataclass field declares.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence
 
 
 class MalsieveError(Exception):
@@ -135,3 +139,63 @@ def open_text(
             yield fh
         except UnicodeDecodeError as exc:
             raise error(f"{os.fspath(path)} is not UTF-8 text ({exc.reason})") from exc
+
+
+def read_tagged(
+    path: str | os.PathLike, tag: str, keys: Sequence[str], row: str | None = None
+) -> tuple[dict[str, str], list[tuple[int, str]]]:
+    """Read a tagged text artifact (model, pool manifest, selection): line
+    1 is `tag`; every other nonblank line is a body row starting with the
+    word `row`, or a `key=value` line giving one of `keys`, each exactly
+    once. Returns the header by key and the body rows as (line number,
+    rest of the row); any other line is a FormatError with its number."""
+    with open_text(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != tag:
+        raise FormatError(f"expected the tag {tag!r}", 1)
+    prefix = None if row is None else row + " "
+    header: dict[str, str] = {}
+    rows: list[tuple[int, str]] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        if prefix is not None and line.startswith(prefix):
+            rows.append((lineno, line[len(prefix):]))
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or key not in keys:
+            raise FormatError("unrecognized line", lineno)
+        if key in header:
+            raise FormatError(f"{key} given twice", lineno)
+        header[key] = value
+    for key in keys:
+        if key not in header:
+            raise FormatError(f"missing header field {key}", None)
+    return header, rows
+
+
+def value_text(value: object) -> str:
+    """The text of a setting's value: true/false, none, the repr of a
+    float (which reads back exactly), and str of anything else."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "none"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false", "1", "0"):
+        raise ValueError("expected true/false")
+    return text.lower() in ("true", "1")
+
+
+def int_or_none(text: str) -> int | None:
+    return None if text.lower() == "none" else int(text)
+
+
+# a dataclass field's declared type -> the inverse of `value_text` for it;
+# each raises ValueError on text it cannot read
+FIELD_PARSERS = {
+    "str": str, "int": int, "float": float, "bool": _bool, "int | None": int_or_none
+}

@@ -29,7 +29,7 @@ from .ensemble import (
     precompute_predictions,
     train_pool,
 )
-from .errors import InvalidConfig, open_text, with_context
+from .errors import FIELD_PARSERS, InvalidConfig, value_text, with_context
 from .evaluation import (
     METRIC_NAMES,
     MetricsReport,
@@ -43,13 +43,14 @@ from .evaluation import (
     summarize_metric,
 )
 from .ga import GAConfig, GAResult, run_ga
-from .learners import LearnerSpec, predict_labels, train
+from .learners import KINDS, LearnerSpec, predict_labels, train
 from .records import FeatureRecord, load_records
 from .rng import derive_seed, make_rng
 from .vectorize import (
     Dataset,
     FeatureVector,
     build_vocabulary,
+    is_dataset_file,
     load_dataset,
     vectorize_all,
 )
@@ -101,6 +102,8 @@ class ExperimentConfig:
             raise InvalidConfig("synthetic_concept_noise must be in [0, 0.5]")
         if self.pool_size < 1:
             raise InvalidConfig("pool_size must be >= 1")
+        if self.learner not in KINDS:
+            raise InvalidConfig(f"learner must be one of {KINDS}")
         if self.fitness_split not in FITNESS_SPLITS:
             raise InvalidConfig(f"fitness_split must be one of {FITNESS_SPLITS}")
         # delegate range checks on shared fields
@@ -110,43 +113,28 @@ class ExperimentConfig:
         self.ga_config(0)
 
     def split_spec(self, seed: int) -> SplitSpec:
-        return SplitSpec(
-            self.train_fraction, self.validation_fraction, self.test_fraction, seed
-        )
+        return _spec(SplitSpec, self, seed=seed)
 
     def noise_spec(self, seed: int) -> NoiseSpec:
         return NoiseSpec(self.noise_fraction, seed)
 
     def learner_spec(self, seed: int) -> LearnerSpec:
-        return LearnerSpec(
-            kind=self.learner,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            hidden_units=self.hidden_units,
-            l2=self.l2,
-            rng_seed=seed,
-            batch_size=self.batch_size,
-        )
+        return _spec(LearnerSpec, self, kind=self.learner, rng_seed=seed)
 
     def ga_config(self, seed: int) -> GAConfig:
-        return GAConfig(
-            pop_size=self.pop_size,
-            max_iter=self.max_iter,
-            crossover_rate=self.crossover_rate,
-            mutation_rate=self.mutation_rate,
-            elite_count=self.elite_count,
-            rng_seed=seed,
-            diversity_norm=self.diversity_norm,
-        )
+        return _spec(GAConfig, self, rng_seed=seed)
 
 
-_BOOL_TEXT = {"true": True, "false": False, "1": True, "0": False}
+def _spec(cls, config: ExperimentConfig, **given):
+    """A cls with the config's values for its fields, except those `given`."""
+    values = {f.name: getattr(config, f.name) for f in fields(cls) if f.name not in given}
+    return cls(**values, **given)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a flat key=value config; unknown keys and bad values raise
-    InvalidConfig naming the key."""
-    spec_fields = {f.name: f.type for f in fields(ExperimentConfig)}
+    """Parse a flat key=value config; unknown or repeated keys and bad
+    values raise InvalidConfig naming the key."""
+    spec_fields = {f.name: f for f in fields(ExperimentConfig)}
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -156,43 +144,20 @@ def parse_config(text: str) -> ExperimentConfig:
         key, raw = key.strip(), raw.strip()
         if not sep or key not in spec_fields:
             raise InvalidConfig(f"unknown or malformed key at line {lineno}: {key!r}")
+        if key in values:
+            raise InvalidConfig(f"{key} given twice (line {lineno})")
         try:
-            values[key] = _convert(key, raw)
+            values[key] = FIELD_PARSERS[spec_fields[key].type](raw)
         except ValueError as exc:
             raise InvalidConfig(f"bad value for {key}: {raw!r} ({exc})") from exc
     return ExperimentConfig(**values)
 
 
-def _convert(key: str, raw: str) -> object:
-    if key in ("dataset", "learner", "fitness_split", "diversity_norm"):
-        return raw
-    if key in ("noise_test", "allow_partial"):
-        if raw.lower() not in _BOOL_TEXT:
-            raise ValueError("expected true/false")
-        return _BOOL_TEXT[raw.lower()]
-    if key == "batch_size":
-        return None if raw.lower() == "none" else int(raw)
-    if key in (
-        "synthetic_concept_noise", "train_fraction", "validation_fraction",
-        "test_fraction", "noise_fraction", "learning_rate", "l2",
-        "crossover_rate", "mutation_rate",
-    ):
-        return float(raw)
-    return int(raw)
-
-
 def config_lines(config: ExperimentConfig) -> list[str]:
-    out = []
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif value is None:
-            text = "none"
-        else:
-            text = repr(value) if isinstance(value, float) else str(value)
-        out.append(f"config {f.name}={text}")
-    return out
+    return [
+        f"config {f.name}={value_text(getattr(config, f.name))}"
+        for f in fields(ExperimentConfig)
+    ]
 
 
 def synthetic_dataset(
@@ -242,9 +207,7 @@ def _load_source(config: ExperimentConfig) -> Dataset | list[FeatureRecord]:
             config.synthetic_concept_noise,
             derive_seed(config.master_seed, "synthetic"),
         )
-    with open_text(config.dataset) as fh:
-        first = fh.readline()
-    if first.startswith("dim="):
+    if is_dataset_file(config.dataset):
         return load_dataset(config.dataset)
     records = load_records(config.dataset)
     if any(r.label is None for r in records):

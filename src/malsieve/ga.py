@@ -31,7 +31,7 @@ count instead for sensitivity studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,9 +76,10 @@ class GAConfig:
 
 def pairwise_distances(matrix: np.ndarray) -> np.ndarray:
     """(N x N) Euclidean distances between the +-1 prediction rows."""
-    P = matrix.astype(np.int64)
+    # float64 for BLAS; exact, as every partial sum is an integer of at most M
+    P = matrix.astype(np.float64)
     sq = 2 * (P.shape[1] - P @ P.T)  # (p_i - p_j)^2 sums over samples
-    return np.sqrt(sq.astype(np.float64))
+    return np.sqrt(sq)
 
 
 def diversity(
@@ -251,11 +252,7 @@ def run_ga(pool: EnsemblePool, data: Dataset, config: GAConfig = GAConfig()) -> 
 def format_ga_report(result: GAResult, config: GAConfig) -> str:
     """Human- and machine-readable run summary."""
     lines = ["malsieve-ga-report v1"]
-    for key in (
-        "pop_size", "max_iter", "crossover_rate", "mutation_rate",
-        "elite_count", "rng_seed", "diversity_norm",
-    ):
-        lines.append(f"config {key}={getattr(config, key)!r}")
+    lines += [f"config {f.name}={getattr(config, f.name)!r}" for f in fields(config)]
     for s in result.history:
         lines.append(
             f"generation {s.generation} best={s.best_fitness!r} mean={s.mean_fitness!r}"

@@ -20,7 +20,7 @@ is an index array and is never copied; `train` is its all-rows case.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,8 +29,10 @@ from .errors import (
     FormatError,
     InvalidConfig,
     NonFiniteLoss,
+    FIELD_PARSERS,
     SingleClassData,
-    open_text,
+    read_tagged,
+    value_text,
 )
 from .rng import make_rng
 from .vectorize import Dataset
@@ -224,16 +226,13 @@ _FORMAT_TAG = "malsieve-model v1"
 
 def save_model(learner: TrainedLearner, path: str | os.PathLike) -> None:
     spec = learner.spec
+    # file order: kind, dim, then the rest of the spec's fields
+    header = {"kind": spec.kind, "dim": learner.dim}
+    header.update((f.name, getattr(spec, f.name)) for f in fields(LearnerSpec))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_FORMAT_TAG + "\n")
-        fh.write(f"kind={learner.kind}\n")
-        fh.write(f"dim={learner.dim}\n")
-        fh.write(f"learning_rate={spec.learning_rate!r}\n")
-        fh.write(f"epochs={spec.epochs}\n")
-        fh.write(f"hidden_units={spec.hidden_units}\n")
-        fh.write(f"l2={spec.l2!r}\n")
-        fh.write(f"rng_seed={spec.rng_seed}\n")
-        fh.write(f"batch_size={'none' if spec.batch_size is None else spec.batch_size}\n")
+        for key, value in header.items():
+            fh.write(f"{key}={value_text(value)}\n")
         for name in sorted(learner.params):
             arr = learner.params[name]
             shape = "x".join(map(str, arr.shape))
@@ -242,44 +241,31 @@ def save_model(learner: TrainedLearner, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> TrainedLearner:
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _FORMAT_TAG:
-        raise FormatError("not a model file", 1)
-    fields: dict[str, str] = {}
+    spec_fields = fields(LearnerSpec)
+    header, rows = read_tagged(
+        path, _FORMAT_TAG, ["dim", *(f.name for f in spec_fields)], row="param"
+    )
     params: dict[str, np.ndarray] = {}
     param_lines: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.startswith("param "):
-            try:
-                _, name, shape_text, tokens = line.split(" ", 3)
-                shape = tuple(int(s) for s in shape_text.split("x"))
-                values = list(map(float.fromhex, tokens.split()))
-                params[name] = np.array(values).reshape(shape)
-            except (ValueError, OverflowError):  # fromhex overflows past 2**1024
-                raise FormatError("bad param line", lineno)
-            param_lines[name] = lineno
-        elif "=" in line:
-            key, _, value = line.partition("=")
-            fields[key] = value
-        else:
-            raise FormatError("unrecognized line", lineno)
+    for lineno, row in rows:
+        try:
+            name, shape_text, tokens = row.split(" ", 2)
+            shape = tuple(int(s) for s in shape_text.split("x"))
+            values = list(map(float.fromhex, tokens.split()))
+            param = np.array(values).reshape(shape)
+        except (ValueError, OverflowError):  # fromhex overflows past 2**1024
+            raise FormatError("bad param line", lineno)
+        if name in params:
+            raise FormatError(f"param {name} given twice", lineno)
+        params[name] = param
+        param_lines[name] = lineno
     try:
-        batch_text = fields["batch_size"]
         spec = LearnerSpec(
-            kind=fields["kind"],
-            learning_rate=float(fields["learning_rate"]),
-            epochs=int(fields["epochs"]),
-            hidden_units=int(fields["hidden_units"]),
-            l2=float(fields["l2"]),
-            rng_seed=int(fields["rng_seed"]),
-            batch_size=None if batch_text == "none" else int(batch_text),
+            **{f.name: FIELD_PARSERS[f.type](header[f.name]) for f in spec_fields}
         )
-        dim = int(fields["dim"])
-    except (KeyError, ValueError, InvalidConfig) as exc:
-        raise FormatError(f"bad or missing header field ({exc})", None)
+        dim = int(header["dim"])
+    except (ValueError, InvalidConfig) as exc:
+        raise FormatError(f"bad header field ({exc})", None)
     h = spec.hidden_units
     shapes = {
         "linear": {"w": (dim,), "b": (1,)},

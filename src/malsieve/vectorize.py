@@ -267,6 +267,13 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
             fh.write(" ".join([label, *map(str, v.indices)]) + "\n")
 
 
+def is_dataset_file(path: str | os.PathLike) -> bool:
+    """Whether path starts with a dataset header; the other text input the
+    pipeline takes in its place is a records file."""
+    with open_text(path) as fh:
+        return fh.readline().startswith("dim=")
+
+
 def load_dataset(path: str | os.PathLike) -> Dataset:
     with open_text(path) as fh:
         header = fh.readline()

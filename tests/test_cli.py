@@ -3,6 +3,7 @@ import pytest
 
 from malsieve.cli import main
 from malsieve.ensemble import EnsemblePool, WeightVector, save_pool, save_selection, vote
+from malsieve.ga import GAConfig
 from malsieve.learners import LearnerSpec, TrainedLearner
 from malsieve.records import load_records
 from malsieve.vectorize import load_dataset, load_vocabulary
@@ -299,6 +300,107 @@ def test_vectorize_bad_min_doc_freq_is_usage_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "InvalidConfig" in err and "Traceback" not in err
+
+
+# --- flags are the config keys ---
+
+def cli_exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag before main runs it
+        return exc.code
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The arguments train-pool passes to train_pool and select to run_ga."""
+    import malsieve.cli
+    import malsieve.ensemble
+
+    calls = {}
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = (args, kwargs)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(malsieve.ensemble, "train_pool",
+                        record("train_pool", malsieve.ensemble.train_pool))
+    monkeypatch.setattr(malsieve.cli, "run_ga", record("run_ga", malsieve.cli.run_ga))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "pool_flags, select_flags, n, spec, master_seed, ga_config",
+    [
+        ([], [], 20,
+         LearnerSpec(kind="mlp", learning_rate=0.3, epochs=40, hidden_units=16,
+                     l2=0.0001, rng_seed=0, batch_size=32),
+         0,
+         GAConfig(pop_size=30, max_iter=50, crossover_rate=0.8, mutation_rate=0.05,
+                  elite_count=2, rng_seed=0, diversity_norm="selected")),
+        (["--pool-size", "3", "--learner", "linear", "--epochs", "2", "--seed", "7",
+          "--batch-size", "0"],
+         ["--diversity-norm", "pairs", "--seed", "7", "--pop-size", "4",
+          "--max-iter", "3"],
+         3,
+         LearnerSpec(kind="linear", learning_rate=0.3, epochs=2, hidden_units=16,
+                     l2=0.0001, rng_seed=7, batch_size=None),
+         7,
+         GAConfig(pop_size=4, max_iter=3, crossover_rate=0.8, mutation_rate=0.05,
+                  elite_count=2, rng_seed=7, diversity_norm="pairs")),
+        (["--learning-rate", "0.5", "--hidden-units", "3", "--l2", "0",
+          "--batch-size", "5", "--learner", "mlp", "--epochs", "1"],
+         ["--crossover-rate", "1", "--mutation-rate", "0.5", "--elite-count", "0",
+          "--pop-size", "2", "--max-iter", "1"],
+         20,
+         LearnerSpec(kind="mlp", learning_rate=0.5, epochs=1, hidden_units=3, l2=0.0,
+                     rng_seed=0, batch_size=5),
+         0,
+         GAConfig(pop_size=2, max_iter=1, crossover_rate=1.0, mutation_rate=0.5,
+                  elite_count=0, rng_seed=0, diversity_norm="selected")),
+    ],
+    ids=["defaults", "bench-spellings", "every-other-flag"],
+)
+def test_flags_build_the_specs(tmp_path, recorded, pool_flags, select_flags, n, spec,
+                               master_seed, ga_config):
+    dataset = tmp_path / "d.svm"
+    dataset.write_text("dim=2 n=20\n" + "+1 0\n-1 1\n" * 10)
+    pool = tmp_path / "pool"
+    assert main(["train-pool", str(dataset), "--out", str(pool), *pool_flags]) == 0
+    args, kwargs = recorded["train_pool"]
+    assert args[1:] == (n, spec) and kwargs == {"master_seed": master_seed}
+    assert main(["select", str(pool), str(dataset), "--out", str(tmp_path / "s.txt"),
+                 *select_flags]) == 0
+    assert recorded["run_ga"][1] == {"config": ga_config}
+
+
+def test_vectorize_flags_reach_build_vocabulary(tmp_path, monkeypatch):
+    import malsieve.cli
+
+    seen = []
+    real = malsieve.cli.build_vocabulary
+    monkeypatch.setattr(malsieve.cli, "build_vocabulary",
+                        lambda records, **kw: seen.append(kw) or real(records, **kw))
+    records = tmp_path / "r.records"
+    records.write_text(f"a\t+1\tperm:{INTERNET}\nb\t-1\tperm:{INTERNET}\n")
+    out = str(tmp_path / "o.svm")
+    assert main(["vectorize", str(records), "--dataset-out", out]) == 0
+    assert main(["vectorize", str(records), "--dataset-out", out,
+                 "--min-doc-freq", "1", "--max-api-features", "5"]) == 0
+    assert seen == [{"min_doc_freq": 2, "max_api_features": 2000},
+                    {"min_doc_freq": 1, "max_api_features": 5}]
+
+
+@pytest.mark.parametrize("argv", [["--learner", "svm"], ["--batch-size", "x"],
+                                  ["--epochs", "1.5"]])
+def test_train_pool_bad_flag_value_exits_2(tmp_path, argv):
+    dataset = tmp_path / "d.svm"
+    dataset.write_text("dim=2 n=2\n+1 0\n-1 1\n")
+    assert cli_exit_code(["train-pool", str(dataset), "--out", str(tmp_path / "p"),
+                          *argv]) == 2
+    assert not (tmp_path / "p").exists()
 
 
 # --- experiment command ---

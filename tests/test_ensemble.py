@@ -303,6 +303,22 @@ def test_accuracy_matches_hand_count_on_fixture():
     assert accuracy == pytest.approx(4 / 6)
 
 
+def test_float_product_votes_equal_the_int64_product():
+    # majority_vote_matrix sums in float64 for BLAS; the int64 sums are
+    # the reference, and even selections of +-1 rows tie often
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 4, 7, 50):
+        matrix = random_sign_matrix(rng, n, 300)
+        masks = rng.integers(0, 2, size=(40, n))
+        masks[masks.sum(axis=1) == 0, 0] = 1
+        sums = masks.astype(np.int64) @ matrix.astype(np.int64)
+        expected = np.where(sums >= 0, 1, -1)
+        assert np.any(sums == 0) or n == 1
+        assert np.array_equal(majority_vote_matrix(matrix, masks), expected)
+        for mask, row in zip(masks, expected):
+            assert np.array_equal(majority_vote_matrix(matrix, mask), row)
+
+
 # --- serialization ---
 
 def test_pool_round_trip(tmp_path):
@@ -320,3 +336,31 @@ def test_selection_round_trip(tmp_path):
     save_selection(omega, path)
     assert load_selection(path) == omega
     assert "omega=10110" in path.read_text()
+
+
+def test_load_selection_rejects_a_stray_line(tmp_path):
+    # a garbage line used to be skipped
+    path = tmp_path / "selection.txt"
+    path.write_text("malsieve-selection v1\nn=3\ngarbage\nomega=101\n")
+    with pytest.raises(FormatError, match="unrecognized line") as info:
+        load_selection(path)
+    assert info.value.line == 3
+
+
+def test_load_selection_rejects_a_key_given_twice(tmp_path):
+    # the last n= used to win silently
+    path = tmp_path / "selection.txt"
+    path.write_text("malsieve-selection v1\nn=2\nomega=101\nn=3\n")
+    with pytest.raises(FormatError, match="n given twice") as info:
+        load_selection(path)
+    assert info.value.line == 4
+
+
+def test_load_pool_rejects_a_key_given_twice(tmp_path):
+    pool = train_pool(small_training_data(), 2, LearnerSpec(epochs=2), 5)
+    save_pool(pool, tmp_path / "pool")
+    manifest = tmp_path / "pool" / "pool.txt"
+    manifest.write_text(manifest.read_text() + "master_seed=6\n")
+    with pytest.raises(FormatError, match="master_seed given twice") as info:
+        load_pool(tmp_path / "pool")
+    assert info.value.line == len(manifest.read_text().splitlines())

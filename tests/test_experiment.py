@@ -13,7 +13,7 @@ from malsieve.experiment import (
     run_one,
     synthetic_dataset,
 )
-from malsieve.vectorize import Dataset, FeatureVector
+from malsieve.vectorize import Dataset, FeatureVector, save_dataset
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -57,6 +57,12 @@ def test_bad_value_names_key():
         parse_config("repeats=abc\n")
 
 
+def test_repeated_key_rejected_naming_key():
+    # the last value used to win silently
+    with pytest.raises(InvalidConfig, match="epochs given twice"):
+        parse_config("epochs=3\nrepeats=2\nepochs=5\n")
+
+
 def test_zero_repeats_rejected():
     with pytest.raises(InvalidConfig):
         parse_config("repeats=0\n")
@@ -65,6 +71,11 @@ def test_zero_repeats_rejected():
 def test_out_of_range_learner_rate_rejected():
     with pytest.raises(InvalidConfig):
         ExperimentConfig(learning_rate=-1.0)
+
+
+def test_unknown_learner_rejected_naming_key():
+    with pytest.raises(InvalidConfig, match="learner must be one of"):
+        parse_config("learner=svm\n")
 
 
 def test_unknown_fitness_split_rejected():
@@ -253,3 +264,21 @@ def test_test_labels_stay_clean_by_default():
     assert total == len(test_set)
     positives = reports["single"].tp + reports["single"].fn
     assert positives == test_set.labels().count(1)
+
+
+def test_dataset_file_source_matches_in_memory_dataset(tmp_path):
+    # dataset= may name a dataset file instead of a records file
+    config = tiny_config(repeats=1)
+    source = synthetic_dataset(
+        config.synthetic_samples, config.synthetic_features,
+        config.synthetic_concept_noise, seed=9,
+    )
+    path = tmp_path / "data.svm"
+    save_dataset(source, path)
+    text = "".join(line.removeprefix("config ") + "\n"
+                   for line in malsieve.experiment.config_lines(config))
+    from_file = parse_config(text.replace("dataset=synthetic", f"dataset={path}"))
+    assert from_file.dataset == str(path)
+    assert format_report(repeated_experiment(from_file), config) == format_report(
+        repeated_experiment(config, source=source), config
+    )

@@ -8,8 +8,8 @@ MalsieveError; any other exception is a hole in the error contract. The
 DEX reader must agree with the row-by-row walk it replaced, and record
 lines must round-trip and parse like the block partition they skip.
 Saving then loading a vocabulary, dataset, model, pool or selection must
-give an equal object. The seeds are fixed, so every run tries the same
-inputs.
+give an equal object, and so must parsing the lines an experiment config
+writes. The seeds are fixed, so every run tries the same inputs.
 """
 
 import tempfile
@@ -28,7 +28,15 @@ from malsieve.archive import parse_archive  # noqa: E402
 from malsieve.axml import parse_manifest  # noqa: E402
 from malsieve.dex import parse_dex  # noqa: E402
 from malsieve.errors import FormatError, MalsieveError  # noqa: E402
+from malsieve.experiment import (  # noqa: E402
+    FITNESS_SPLITS,
+    ExperimentConfig,
+    config_lines,
+    parse_config,
+)
+from malsieve.ga import DIVERSITY_NORMS  # noqa: E402
 from malsieve.learners import (  # noqa: E402
+    KINDS,
     LearnerSpec,
     TrainedLearner,
     load_model,
@@ -370,3 +378,54 @@ def test_pool_round_trips(pool):
 def test_selection_round_trips(bits):
     omega = ensemble.WeightVector(tuple(bits))
     assert round_trip(ensemble.save_selection, ensemble.load_selection, omega) == omega
+
+
+@st.composite
+def experiment_configs(draw) -> ExperimentConfig:
+    def unit(low=0.0, high=1.0):
+        return draw(st.floats(low, high))
+
+    seeds = st.integers(0, 2**63 - 1)
+    counts = st.integers(1, 10**6)
+    train_fraction, validation_fraction = unit(0.01, 0.49), unit(0.01, 0.49)
+    pop_size = draw(st.integers(2, 500))
+    return ExperimentConfig(
+        repeats=draw(counts),
+        master_seed=draw(seeds),
+        dataset=draw(st.text(st.characters(whitelist_categories=("L", "N"),
+                                           whitelist_characters="/._-#="))),
+        synthetic_samples=draw(st.integers(10, 10**6)),
+        synthetic_features=draw(counts),
+        synthetic_concept_noise=unit(0.0, 0.5),
+        train_fraction=train_fraction,
+        validation_fraction=validation_fraction,
+        test_fraction=1.0 - train_fraction - validation_fraction,
+        noise_fraction=unit(0.0, 0.5),
+        noise_test=draw(st.booleans()),
+        min_doc_freq=draw(counts),
+        max_api_features=draw(st.integers(0, 10**6)),
+        pool_size=draw(counts),
+        learner=draw(st.sampled_from(KINDS)),
+        learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+        epochs=draw(counts),
+        hidden_units=draw(counts),
+        l2=draw(st.floats(min_value=0.0, allow_nan=False)),
+        batch_size=draw(st.one_of(st.none(), counts)),
+        learner_seed=draw(seeds),
+        pop_size=pop_size,
+        max_iter=draw(counts),
+        crossover_rate=unit(),
+        mutation_rate=unit(),
+        elite_count=draw(st.integers(0, pop_size - 1)),
+        fitness_split=draw(st.sampled_from(FITNESS_SPLITS)),
+        diversity_norm=draw(st.sampled_from(DIVERSITY_NORMS)),
+        allow_partial=draw(st.booleans()),
+    )
+
+
+@seed(435)
+@ROUND_TRIP
+@given(experiment_configs())
+def test_config_round_trips(config):
+    text = "".join(line.removeprefix("config ") + "\n" for line in config_lines(config))
+    assert parse_config(text) == config

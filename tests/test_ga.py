@@ -12,6 +12,7 @@ from malsieve.ga import (
     format_ga_report,
     init_population,
     mutation,
+    pairwise_distances,
     run_ga,
     select_newpop,
 )
@@ -592,3 +593,13 @@ def test_run_ga_matches_per_chromosome_reference(seed):
     expected = reference_run_ga(pool, data, config)
     assert result == expected
     assert format_ga_report(result, config) == format_ga_report(expected, config)
+
+
+def test_float_product_distances_equal_the_int64_product():
+    # pairwise_distances multiplies in float64 for BLAS; bit for bit the
+    # same as the int64 product, identical rows (distance 0) included
+    rng = np.random.default_rng(21)
+    for n, m in ((1, 5), (6, 1), (30, 600), (50, 2001)):
+        matrix = random_sign_matrix(rng, n, m)
+        matrix[n // 2] = matrix[0]
+        assert np.array_equal(pairwise_distances(matrix), _ref_distances(matrix))

@@ -281,3 +281,42 @@ def test_load_model_rejects_hex_float_past_the_float_range(tmp_path):
     with pytest.raises(FormatError, match="bad param line") as info:
         load_model(path)
     assert info.value.line == len(lines)
+
+
+def test_load_model_rejects_a_header_key_given_twice(tmp_path):
+    # the last epochs= used to win silently
+    path = saved_three_wide_model("linear", tmp_path)
+    lines = path.read_text().splitlines()
+    lines.insert(2, "epochs=7")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="epochs given twice") as info:
+        load_model(path)
+    assert info.value.line == lines.index("epochs=2") + 1
+
+
+@pytest.mark.parametrize("line", ["hello", "momentum=0.9"])
+def test_load_model_rejects_a_stray_line(line, tmp_path):
+    path = saved_three_wide_model("linear", tmp_path)
+    lines = path.read_text().splitlines()
+    lines.insert(3, line)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="unrecognized line") as info:
+        load_model(path)
+    assert info.value.line == 4
+
+
+def test_load_model_header_is_every_spec_field(tmp_path):
+    path = saved_three_wide_model("mlp", tmp_path)
+    keys = [line.partition("=")[0] for line in path.read_text().splitlines()[1:9]]
+    assert keys == ["kind", "dim", "learning_rate", "epochs", "hidden_units", "l2",
+                    "rng_seed", "batch_size"]
+
+
+def test_load_model_rejects_a_param_row_given_twice(tmp_path):
+    path = saved_three_wide_model("linear", tmp_path)
+    lines = path.read_text().splitlines()
+    lines.append(lines[-1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="given twice") as info:
+        load_model(path)
+    assert info.value.line == len(lines)
