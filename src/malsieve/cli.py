@@ -8,7 +8,7 @@ a file with a documented format:
     train-pool  dataset -> pool directory
     select      pool + dataset -> selection file (GA search)
     evaluate    pool + selection + dataset -> metrics line
-    predict     pool + selection + vocabulary + records -> labels
+    predict     pool + selection + (vocabulary + records | dataset) -> labels
     experiment  config -> repeated-experiment report
 
 Diagnostics go to stderr, data to stdout or the requested file. All
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .evaluation import compute_metrics
 from .ga import format_ga_report, run_ga
-from .records import format_record, load_records
+from .records import LABEL_TEXT, LABELS, format_record, load_records, read_records
 from .vectorize import (
     Dataset,
     build_vocabulary,
@@ -51,8 +51,6 @@ from .vectorize import (
 _EXIT_OK = 0
 _EXIT_FAILURE = 1
 _EXIT_USAGE = 2
-
-_PREDICT_BLOCK = 32  # samples densified at once by predict
 
 
 def _log(message: str) -> None:
@@ -87,7 +85,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if not paths:
         _log("extract: no inputs")
         return _EXIT_USAGE
-    label = {"+1": 1, "-1": -1, "?": None}[args.label]
+    label = LABELS[args.label]
     lines: list[str] = []
     failures = 0
     for path in paths:
@@ -201,33 +199,27 @@ def cmd_predict(args: argparse.Namespace) -> int:
     omega = _selection(args, pool)
     if is_dataset_file(args.input):
         data = load_dataset(args.input)
-        if data.dimension != pool.dim:
-            raise DimensionMismatch(
-                f"input dimension {data.dimension} != model dimension {pool.dim}"
-            )
         ids = [f"sample_{i}" for i in range(len(data))]
-        vectors = data.vectors
+    elif not args.vocab:
+        _log("predict: records input requires --vocab")
+        return _EXIT_USAGE
     else:
-        if not args.vocab:
-            _log("predict: records input requires --vocab")
-            return _EXIT_USAGE
+        # each record is dropped once vectorized: only ids and vectors stay
         vocab = load_vocabulary(args.vocab)
-        if vocab.dimension != pool.dim:
-            raise DimensionMismatch(
-                f"vocabulary dimension {vocab.dimension} != model dimension {pool.dim}"
-            )
-        records = load_records(args.input)
-        ids = [r.app_id for r in records]
-        vectors = [vectorize(r, vocab) for r in records]
-    out_lines = []
-    # densify a block of samples at a time, so memory stays flat in the
-    # batch size
-    for start in range(0, len(vectors), _PREDICT_BLOCK):
-        block = Dataset(vectors[start : start + _PREDICT_BLOCK], dimension=pool.dim)
-        votes = ens.majority_vote_matrix(ens.precompute_predictions(pool, block), omega.bits)
-        for app_id, label in zip(ids[start:], votes):
-            out_lines.append(f"{app_id}\t{'+1' if label == 1 else '-1'}")
-    _write_text(args.out, "".join(line + "\n" for line in out_lines))
+        ids, vectors = [], []
+        with open_text(args.input) as fh:
+            for record in read_records(fh):
+                ids.append(record.app_id)
+                vectors.append(vectorize(record, vocab))
+        data = Dataset(vectors, dimension=vocab.dimension)
+    if data.dimension != pool.dim:
+        raise DimensionMismatch(
+            f"input dimension {data.dimension} != model dimension {pool.dim}"
+        )
+    votes = ens.majority_vote_matrix(ens.precompute_predictions(pool, data), omega.bits)
+    _write_text(args.out, "".join(
+        f"{app_id}\t{LABEL_TEXT[label]}\n" for app_id, label in zip(ids, votes.tolist())
+    ))
     return _EXIT_OK
 
 
@@ -271,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract feature records from APKs")
     p.add_argument("inputs", nargs="+", help="APK files or directories")
     p.add_argument("--out", help="records file (default stdout)")
-    p.add_argument("--label", choices=["+1", "-1", "?"], default="?")
+    p.add_argument("--label", choices=list(LABELS), default="?")
     p.add_argument("--strict", action="store_true",
                    help="fail the whole batch on the first bad APK")
     p.set_defaults(func=cmd_extract)

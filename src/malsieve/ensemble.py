@@ -10,7 +10,8 @@ counting as malicious. Deselected learners cannot influence the outcome.
 Every ensemble prediction takes one path: `precompute_predictions` turns
 a dataset into the (N learners x M samples) +-1 matrix, and
 `majority_vote_matrix` turns rows of it into the vote. The optimizer's
-fitness, the experiment's scores and the CLI all go through these two.
+fitness, the experiment's scores and the CLI all go through these two;
+`precompute_predictions` alone densifies samples for prediction.
 """
 
 from __future__ import annotations
@@ -159,10 +160,19 @@ def selection_masks(masks, pool_size: int) -> np.ndarray:
     return masks
 
 
+_BLOCK_ROWS = 32  # samples densified at once for prediction
+
+
 def precompute_predictions(pool: EnsemblePool, data: Dataset) -> np.ndarray:
-    """(N x M) matrix of each learner's +-1 prediction on each sample."""
-    X = data.to_dense()
-    return np.array([predict_labels(l, X) for l in pool.learners], dtype=np.int8)
+    """(N x M) matrix of each learner's +-1 prediction on each sample,
+    densified a block of rows at a time so memory stays flat in M."""
+    matrix = np.empty((pool.size, len(data)), dtype=np.int8)
+    for start in range(0, len(data), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        X = data.to_dense(rows)
+        for i, learner in enumerate(pool.learners):
+            matrix[i, rows] = predict_labels(learner, X)
+    return matrix
 
 
 def majority_vote_matrix(matrix: np.ndarray, masks) -> np.ndarray:

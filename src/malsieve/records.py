@@ -29,8 +29,8 @@ ACTION_PREFIX = "action:"
 API_PREFIX = "api:"
 BLOCK_PREFIXES = (PERM_PREFIX, ACTION_PREFIX, API_PREFIX)
 
-_LABEL_TO_TEXT = {1: "+1", -1: "-1", None: "?"}
-_TEXT_TO_LABEL = {"+1": 1, "-1": -1, "?": None}
+LABELS = {"+1": 1, "-1": -1, "?": None}  # label text -> label
+LABEL_TEXT = {label: text for text, label in LABELS.items()}
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def format_record(record: FeatureRecord) -> str:
     """The record's line, without its newline. Names that hold a tab,
     newline or carriage return are dropped; an app id that holds one
     raises FormatError."""
-    label = _LABEL_TO_TEXT[record.label]
+    label = LABEL_TEXT[record.label]
     line = "\t".join((record.app_id, label) + record.features)
     # one scan per character over the joined line; only a line that fails
     # it is taken apart name by name
@@ -120,14 +120,14 @@ def parse_record_line(
     app_id, label_text = fields[0], fields[1]
     if not app_id:
         raise FormatError("empty app_id", lineno)
-    if label_text not in _TEXT_TO_LABEL:
+    if label_text not in LABELS:
         raise FormatError(f"bad label {label_text!r}", lineno)
     features = fields[2:]
     if names is not None:
         features = map(names.setdefault, features, features)
     return FeatureRecord(
         app_id=app_id,
-        label=_TEXT_TO_LABEL[label_text],
+        label=LABELS[label_text],
         features=_block_order(tuple(dict.fromkeys(features)), lineno),
     )
 
@@ -154,15 +154,18 @@ def _block_order(unique: tuple[str, ...], lineno: int | None) -> tuple[str, ...]
     return features
 
 
-def read_records(fh: IO[str]) -> Iterator[FeatureRecord]:
-    """The records of fh's lines, blank lines skipped. The records share
-    one string per distinct feature name."""
-    names: dict[str, str] = {}
+def read_records(fh: IO[str], names: dict[str, str] | None = None) -> Iterator[FeatureRecord]:
+    """The records of fh's lines, one at a time, blank lines skipped.
+    `names` is passed on to `parse_record_line`; without it each record
+    keeps the strings of its own line, and nothing outlives the record."""
     for lineno, line in enumerate(fh, start=1):
         if line.strip():
             yield parse_record_line(line, lineno, names)
 
 
 def load_records(path: str | os.PathLike) -> list[FeatureRecord]:
+    """Every record of a records file, for a caller that keeps the corpus.
+    The records share one string per distinct feature name, which makes a
+    corpus of many apps with common names several times smaller."""
     with open_text(path) as fh:
-        return list(read_records(fh))
+        return list(read_records(fh, {}))

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCorpus, FormatError, InvalidConfig, open_text
-from .records import BLOCK_PREFIXES, FeatureRecord
+from .records import BLOCK_PREFIXES, LABEL_TEXT, LABELS, FeatureRecord
 
 
 class Vocabulary:
@@ -32,20 +32,18 @@ class Vocabulary:
 
     Blocks are contiguous: permissions at [0, perm_count), actions next,
     API references last. Within a block names are in ascending
-    lexicographic order.
+    lexicographic order. A name's block is its prefix, so the block
+    sizes are counted from the names.
     """
 
-    def __init__(self, names: Sequence[str], doc_freq: Sequence[int],
-                 perm_count: int, action_count: int, api_count: int):
-        if perm_count + action_count + api_count != len(names):
-            raise ValueError("block sizes do not sum to the vocabulary size")
+    def __init__(self, names: Sequence[str], doc_freq: Sequence[int]):
         if len(doc_freq) != len(names):
             raise ValueError("doc_freq length mismatch")
         self.names = tuple(names)
         self.doc_freq = tuple(doc_freq)
-        self.perm_count = perm_count
-        self.action_count = action_count
-        self.api_count = api_count
+        self.perm_count, self.action_count, self.api_count = (
+            sum(name.startswith(prefix) for name in self.names) for prefix in BLOCK_PREFIXES
+        )
         self.index = {name: i for i, name in enumerate(self.names)}
         if len(self.index) != len(self.names):
             raise ValueError("duplicate feature name in vocabulary")
@@ -126,9 +124,11 @@ class Dataset:
             raise ValueError("dataset contains unlabeled vectors")
         return np.array(labels, dtype=np.int8)
 
-    def to_dense(self) -> np.ndarray:
-        X = np.zeros((len(self.vectors), self.dimension), dtype=np.float64)
-        for row, v in enumerate(self.vectors):
+    def to_dense(self, rows: slice = slice(None)) -> np.ndarray:
+        """The dense 0/1 matrix of the samples `rows` picks, all by default."""
+        vectors = self.vectors[rows]
+        X = np.zeros((len(vectors), self.dimension), dtype=np.float64)
+        for row, v in enumerate(vectors):
             if v.indices:
                 X[row, list(v.indices)] = 1.0
         return X
@@ -185,13 +185,7 @@ def build_vocabulary(records: Iterable[FeatureRecord],
     names = perms + actions + apis
     if not names:
         raise EmptyCorpus("no feature met the document-frequency threshold")
-    return Vocabulary(
-        names=names,
-        doc_freq=[freq[n] for n in names],
-        perm_count=len(perms),
-        action_count=len(actions),
-        api_count=len(apis),
-    )
+    return Vocabulary(names, [freq[n] for n in names])
 
 
 def vectorize(record: FeatureRecord, vocab: Vocabulary) -> FeatureVector:
@@ -222,7 +216,6 @@ def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
     names: list[str] = []
     freqs: list[int] = []
     seen: set[str] = set()
-    block_sizes = [0, 0, 0]
     block = 0  # of the previous name; blocks only move forward
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -248,13 +241,12 @@ def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
             if name in seen:
                 raise FormatError(f"duplicate feature name {name!r}", lineno)
             block = name_block
-            block_sizes[block] += 1
             seen.add(name)
             names.append(name)
             freqs.append(df)
     if not names:
         raise FormatError("empty vocabulary file", None)
-    return Vocabulary(names, freqs, *block_sizes)
+    return Vocabulary(names, freqs)
 
 
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
@@ -263,8 +255,7 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
         for v in dataset.vectors:
             if v.label is None:
                 raise FormatError("dataset files require labeled vectors", None)
-            label = "+1" if v.label == 1 else "-1"
-            fh.write(" ".join([label, *map(str, v.indices)]) + "\n")
+            fh.write(" ".join([LABEL_TEXT[v.label], *map(str, v.indices)]) + "\n")
 
 
 def is_dataset_file(path: str | os.PathLike) -> bool:
@@ -294,9 +285,9 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             if not line.strip():
                 continue
             tokens = line.split()
-            if tokens[0] not in ("+1", "-1"):
+            label = LABELS.get(tokens[0])
+            if label is None:  # an unknown token, or ? (unlabeled)
                 raise FormatError(f"bad label {tokens[0]!r}", lineno)
-            label = 1 if tokens[0] == "+1" else -1
             try:
                 indices = tuple(int(t) for t in tokens[1:])
                 vectors.append(FeatureVector(dim, indices, label))

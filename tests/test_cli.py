@@ -236,6 +236,69 @@ def test_predict_batch_matches_per_sample_vote(tmp_path, capsys):
     assert {line[-2:] for line in out} == {"+1", "-1"}
 
 
+def random_mlp_pool(rng, dim, n):
+    learners = tuple(
+        TrainedLearner(
+            kind="mlp",
+            dim=dim,
+            spec=LearnerSpec(kind="mlp", hidden_units=3),
+            params={"W1": rng.normal(size=(dim, 3)), "b1": rng.normal(size=3),
+                    "w2": rng.normal(size=3), "b2": np.zeros(1)},
+        )
+        for _ in range(n)
+    )
+    return EnsemblePool(learners=learners, bootstrap_seeds=(0,) * n)
+
+
+def test_evaluate_counts_match_predict_labels(tmp_path, capsys):
+    # 75 samples: two full blocks of densified rows and a partial third
+    rng = np.random.default_rng(11)
+    save_pool(random_mlp_pool(rng, 8, 7), tmp_path / "pool")
+    save_selection(WeightVector((1, 1, 0, 1, 1, 0, 1)), tmp_path / "selection.txt")
+    labels = rng.choice(["+1", "-1"], size=75)
+    dataset = tmp_path / "d.svm"
+    dataset.write_text("dim=8 n=75\n" + "".join(
+        " ".join([label, *map(str, np.flatnonzero(rng.random(8) < 0.4))]) + "\n"
+        for label in labels
+    ))
+    common = [str(tmp_path / "pool"), str(dataset), "--selection", str(tmp_path / "selection.txt")]
+    assert main(["evaluate", *common]) == 0
+    fields = dict(f.split("=") for f in capsys.readouterr().out.split())
+    assert main(["predict", *common]) == 0
+    predicted = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()]
+    pairs = list(zip(predicted, labels))
+    assert len(pairs) == 75
+    counts = {name: str(pairs.count(pair)) for name, pair in
+              (("tp", ("+1", "+1")), ("fp", ("+1", "-1")), ("tn", ("-1", "-1")),
+               ("fn", ("-1", "+1")))}
+    assert {name: fields[name] for name in counts} == counts
+    assert set(predicted) == {"+1", "-1"}
+
+
+def test_predict_records_and_their_dataset_agree(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    names = [f"perm:p{i}" for i in range(4)] + [f"api:a{i}" for i in range(6)]
+    records = tmp_path / "r.tsv"
+    records.write_text("".join(
+        f"app{k}\t{rng.choice(['+1', '-1'])}\t"
+        + "\t".join(n for n in names if rng.random() < 0.5) + "\n"
+        for k in range(80)
+    ))
+    vocab, dataset = tmp_path / "vocab.tsv", tmp_path / "d.svm"
+    assert main(["vectorize", str(records), "--vocab-out", str(vocab),
+                 "--dataset-out", str(dataset), "--min-doc-freq", "1"]) == 0
+    dim = load_vocabulary(vocab).dimension
+    save_pool(random_mlp_pool(rng, dim, 5), tmp_path / "pool")
+    capsys.readouterr()
+    assert main(["predict", str(tmp_path / "pool"), str(records), "--vocab", str(vocab)]) == 0
+    from_records = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert main(["predict", str(tmp_path / "pool"), str(dataset)]) == 0
+    from_dataset = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [app_id for app_id, _ in from_records] == [f"app{k}" for k in range(80)]
+    assert [label for _, label in from_records] == [label for _, label in from_dataset]
+    assert {label for _, label in from_records} == {"+1", "-1"}
+
+
 def test_predict_zero_known_features_is_tieward(tmp_path, capsys):
     learners = (
         TrainedLearner(

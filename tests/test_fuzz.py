@@ -284,7 +284,7 @@ def vocabularies(draw) -> Vocabulary:
         blocks[2] = [BLOCK_PREFIXES[2] + "x"]
     names = [n for block in blocks for n in block]
     freqs = draw(st.lists(st.integers(0, 10**6), min_size=len(names), max_size=len(names)))
-    return Vocabulary(names, freqs, *map(len, blocks))
+    return Vocabulary(names, freqs)
 
 
 @seed(430)
