@@ -148,7 +148,8 @@ def _config(args: argparse.Namespace, keys: tuple[str, ...]) -> exp.ExperimentCo
 def cmd_train_pool(args: argparse.Namespace) -> int:
     spec = _config(args, _POOL_KEYS).learner_spec(args.seed)
     data = load_dataset(args.dataset)
-    pool = ens.train_pool(data, args.pool_size, spec, master_seed=args.seed)
+    pool = ens.train_pool(data.to_dense(), data.label_array(), args.pool_size, spec,
+                          master_seed=args.seed)
     ens.save_pool(pool, args.out)
     _log(f"train-pool: {pool.size} learners, dimension {pool.dim} -> {args.out}")
     return _EXIT_OK
@@ -184,7 +185,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pool = ens.load_pool(args.pool)
     data = load_dataset(args.dataset)
     omega = _selection(args, pool)
-    votes = ens.majority_vote_matrix(ens.precompute_predictions(pool, data), omega.bits)
+    matrix = ens.precompute_predictions(pool.learners, data)
+    votes = ens.majority_vote_matrix(matrix, omega.bits)
     report = compute_metrics(votes, data.label_array())
     sys.stdout.write(
         f"selected={omega.selected_count}/{pool.size} {report.as_fields()}\n"
@@ -216,7 +218,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise DimensionMismatch(
             f"input dimension {data.dimension} != model dimension {pool.dim}"
         )
-    votes = ens.majority_vote_matrix(ens.precompute_predictions(pool, data), omega.bits)
+    matrix = ens.precompute_predictions(pool.learners, data)
+    votes = ens.majority_vote_matrix(matrix, omega.bits)
     _write_text(args.out, "".join(
         f"{app_id}\t{LABEL_TEXT[label]}\n" for app_id, label in zip(ids, votes.tolist())
     ))

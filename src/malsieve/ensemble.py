@@ -2,16 +2,18 @@
 
 A pool holds N learners, each trained on its own bootstrap replicate
 (M draws with replacement from the M training samples), kept as row
-indices into the one dense matrix of the training set. A binary weight
-vector picks the sub-ensemble that actually votes: the prediction is the
-sign of the sum of the selected learners' +1/-1 outputs, with a tied sum
-counting as malicious. Deselected learners cannot influence the outcome.
+indices into the training matrix that the caller densified. A binary
+weight vector picks the sub-ensemble that actually votes: the prediction
+is the sign of the sum of the selected learners' +1/-1 outputs, with a
+tied sum counting as malicious. Deselected learners cannot influence the
+outcome.
 
 Every ensemble prediction takes one path: `precompute_predictions` turns
-a dataset into the (N learners x M samples) +-1 matrix, and
-`majority_vote_matrix` turns rows of it into the vote. The optimizer's
-fitness, the experiment's scores and the CLI all go through these two;
-`precompute_predictions` alone densifies samples for prediction.
+a dataset into the (N learners x M samples) +-1 matrix of any sequence
+of N learners, and `majority_vote_matrix` turns rows of it into the
+vote. The optimizer's fitness, the experiment's scores and the CLI all
+go through these two; `precompute_predictions` alone densifies samples
+for prediction.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .learners import (
     load_model,
     predict_labels,
     save_model,
-    train_rows,
+    train,
 )
 from .rng import derive_seed, make_rng
 from .vectorize import Dataset, FeatureVector
@@ -114,31 +117,26 @@ def bootstrap_sample(data: Dataset, seed: int) -> Dataset:
 
 
 def train_pool(
-    data: Dataset, n: int, spec: LearnerSpec, master_seed: int
+    X: np.ndarray, labels: np.ndarray, n: int, spec: LearnerSpec, master_seed: int
 ) -> EnsemblePool:
-    """Train n learners on independent bootstrap replicates.
+    """Train n learners on independent bootstrap replicates of the rows of X.
 
     Seeds for replicate i and for its learner's own randomness are both
     derived from (master_seed, i), so the pool is a pure function of its
-    arguments and pool order is stable. The data is densified once; each
-    replicate is an array of row indices into that one matrix, and learner
-    i trains on those rows exactly as `train` would on
-    `bootstrap_sample(data, seed_i)`.
+    arguments and pool order is stable. Replicate i is an array of row
+    indices into X: learner i trains exactly as `train` would on the
+    densified `bootstrap_sample(data, seed_i)` of the data X came from.
     """
     if n < 1:
         raise InvalidConfig("pool size must be >= 1")
-    X = data.to_dense()
-    labels = data.label_array()
     learners: list[TrainedLearner] = []
     seeds: list[int] = []
     for i in range(n):
         boot_seed = derive_seed(master_seed, "bootstrap", i)
-        learner_spec = replace(
-            spec, rng_seed=derive_seed(master_seed, "learner", i, spec.rng_seed)
-        )
-        rows = bootstrap_indices(len(data), boot_seed)
+        rows = bootstrap_indices(X.shape[0], boot_seed)
+        learner_seed = derive_seed(master_seed, "learner", i, spec.rng_seed)
         try:
-            learners.append(train_rows(learner_spec, X, labels, rows))
+            learners.append(train(replace(spec, rng_seed=learner_seed), X, labels, rows))
         except Exception as exc:
             raise with_context(exc, f"learner {i}") from exc
         seeds.append(boot_seed)
@@ -163,14 +161,14 @@ def selection_masks(masks, pool_size: int) -> np.ndarray:
 _BLOCK_ROWS = 32  # samples densified at once for prediction
 
 
-def precompute_predictions(pool: EnsemblePool, data: Dataset) -> np.ndarray:
-    """(N x M) matrix of each learner's +-1 prediction on each sample,
-    densified a block of rows at a time so memory stays flat in M."""
-    matrix = np.empty((pool.size, len(data)), dtype=np.int8)
+def precompute_predictions(learners: Sequence[TrainedLearner], data: Dataset) -> np.ndarray:
+    """(N x M) matrix of each of the N learners' +-1 prediction on each
+    sample, densified a block of rows at a time so memory stays flat in M."""
+    matrix = np.empty((len(learners), len(data)), dtype=np.int8)
     for start in range(0, len(data), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         X = data.to_dense(rows)
-        for i, learner in enumerate(pool.learners):
+        for i, learner in enumerate(learners):
             matrix[i, rows] = predict_labels(learner, X)
     return matrix
 
@@ -187,8 +185,8 @@ def majority_vote_matrix(matrix: np.ndarray, masks) -> np.ndarray:
 def vote(pool: EnsemblePool, omega: WeightVector, x: FeatureVector) -> int:
     """The vote on one sample: `majority_vote_matrix` over its one-column
     prediction matrix."""
-    one = Dataset([x], dimension=pool.dim)
-    return int(majority_vote_matrix(precompute_predictions(pool, one), omega.bits)[0])
+    matrix = precompute_predictions(pool.learners, Dataset([x], dimension=pool.dim))
+    return int(majority_vote_matrix(matrix, omega.bits)[0])
 
 
 # --- serialization ---

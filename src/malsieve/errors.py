@@ -12,6 +12,7 @@ model header field) goes between text and value through `value_text` and
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from typing import IO, Iterator, Sequence
@@ -194,8 +195,14 @@ def int_or_none(text: str) -> int | None:
     return None if text.lower() == "none" else int(text)
 
 
+def _finite_float(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError("expected a finite number")
+    return value
+
+
 # a dataclass field's declared type -> the inverse of `value_text` for it;
 # each raises ValueError on text it cannot read
 FIELD_PARSERS = {
-    "str": str, "int": int, "float": float, "bool": _bool, "int | None": int_or_none
+    "str": str, "int": int, "float": _finite_float, "bool": _bool, "int | None": int_or_none
 }

@@ -30,7 +30,7 @@ class SplitSpec:
 
     def __post_init__(self):
         fractions = (self.train_fraction, self.validation_fraction, self.test_fraction)
-        if any(f <= 0 for f in fractions):
+        if not all(f > 0 for f in fractions):
             raise InvalidConfig("split fractions must be positive")
         if abs(sum(fractions) - 1.0) > 1e-9:
             raise InvalidConfig("split fractions must sum to 1")

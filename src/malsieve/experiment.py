@@ -1,8 +1,10 @@
 """Repeated-experiment harness.
 
 One run = split, corrupt the train/validation labels, train a bootstrap
-pool, GA-select a sub-ensemble, score on the held-out test split. Three
-methods are scored each run so robustness can be compared:
+pool and a single learner on one dense matrix of the training split,
+GA-select a sub-ensemble, and score three methods on the held-out test
+split through one prediction matrix (the pool's rows, then the single
+learner's), so robustness can be compared:
 
   single      one learner trained on the (noisy) training split
   full_pool   majority vote of every learner in the pool
@@ -43,7 +45,7 @@ from .evaluation import (
     summarize_metric,
 )
 from .ga import GAConfig, GAResult, run_ga
-from .learners import KINDS, LearnerSpec, predict_labels, train
+from .learners import KINDS, LearnerSpec, train
 from .records import FeatureRecord, load_records
 from .rng import derive_seed, make_rng
 from .vectorize import (
@@ -238,8 +240,7 @@ def run_one(
     run_seed = derive_seed(config.master_seed, "run", run_index)
     train_set, val_set, test_set = _prepare_splits(source, config, run_seed)
 
-    noisy_train = train_set
-    noisy_val = val_set
+    noisy_train, noisy_val = train_set, val_set
     if config.noise_fraction > 0:
         noisy_train = inject_label_noise(
             train_set, config.noise_spec(derive_seed(run_seed, "noise", "train"))
@@ -252,29 +253,24 @@ def run_one(
                 test_set, config.noise_spec(derive_seed(run_seed, "noise", "test"))
             )
 
-    pool = train_pool(
-        noisy_train,
-        config.pool_size,
-        config.learner_spec(config.learner_seed),
-        master_seed=derive_seed(run_seed, "pool"),
-    )
-    single = train(
-        config.learner_spec(derive_seed(run_seed, "single", config.learner_seed)),
-        noisy_train,
-    )
+    X, y = noisy_train.to_dense(), noisy_train.label_array()
+    pool = train_pool(X, y, config.pool_size, config.learner_spec(config.learner_seed),
+                      master_seed=derive_seed(run_seed, "pool"))
+    single_spec = config.learner_spec(derive_seed(run_seed, "single", config.learner_seed))
+    single = train(single_spec, X, y)
+    del X  # not held through the GA and the test predictions
 
     fit_data = noisy_val if config.fitness_split == "validation" else noisy_train
     ga_result = run_ga(
         pool, fit_data, config=config.ga_config(derive_seed(run_seed, "ga"))
     )
 
-    X_test = test_set.to_dense()
     y_test = test_set.label_array()
-    test_matrix = precompute_predictions(pool, test_set)
+    test_matrix = precompute_predictions(pool.learners + (single,), test_set)
     predictions = {
-        "single": predict_labels(single, X_test),
-        "full_pool": majority_vote_matrix(test_matrix, np.ones(pool.size)),
-        "selective": majority_vote_matrix(test_matrix, ga_result.omega.bits),
+        "single": test_matrix[-1],
+        "full_pool": majority_vote_matrix(test_matrix[:-1], np.ones(pool.size)),
+        "selective": majority_vote_matrix(test_matrix[:-1], ga_result.omega.bits),
     }
     metrics = {m: compute_metrics(predictions[m], y_test) for m in METHODS}
     return RunOutcome(metrics=metrics, omega=ga_result.omega, ga=ga_result)

@@ -216,7 +216,7 @@ def run_ga(pool: EnsemblePool, data: Dataset, config: GAConfig = GAConfig()) -> 
     """
     if len(data) == 0:
         raise EmptyDataset("the GA needs at least one sample to score")
-    matrix = precompute_predictions(pool, data)
+    matrix = precompute_predictions(pool.learners, data)
     y = data.label_array()
     distances = pairwise_distances(matrix)
     rng = make_rng(config.rng_seed, "ga")

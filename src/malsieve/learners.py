@@ -12,9 +12,9 @@ computes the loss itself; after each epoch it checks that every parameter
 is still finite. `predict_labels` is the one place a margin becomes a
 label.
 
-`train_rows` is the one training routine. It reads its samples as rows of
-a dense matrix shared by every learner of a pool, so a bootstrap replicate
-is an index array and is never copied; `train` is its all-rows case.
+`train` is the one training routine. Its samples are rows of a dense
+matrix that the caller densified once and that every learner of a pool
+reads; a bootstrap replicate is an index array into it, never a copy.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     FormatError,
     InvalidConfig,
+    LengthMismatch,
     NonFiniteLoss,
     FIELD_PARSERS,
     SingleClassData,
@@ -35,7 +36,6 @@ from .errors import (
     value_text,
 )
 from .rng import make_rng
-from .vectorize import Dataset
 
 KINDS = ("linear", "mlp")
 
@@ -53,32 +53,33 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidConfig(f"kind must be one of {KINDS}")
-        if not self.learning_rate > 0:
-            raise InvalidConfig("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidConfig("learning_rate must be finite and > 0")
         if self.epochs < 1:
             raise InvalidConfig("epochs must be >= 1")
         if self.hidden_units < 1:
             raise InvalidConfig("hidden_units must be >= 1")
-        if self.l2 < 0:
-            raise InvalidConfig("l2 must be >= 0")
+        if not 0 <= self.l2 < np.inf:
+            raise InvalidConfig("l2 must be finite and >= 0")
         if self.batch_size is not None and self.batch_size < 1:
             raise InvalidConfig("batch_size must be >= 1 or None")
 
 
 @dataclass(frozen=True, eq=False)
 class TrainedLearner:
-    kind: str
     dim: int
     spec: LearnerSpec
     params: dict[str, np.ndarray]
+
+    @property
+    def kind(self) -> str:
+        return self.spec.kind
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrainedLearner):
             return NotImplemented
         return (
-            self.kind == other.kind
-            and self.dim == other.dim
-            and self.spec == other.spec
+            (self.dim, self.spec) == (other.dim, other.spec)
             and set(self.params) == set(other.params)
             and all(np.array_equal(self.params[k], other.params[k]) for k in self.params)
         )
@@ -166,25 +167,20 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def train(spec: LearnerSpec, data: Dataset) -> TrainedLearner:
-    """Seeded minibatch gradient descent on the logistic loss.
-
-    Deterministic given (spec, data).
-    """
-    if len(data) == 0:
-        raise SingleClassData("empty dataset")
-    return train_rows(spec, data.to_dense(), data.label_array(), np.arange(len(data)))
-
-
-def train_rows(
-    spec: LearnerSpec, X: np.ndarray, labels: np.ndarray, rows: np.ndarray
+def train(
+    spec: LearnerSpec, X: np.ndarray, labels: np.ndarray, rows: np.ndarray | None = None
 ) -> TrainedLearner:
-    """`train` on the dataset whose sample k is row rows[k] of X, labelled
-    labels[rows[k]].
+    """Seeded minibatch gradient descent on the logistic loss, over the
+    dataset whose sample k is row rows[k] of X, labelled labels[rows[k]];
+    rows=None means every row. Deterministic given its arguments.
 
     X is only read, so one matrix serves every learner of a pool: each
     minibatch is gathered into one buffer, so X[rows] is never built.
     """
+    if X.shape[0] != len(labels):
+        raise LengthMismatch(f"{X.shape[0]} rows of X but {len(labels)} labels")
+    if rows is None:
+        rows = np.arange(X.shape[0])
     y = labels[rows].astype(np.float64)
     if not (np.any(y > 0) and np.any(y < 0)):
         raise SingleClassData("training data must contain both classes")
@@ -209,7 +205,7 @@ def train_rows(
         if not all(np.all(np.isfinite(p)) for p in params.values()):
             raise NonFiniteLoss("parameters became non-finite; lower the learning rate")
 
-    return TrainedLearner(kind=spec.kind, dim=dim, spec=spec, params=params)
+    return TrainedLearner(dim=dim, spec=spec, params=params)
 
 
 def predict_labels(learner: TrainedLearner, X: np.ndarray) -> np.ndarray:
@@ -281,4 +277,4 @@ def load_model(path: str | os.PathLike) -> TrainedLearner:
             )
         if not np.all(np.isfinite(params[name])):
             raise FormatError(f"param {name} holds a non-finite value", param_lines[name])
-    return TrainedLearner(kind=spec.kind, dim=dim, spec=spec, params=params)
+    return TrainedLearner(dim=dim, spec=spec, params=params)

@@ -15,6 +15,11 @@ from malsieve.learners import LearnerSpec, TrainedLearner
 from malsieve.vectorize import Dataset, FeatureVector
 
 
+def dense(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The (X, labels) arrays that `train` and `train_pool` read."""
+    return data.to_dense(), data.label_array()
+
+
 def one_hot_dataset(m: int, labels=None) -> Dataset:
     return Dataset(
         [
@@ -31,7 +36,6 @@ def pool_from_matrix(matrix: np.ndarray) -> EnsemblePool:
     n, m = matrix.shape
     learners = tuple(
         TrainedLearner(
-            kind="linear",
             dim=m,
             spec=LearnerSpec(kind="linear"),
             params={"w": matrix[i].astype(np.float64), "b": np.zeros(1)},

@@ -42,6 +42,7 @@ from binfixtures import STORED, build_dex, build_zip, simple_manifest
 from mlfixtures import (
     brute_force_diversity,
     brute_force_vote,
+    dense,
     exhaustive_best_fitness,
     one_hot_dataset,
     pool_from_matrix,
@@ -120,7 +121,7 @@ def ga_oracle_problem():
     train_set, val_set, _ = split(data, SplitSpec(seed=1))
     noisy_train = inject_label_noise(train_set, NoiseSpec(0.1, seed=2))
     pool = train_pool(
-        noisy_train,
+        *dense(noisy_train),
         12,
         LearnerSpec(kind="linear", learning_rate=0.5, epochs=10, rng_seed=0),
         master_seed=5,
@@ -131,7 +132,7 @@ def ga_oracle_problem():
 def test_criterion_3_ga_matches_exhaustive_search():
     with Budget("3 GA vs exhaustive (N=12, 20 seeds)", 120.0):
         pool, val_set = ga_oracle_problem()
-        matrix = precompute_predictions(pool, val_set)
+        matrix = precompute_predictions(pool.learners, val_set)
         labels = val_set.label_array()
         best, _ = exhaustive_best_fitness(matrix, labels)
         hits = 0

@@ -186,7 +186,6 @@ def test_predict_dataset_input_and_tie_rule(tmp_path, capsys):
     # zero-weight learners give margin 0 on anything: tie votes malicious
     learners = tuple(
         TrainedLearner(
-            kind="linear",
             dim=3,
             spec=LearnerSpec(kind="linear"),
             params={"w": np.zeros(3), "b": np.zeros(1)},
@@ -208,7 +207,6 @@ def test_predict_batch_matches_per_sample_vote(tmp_path, capsys):
     rng = np.random.default_rng(4)
     learners = tuple(
         TrainedLearner(
-            kind="mlp",
             dim=6,
             spec=LearnerSpec(kind="mlp", hidden_units=3),
             params={"W1": rng.normal(size=(6, 3)), "b1": rng.normal(size=3),
@@ -239,7 +237,6 @@ def test_predict_batch_matches_per_sample_vote(tmp_path, capsys):
 def random_mlp_pool(rng, dim, n):
     learners = tuple(
         TrainedLearner(
-            kind="mlp",
             dim=dim,
             spec=LearnerSpec(kind="mlp", hidden_units=3),
             params={"W1": rng.normal(size=(dim, 3)), "b1": rng.normal(size=3),
@@ -302,7 +299,6 @@ def test_predict_records_and_their_dataset_agree(tmp_path, capsys):
 def test_predict_zero_known_features_is_tieward(tmp_path, capsys):
     learners = (
         TrainedLearner(
-            kind="linear",
             dim=2,
             spec=LearnerSpec(kind="linear"),
             params={"w": np.array([1.0, -1.0]), "b": np.zeros(1)},
@@ -322,7 +318,6 @@ def test_predict_zero_known_features_is_tieward(tmp_path, capsys):
 def test_predict_dimension_mismatch_fails(tmp_path):
     learners = (
         TrainedLearner(
-            kind="linear",
             dim=4,
             spec=LearnerSpec(kind="linear"),
             params={"w": np.zeros(4), "b": np.zeros(1)},
@@ -433,7 +428,8 @@ def test_flags_build_the_specs(tmp_path, recorded, pool_flags, select_flags, n, 
     pool = tmp_path / "pool"
     assert main(["train-pool", str(dataset), "--out", str(pool), *pool_flags]) == 0
     args, kwargs = recorded["train_pool"]
-    assert args[1:] == (n, spec) and kwargs == {"master_seed": master_seed}
+    assert args[0].shape == (20, 2) and args[1].tolist() == [1, -1] * 10
+    assert args[2:] == (n, spec) and kwargs == {"master_seed": master_seed}
     assert main(["select", str(pool), str(dataset), "--out", str(tmp_path / "s.txt"),
                  *select_flags]) == 0
     assert recorded["run_ga"][1] == {"config": ga_config}
@@ -457,7 +453,8 @@ def test_vectorize_flags_reach_build_vocabulary(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["--learner", "svm"], ["--batch-size", "x"],
-                                  ["--epochs", "1.5"]])
+                                  ["--epochs", "1.5"], ["--l2", "nan"],
+                                  ["--learning-rate", "inf"]])
 def test_train_pool_bad_flag_value_exits_2(tmp_path, argv):
     dataset = tmp_path / "d.svm"
     dataset.write_text("dim=2 n=2\n+1 0\n-1 1\n")
@@ -522,7 +519,6 @@ def test_print_default_config_round_trips(tmp_path, capsys):
 def write_small_artifacts(tmp_path):
     learners = tuple(
         TrainedLearner(
-            kind="linear",
             dim=3,
             spec=LearnerSpec(kind="linear"),
             params={"w": np.array([1.0, -1.0, 0.5]), "b": np.zeros(1)},

@@ -25,6 +25,7 @@ from malsieve.vectorize import Dataset, FeatureVector
 
 from mlfixtures import (
     brute_force_vote,
+    dense,
     one_hot_dataset,
     pool_from_matrix,
     random_sign_matrix,
@@ -73,22 +74,22 @@ def small_training_data(m=60):
 
 
 def test_train_pool_single_learner():
-    pool = train_pool(small_training_data(), 1, LearnerSpec(kind="linear", epochs=5), 7)
+    pool = train_pool(*dense(small_training_data()), 1, LearnerSpec(kind="linear", epochs=5), 7)
     assert pool.size == 1
     assert len(pool.bootstrap_seeds) == 1
 
 
 def test_train_pool_deterministic():
     spec = LearnerSpec(kind="linear", epochs=5)
-    a = train_pool(small_training_data(), 5, spec, master_seed=3)
-    b = train_pool(small_training_data(), 5, spec, master_seed=3)
+    a = train_pool(*dense(small_training_data()), 5, spec, master_seed=3)
+    b = train_pool(*dense(small_training_data()), 5, spec, master_seed=3)
     assert a.learners == b.learners
     assert a.bootstrap_seeds == b.bootstrap_seeds
 
 
 def test_train_pool_replicates_pairwise_distinct():
     data = one_hot_dataset(500, labels=[1 if k % 2 else -1 for k in range(500)])
-    pool = train_pool(data, 5, LearnerSpec(kind="linear", epochs=1), master_seed=9)
+    pool = train_pool(*dense(data), 5, LearnerSpec(kind="linear", epochs=1), master_seed=9)
     replicates = [bootstrap_sample(data, s).vectors for s in pool.bootstrap_seeds]
     for a, b in itertools.combinations(replicates, 2):
         assert a != b
@@ -97,7 +98,7 @@ def test_train_pool_replicates_pairwise_distinct():
 def test_train_pool_propagates_failure_with_index():
     data = Dataset([FeatureVector(2, (0,), 1) for _ in range(10)], dimension=2)
     with pytest.raises(Exception, match="learner 0"):
-        train_pool(data, 3, LearnerSpec(kind="linear", epochs=1), master_seed=0)
+        train_pool(*dense(data), 3, LearnerSpec(kind="linear", epochs=1), master_seed=0)
 
 
 def sparse_training_data(m=61, d=40, seed=5):
@@ -118,13 +119,13 @@ def test_train_pool_matches_training_each_replicate(kind, batch_size):
     data = sparse_training_data()
     spec = LearnerSpec(kind=kind, learning_rate=0.2, epochs=6, hidden_units=5,
                        l2=1e-3, batch_size=batch_size, rng_seed=11)
-    pool = train_pool(data, 4, spec, master_seed=21)
+    pool = train_pool(*dense(data), 4, spec, master_seed=21)
     for i, learner in enumerate(pool.learners):
         seed = derive_seed(21, "bootstrap", i)
         assert pool.bootstrap_seeds[i] == seed
         reference = train(
             replace(spec, rng_seed=derive_seed(21, "learner", i, spec.rng_seed)),
-            bootstrap_sample(data, seed),
+            *dense(bootstrap_sample(data, seed)),
         )
         assert learner.spec == reference.spec
         assert set(learner.params) == set(reference.params)
@@ -138,9 +139,9 @@ def test_train_pool_failure_keeps_error_type_and_line(monkeypatch):
     def fail(*args, **kwargs):
         raise original
 
-    monkeypatch.setattr(malsieve.ensemble, "train_rows", fail)
+    monkeypatch.setattr(malsieve.ensemble, "train", fail)
     with pytest.raises(FormatError, match="learner 0: line 7: bad weights") as info:
-        train_pool(small_training_data(), 2, LearnerSpec(kind="linear"), master_seed=0)
+        train_pool(*dense(small_training_data()), 2, LearnerSpec(kind="linear"), master_seed=0)
     assert info.value.line == 7
     assert info.value.__cause__ is original
 
@@ -151,9 +152,9 @@ def test_train_pool_failure_wraps_multi_argument_exception(monkeypatch):
     def fail(*args, **kwargs):
         raise original
 
-    monkeypatch.setattr(malsieve.ensemble, "train_rows", fail)
+    monkeypatch.setattr(malsieve.ensemble, "train", fail)
     with pytest.raises(RunFailed, match="learner 0: UnicodeDecodeError") as info:
-        train_pool(small_training_data(), 2, LearnerSpec(kind="linear"), master_seed=0)
+        train_pool(*dense(small_training_data()), 2, LearnerSpec(kind="linear"), master_seed=0)
     assert info.value.__cause__ is original
 
 
@@ -261,9 +262,8 @@ def test_accuracy_echoing_labels():
     matrix = np.array([labels, labels], dtype=np.int8)
     pool = pool_from_matrix(matrix)
     data = one_hot_dataset(4, labels)
-    accuracy = np.mean(
-        majority_vote_matrix(precompute_predictions(pool, data), (1, 1)) == data.label_array()
-    )
+    votes = majority_vote_matrix(precompute_predictions(pool.learners, data), (1, 1))
+    accuracy = np.mean(votes == data.label_array())
     assert accuracy == 1.0
 
 
@@ -272,9 +272,8 @@ def test_accuracy_constant_learner_on_balanced_data():
     matrix = np.array([[1, 1, 1, 1]], dtype=np.int8)
     pool = pool_from_matrix(matrix)
     data = one_hot_dataset(4, labels)
-    accuracy = np.mean(
-        majority_vote_matrix(precompute_predictions(pool, data), (1,)) == data.label_array()
-    )
+    votes = majority_vote_matrix(precompute_predictions(pool.learners, data), (1,))
+    accuracy = np.mean(votes == data.label_array())
     assert accuracy == 0.5
 
 
@@ -297,9 +296,8 @@ def test_accuracy_matches_hand_count_on_fixture():
     labels = [1, 1, -1, -1, 1, -1]
     pool = pool_from_matrix(matrix)
     data = one_hot_dataset(6, labels)
-    accuracy = np.mean(
-        majority_vote_matrix(precompute_predictions(pool, data), (1, 1, 1)) == data.label_array()
-    )
+    votes = majority_vote_matrix(precompute_predictions(pool.learners, data), (1, 1, 1))
+    accuracy = np.mean(votes == data.label_array())
     assert accuracy == pytest.approx(4 / 6)
 
 
@@ -322,7 +320,8 @@ def test_float_product_votes_equal_the_int64_product():
 # --- serialization ---
 
 def test_pool_round_trip(tmp_path):
-    pool = train_pool(small_training_data(), 3, LearnerSpec(kind="mlp", epochs=3, hidden_units=4), 5)
+    spec = LearnerSpec(kind="mlp", epochs=3, hidden_units=4)
+    pool = train_pool(*dense(small_training_data()), 3, spec, 5)
     save_pool(pool, tmp_path / "pool")
     loaded = load_pool(tmp_path / "pool")
     assert loaded.learners == pool.learners
@@ -357,7 +356,7 @@ def test_load_selection_rejects_a_key_given_twice(tmp_path):
 
 
 def test_load_pool_rejects_a_key_given_twice(tmp_path):
-    pool = train_pool(small_training_data(), 2, LearnerSpec(epochs=2), 5)
+    pool = train_pool(*dense(small_training_data()), 2, LearnerSpec(epochs=2), 5)
     save_pool(pool, tmp_path / "pool")
     manifest = tmp_path / "pool" / "pool.txt"
     manifest.write_text(manifest.read_text() + "master_seed=6\n")

@@ -67,6 +67,12 @@ def test_split_spec_validation():
         SplitSpec(0.8, 0.2, -0.0)
 
 
+def test_split_spec_rejects_a_nan_fraction():
+    # NaN passes both `<= 0` and the sum-to-1 tolerance check
+    with pytest.raises(InvalidConfig, match="positive"):
+        SplitSpec(float("nan"), 0.2, 0.2)
+
+
 def test_stratified_indices_stable_under_label_view():
     labels = [1, -1] * 10
     a = stratified_split_indices(labels, SplitSpec(seed=4))

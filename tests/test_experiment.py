@@ -15,6 +15,8 @@ from malsieve.experiment import (
 )
 from malsieve.vectorize import Dataset, FeatureVector, save_dataset
 
+from mlfixtures import dense
+
 
 def tiny_config(**overrides) -> ExperimentConfig:
     base = dict(
@@ -55,6 +57,17 @@ def test_unknown_key_rejected():
 def test_bad_value_names_key():
     with pytest.raises(InvalidConfig, match="repeats"):
         parse_config("repeats=abc\n")
+
+
+@pytest.mark.parametrize("line", ["train_fraction=nan", "validation_fraction=nan",
+                                  "test_fraction=nan", "l2=nan", "learning_rate=inf",
+                                  "noise_fraction=-inf"])
+def test_non_finite_float_rejected_naming_key(line):
+    # NaN fractions passed the split checks, and a NaN l2 or infinite rate
+    # ended in a NonFiniteLoss that blamed the learning rate
+    key = line.partition("=")[0]
+    with pytest.raises(InvalidConfig, match=f"bad value for {key}: .*finite"):
+        parse_config(line + "\n")
 
 
 def test_repeated_key_rejected_naming_key():
@@ -114,7 +127,7 @@ def test_synthetic_concept_is_learnable():
     from malsieve.learners import LearnerSpec, predict_labels, train
 
     data = synthetic_dataset(400, 10, 0.0, seed=2)
-    learner = train(LearnerSpec(kind="linear", learning_rate=0.5, epochs=30), data)
+    learner = train(LearnerSpec(kind="linear", learning_rate=0.5, epochs=30), *dense(data))
     accuracy = float(np.mean(predict_labels(learner, data.to_dense()) == data.label_array()))
     assert accuracy >= 0.9
 
@@ -282,3 +295,48 @@ def test_dataset_file_source_matches_in_memory_dataset(tmp_path):
     assert format_report(repeated_experiment(from_file), config) == format_report(
         repeated_experiment(config, source=source), config
     )
+
+
+# --- one dense view per split ---
+
+def test_single_learner_scores_as_trained_and_predicted_on_dense_splits():
+    # rebuild the run's noisy training split and its single learner, then
+    # score that learner on the whole test split densified at once
+    from malsieve.evaluation import compute_metrics
+    from malsieve.learners import predict_labels, train
+    from malsieve.rng import derive_seed
+
+    config = tiny_config(repeats=1, synthetic_samples=300, synthetic_features=12)
+    source = synthetic_dataset(300, 12, 0.1, seed=8)
+    outcome = run_one(source, config, 2)
+    run_seed = derive_seed(config.master_seed, "run", 2)
+    train_set, _, test_set = split(source, config.split_spec(derive_seed(run_seed, "split")))
+    assert len(test_set) > 32  # more than one prediction block
+    noisy = inject_label_noise(
+        train_set, config.noise_spec(derive_seed(run_seed, "noise", "train"))
+    )
+    spec = config.learner_spec(derive_seed(run_seed, "single", config.learner_seed))
+    single = train(spec, *dense(noisy))
+    expected = compute_metrics(predict_labels(single, test_set.to_dense()),
+                               test_set.label_array())
+    got = outcome.metrics["single"]
+    assert (got.tp, got.fp, got.tn, got.fn) == (
+        expected.tp, expected.fp, expected.tn, expected.fn
+    )
+
+
+def test_run_one_densifies_the_training_split_once(monkeypatch):
+    shapes = []
+    real = Dataset.to_dense
+
+    def record(self, *args, **kwargs):
+        X = real(self, *args, **kwargs)
+        shapes.append(X.shape)
+        return X
+
+    monkeypatch.setattr(Dataset, "to_dense", record)
+    config = tiny_config(repeats=1, synthetic_samples=300, synthetic_features=12)
+    run_one(synthetic_dataset(300, 12, 0.1, seed=8), config, 0)
+    assert shapes.count((180, 12)) == 1
+    others = [s for s in shapes if s != (180, 12)]
+    assert others and all(rows <= 32 and d == 12 for rows, d in others)

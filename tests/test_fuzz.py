@@ -65,6 +65,7 @@ from malsieve.vectorize import (  # noqa: E402
 )
 
 from binfixtures import DEFLATED, STORED, build_dex, build_zip, simple_manifest  # noqa: E402
+from mlfixtures import dense  # noqa: E402
 from test_dex import WIDE_DEX, assert_matches_walk  # noqa: E402
 
 MANIFEST = simple_manifest(
@@ -233,7 +234,7 @@ def artifacts(tmp_path_factory):
     data = vectorize_all(records, vocab)
     save_dataset(data, root / "data.svm")
     learners = tuple(
-        train(LearnerSpec(kind="mlp", hidden_units=2, epochs=2, rng_seed=s), data)
+        train(LearnerSpec(kind="mlp", hidden_units=2, epochs=2, rng_seed=s), *dense(data))
         for s in (0, 1)
     )
     ensemble.save_pool(ensemble.EnsemblePool(learners, (0, 1)), root / "pool")
@@ -265,6 +266,9 @@ def test_mutated_text_artifact(artifacts, name, data):
 ROUND_TRIP = settings(max_examples=80, deadline=None, database=None)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# settings are finite: a learning rate > 0, an l2 >= 0
+RATES = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+L2S = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
 
 def round_trip(save, load, obj, name="artifact"):
@@ -324,10 +328,10 @@ def test_dataset_round_trips(data):
 def learners(draw, dim=None) -> TrainedLearner:
     spec = LearnerSpec(
         kind=draw(st.sampled_from(("linear", "mlp"))),
-        learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+        learning_rate=draw(RATES),
         epochs=draw(st.integers(1, 1000)),
         hidden_units=draw(st.integers(1, 4)),
-        l2=draw(st.floats(min_value=0.0, allow_nan=False)),
+        l2=draw(L2S),
         rng_seed=draw(st.integers(0, 2**63 - 1)),
         batch_size=draw(st.one_of(st.none(), st.integers(1, 4096))),
     )
@@ -342,7 +346,7 @@ def learners(draw, dim=None) -> TrainedLearner:
                                      max_size=int(np.prod(shape))))).reshape(shape)
         for name, shape in shapes.items()
     }
-    return TrainedLearner(kind=spec.kind, dim=dim, spec=spec, params=params)
+    return TrainedLearner(dim=dim, spec=spec, params=params)
 
 
 @seed(432)
@@ -406,10 +410,10 @@ def experiment_configs(draw) -> ExperimentConfig:
         max_api_features=draw(st.integers(0, 10**6)),
         pool_size=draw(counts),
         learner=draw(st.sampled_from(KINDS)),
-        learning_rate=draw(st.floats(min_value=0.0, exclude_min=True, allow_nan=False)),
+        learning_rate=draw(RATES),
         epochs=draw(counts),
         hidden_units=draw(counts),
-        l2=draw(st.floats(min_value=0.0, allow_nan=False)),
+        l2=draw(L2S),
         batch_size=draw(st.one_of(st.none(), counts)),
         learner_seed=draw(seeds),
         pop_size=pop_size,

@@ -34,7 +34,7 @@ from mlfixtures import (
 def test_precompute_single_cell():
     matrix = np.array([[1]], dtype=np.int8)
     pool = pool_from_matrix(matrix)
-    computed = precompute_predictions(pool, one_hot_dataset(1))
+    computed = precompute_predictions(pool.learners, one_hot_dataset(1))
     assert computed.shape == (1, 1)
     assert computed[0, 0] == 1
 
@@ -45,13 +45,13 @@ def test_precompute_matches_predict_label():
     pool = pool_from_matrix(matrix)
     data = one_hot_dataset(12)
     X = data.to_dense()
-    computed = precompute_predictions(pool, data)
+    computed = precompute_predictions(pool.learners, data)
     for _ in range(20):
         i = int(rng.integers(0, 4))
         k = int(rng.integers(0, 12))
         expected = np.where(pool.learners[i].margins(X) >= 0, 1, -1)
         assert computed[i, k] == expected[k]
-    assert np.array_equal(computed, precompute_predictions(pool, data))
+    assert np.array_equal(computed, precompute_predictions(pool.learners, data))
 
 
 # --- diversity ---
@@ -528,7 +528,7 @@ def _ref_select(population, fitnesses, elite_count, rng):
 def reference_run_ga(pool, data, config):
     from malsieve.ga import GAResult, GenerationStats
 
-    matrix = precompute_predictions(pool, data)
+    matrix = precompute_predictions(pool.learners, data)
     y = data.label_array()
     distances = _ref_distances(matrix)
     rng = make_rng(config.rng_seed, "ga")

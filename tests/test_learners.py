@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from malsieve.errors import DimensionMismatch, FormatError, NonFiniteLoss, SingleClassData
+from malsieve.errors import (
+    DimensionMismatch,
+    FormatError,
+    InvalidConfig,
+    LengthMismatch,
+    NonFiniteLoss,
+    SingleClassData,
+)
 from malsieve.learners import (
     LearnerSpec,
     TrainedLearner,
@@ -15,6 +22,8 @@ from malsieve.learners import (
     train,
 )
 from malsieve.vectorize import Dataset, FeatureVector
+
+from mlfixtures import dense
 
 
 def labeled(dim, indices, label):
@@ -45,20 +54,20 @@ def training_accuracy(learner, data):
 
 def test_linear_fits_separable_data():
     spec = LearnerSpec(kind="linear", learning_rate=0.5, epochs=50, rng_seed=1)
-    learner = train(spec, separable_1d())
+    learner = train(spec, *dense(separable_1d()))
     assert training_accuracy(learner, separable_1d()) == 1.0
 
 
 def test_held_out_positive_predicted_positive():
     spec = LearnerSpec(kind="linear", learning_rate=0.5, epochs=50, rng_seed=1)
-    learner = train(spec, separable_1d())
+    learner = train(spec, *dense(separable_1d()))
     assert predict_labels(learner, row(labeled(1, (0,), None)))[0] == 1
 
 
 def test_single_class_data_rejected():
     data = Dataset([labeled(2, (0,), 1) for _ in range(10)], dimension=2)
     with pytest.raises(SingleClassData):
-        train(LearnerSpec(kind="linear"), data)
+        train(LearnerSpec(kind="linear"), *dense(data))
 
 
 def test_mlp_learns_xor():
@@ -66,13 +75,12 @@ def test_mlp_learns_xor():
     spec = LearnerSpec(
         kind="mlp", learning_rate=0.5, epochs=300, hidden_units=8, rng_seed=0
     )
-    learner = train(spec, xor_dataset())
+    learner = train(spec, *dense(xor_dataset()))
     assert training_accuracy(learner, xor_dataset()) >= 0.95
 
 
 def test_zero_weight_margin_is_zero_and_predicts_malicious():
     learner = TrainedLearner(
-        kind="linear",
         dim=3,
         spec=LearnerSpec(kind="linear"),
         params={"w": np.zeros(3), "b": np.zeros(1)},
@@ -84,7 +92,6 @@ def test_zero_weight_margin_is_zero_and_predicts_malicious():
 
 def test_positive_weight_on_active_index():
     learner = TrainedLearner(
-        kind="linear",
         dim=2,
         spec=LearnerSpec(kind="linear"),
         params={"w": np.array([1.0, 0.0]), "b": np.zeros(1)},
@@ -96,7 +103,6 @@ def test_positive_weight_on_active_index():
 def test_margin_sign_matches_predicted_label():
     rng = np.random.default_rng(5)
     learner = TrainedLearner(
-        kind="linear",
         dim=6,
         spec=LearnerSpec(kind="linear"),
         params={"w": rng.normal(size=6), "b": rng.normal(size=1)},
@@ -115,7 +121,6 @@ def test_margin_monotone_in_single_weight():
     margins = []
     for delta in (-0.5, 0.0, 0.5, 1.0):
         learner = TrainedLearner(
-            kind="linear",
             dim=2,
             spec=LearnerSpec(kind="linear"),
             params={"w": base + np.array([delta, 0.0]), "b": np.zeros(1)},
@@ -127,7 +132,6 @@ def test_margin_monotone_in_single_weight():
 
 def test_dimension_mismatch():
     learner = TrainedLearner(
-        kind="linear",
         dim=4,
         spec=LearnerSpec(kind="linear"),
         params={"w": np.zeros(4), "b": np.zeros(1)},
@@ -184,8 +188,8 @@ def test_gradients_match_finite_differences(kind):
 def test_training_is_bit_deterministic(kind):
     data = xor_dataset(10)
     spec = LearnerSpec(kind=kind, learning_rate=0.3, epochs=10, hidden_units=4, rng_seed=3)
-    first = train(spec, data)
-    second = train(spec, data)
+    first = train(spec, *dense(data))
+    second = train(spec, *dense(data))
     assert first == second
     for key in first.params:
         assert np.array_equal(first.params[key], second.params[key])
@@ -204,8 +208,34 @@ def test_full_batch_loss_non_increasing():
         spec = LearnerSpec(
             kind="linear", learning_rate=0.05, epochs=k, batch_size=None, rng_seed=0
         )
-        history.append(full_loss(train(spec, data).params))
+        history.append(full_loss(train(spec, *dense(data)).params))
     assert all(later <= earlier + 1e-12 for earlier, later in zip(history, history[1:]))
+
+
+@pytest.mark.parametrize("labels", [6, 2, 0])
+def test_train_rejects_a_label_count_that_disagrees_with_the_rows(labels):
+    # the clipped minibatch gather would otherwise train on repeated rows
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    y = np.array([1, -1] * 3, dtype=np.int8)[:labels]
+    with pytest.raises(LengthMismatch, match=f"3 rows of X but {labels} labels"):
+        train(LearnerSpec(kind="linear", epochs=1), X, y)
+
+
+def test_empty_training_data_rejected():
+    with pytest.raises(SingleClassData):
+        train(LearnerSpec(kind="linear"), np.zeros((0, 2)), np.zeros(0, dtype=np.int8))
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "l2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_spec_rejects_non_finite_settings(field, value):
+    with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+        LearnerSpec(**{field: value})
+
+
+def test_learner_kind_is_its_specs():
+    learner = train(LearnerSpec(kind="mlp", epochs=1, hidden_units=2), *dense(xor_dataset(2)))
+    assert learner.kind == learner.spec.kind == "mlp"
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -213,14 +243,14 @@ def test_divergence_raises_non_finite_loss():
     data = separable_1d(20)
     spec = LearnerSpec(kind="linear", learning_rate=1.0, epochs=20, l2=1e200, rng_seed=0)
     with pytest.raises(NonFiniteLoss):
-        train(spec, data)
+        train(spec, *dense(data))
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_model_file_round_trip_is_exact(kind, tmp_path):
     data = xor_dataset(10)
     spec = LearnerSpec(kind=kind, learning_rate=0.3, epochs=5, hidden_units=4, rng_seed=9)
-    learner = train(spec, data)
+    learner = train(spec, *dense(data))
     path = tmp_path / "m.model"
     save_model(learner, path)
     loaded = load_model(path)
@@ -237,7 +267,7 @@ def saved_three_wide_model(kind, tmp_path):
     )
     spec = LearnerSpec(kind=kind, epochs=2, hidden_units=4, rng_seed=1)
     path = tmp_path / "m.model"
-    save_model(train(spec, data), path)
+    save_model(train(spec, *dense(data)), path)
     return path
 
 
@@ -292,6 +322,20 @@ def test_load_model_rejects_a_header_key_given_twice(tmp_path):
     with pytest.raises(FormatError, match="epochs given twice") as info:
         load_model(path)
     assert info.value.line == lines.index("epochs=2") + 1
+
+
+@pytest.mark.parametrize("line", ["l2=nan", "learning_rate=inf", "l2=-inf"])
+def test_load_model_rejects_a_non_finite_setting(line, tmp_path):
+    # these used to load, and the learner then trained to NonFiniteLoss
+    path = saved_three_wide_model("linear", tmp_path)
+    key = line.partition("=")[0]
+    text = "".join(
+        line + "\n" if old.startswith(key + "=") else old + "\n"
+        for old in path.read_text().splitlines()
+    )
+    path.write_text(text)
+    with pytest.raises(FormatError, match="finite"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("line", ["hello", "momentum=0.9"])
