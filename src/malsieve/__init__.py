@@ -15,7 +15,6 @@ from .dex import DexFeatures, parse_dex
 from .ensemble import (
     EnsemblePool,
     WeightVector,
-    bootstrap_sample,
     majority_vote_matrix,
     precompute_predictions,
     train_pool,

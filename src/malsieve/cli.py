@@ -23,6 +23,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import ensemble as ens
 from . import experiment as exp
 from .errors import (
@@ -181,13 +183,22 @@ def _selection(args: argparse.Namespace, pool: ens.EnsemblePool) -> ens.WeightVe
     return ens.WeightVector.ones(pool.size)
 
 
+def _vote(pool: ens.EnsemblePool, omega: ens.WeightVector, data: Dataset) -> np.ndarray:
+    """The selected learners' vote on each sample of data, whose dimension
+    must be the pool's."""
+    if data.dimension != pool.dim:
+        raise DimensionMismatch(
+            f"input dimension {data.dimension} != model dimension {pool.dim}"
+        )
+    matrix = ens.precompute_predictions(pool.learners, data)
+    return ens.majority_vote_matrix(matrix, omega.bits)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     pool = ens.load_pool(args.pool)
     data = load_dataset(args.dataset)
     omega = _selection(args, pool)
-    matrix = ens.precompute_predictions(pool.learners, data)
-    votes = ens.majority_vote_matrix(matrix, omega.bits)
-    report = compute_metrics(votes, data.label_array())
+    report = compute_metrics(_vote(pool, omega, data), data.label_array())
     sys.stdout.write(
         f"selected={omega.selected_count}/{pool.size} {report.as_fields()}\n"
     )
@@ -214,12 +225,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 ids.append(record.app_id)
                 vectors.append(vectorize(record, vocab))
         data = Dataset(vectors, dimension=vocab.dimension)
-    if data.dimension != pool.dim:
-        raise DimensionMismatch(
-            f"input dimension {data.dimension} != model dimension {pool.dim}"
-        )
-    matrix = ens.precompute_predictions(pool.learners, data)
-    votes = ens.majority_vote_matrix(matrix, omega.bits)
+    votes = _vote(pool, omega, data)
     _write_text(args.out, "".join(
         f"{app_id}\t{LABEL_TEXT[label]}\n" for app_id, label in zip(ids, votes.tolist())
     ))

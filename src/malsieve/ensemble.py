@@ -33,6 +33,7 @@ from .errors import (
     InvalidConfig,
     read_tagged,
     with_context,
+    write_tagged,
 )
 from .learners import (
     LearnerSpec,
@@ -70,9 +71,8 @@ class WeightVector:
 
     @classmethod
     def from_string(cls, text: str) -> "WeightVector":
-        if not text or any(c not in "01" for c in text):
-            raise ValueError("weight string must be nonempty over {0,1}")
-        return cls(tuple(int(c) for c in text))
+        # a character other than 0 or 1 stays as it is, for the bits check
+        return cls(tuple(int(c) if c in "01" else c for c in text))
 
     @classmethod
     def ones(cls, n: int) -> "WeightVector":
@@ -111,11 +111,6 @@ def bootstrap_indices(m: int, seed: int) -> np.ndarray:
     return make_rng(seed).integers(0, m, size=m)
 
 
-def bootstrap_sample(data: Dataset, seed: int) -> Dataset:
-    """The replicate that `bootstrap_indices` draws, as a dataset."""
-    return data.subset(bootstrap_indices(len(data), seed).tolist())
-
-
 def train_pool(
     X: np.ndarray, labels: np.ndarray, n: int, spec: LearnerSpec, master_seed: int
 ) -> EnsemblePool:
@@ -123,9 +118,9 @@ def train_pool(
 
     Seeds for replicate i and for its learner's own randomness are both
     derived from (master_seed, i), so the pool is a pure function of its
-    arguments and pool order is stable. Replicate i is an array of row
-    indices into X: learner i trains exactly as `train` would on the
-    densified `bootstrap_sample(data, seed_i)` of the data X came from.
+    arguments and pool order is stable. Replicate i is the array of row
+    indices `bootstrap_indices(len(X), seed_i)`, and learner i trains on
+    those rows of X, never on a copy of them.
     """
     if n < 1:
         raise InvalidConfig("pool size must be >= 1")
@@ -197,20 +192,21 @@ _SELECTION_TAG = "malsieve-selection v1"
 
 
 def save_pool(pool: EnsemblePool, directory: str | os.PathLike) -> None:
-    """Write the pool manifest plus one model file per learner."""
+    """Write one model file per learner, then the pool manifest naming them."""
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    with open(root / "pool.txt", "w", encoding="utf-8") as fh:
-        fh.write(_POOL_TAG + "\n")
-        for key, value in zip(_POOL_KEYS, (pool.size, pool.dim, pool.master_seed)):
-            fh.write(f"{key}={value}\n")
-        for i, (learner, seed) in enumerate(zip(pool.learners, pool.bootstrap_seeds)):
-            name = f"learner_{i:03d}.model"
-            save_model(learner, root / name)
-            fh.write(f"learner {i} seed={seed} file={name}\n")
+    rows = []
+    for i, (learner, seed) in enumerate(zip(pool.learners, pool.bootstrap_seeds)):
+        name = f"learner_{i:03d}.model"
+        save_model(learner, root / name)
+        rows.append(f"{i} seed={seed} file={name}")
+    header = dict(zip(_POOL_KEYS, (pool.size, pool.dim, pool.master_seed)))
+    write_tagged(root / "pool.txt", _POOL_TAG, header, rows, row="learner")
 
 
 def load_pool(directory: str | os.PathLike) -> EnsemblePool:
+    """The pool a `save_pool` directory holds. Every model file must be a
+    plain file name in that directory: a path is a FormatError."""
     root = Path(directory)
     manifest = root / "pool.txt"
     if not manifest.exists():
@@ -234,6 +230,8 @@ def load_pool(directory: str | os.PathLike) -> EnsemblePool:
         raise FormatError(f"manifest must list learners 0..{n - 1}", None)
     entries.sort()
     for _, _, fname, lineno in entries:
+        if Path(fname).name != fname or fname in (".", ".."):
+            raise FormatError(f"model file {fname!r} is not a plain file name", lineno)
         if not (root / fname).is_file():
             raise FormatError(f"no model file {fname!r} in {root}", lineno)
     learners = tuple(load_model(root / fname) for _, _, fname, _ in entries)
@@ -248,10 +246,7 @@ def load_pool(directory: str | os.PathLike) -> EnsemblePool:
 
 
 def save_selection(omega: WeightVector, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_SELECTION_TAG + "\n")
-        fh.write(f"n={len(omega)}\n")
-        fh.write(f"omega={omega.to_string()}\n")
+    write_tagged(path, _SELECTION_TAG, {"n": len(omega), "omega": omega.to_string()})
 
 
 def load_selection(path: str | os.PathLike) -> WeightVector:

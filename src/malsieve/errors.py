@@ -1,13 +1,14 @@
-"""Exception types raised across the pipeline, and the shared readers of
-text artifacts.
+"""Exception types raised across the pipeline, and the shared reader and
+writer of text artifacts.
 
 Every malformed input or contract violation maps to one of these; nothing
 in the package intentionally lets a raw struct/index error escape. Every
 text artifact is read through `open_text`, so bytes that are not UTF-8
 raise a typed error too. The model, pool-manifest and selection files are
-all read by `read_tagged`, and every setting (an experiment config key, a
-model header field) goes between text and value through `value_text` and
-`FIELD_PARSERS`, by the type its dataclass field declares.
+all written by `write_tagged` and read by `read_tagged`, and every setting
+(an experiment config key, a model header field) goes between text and
+value through `value_text` and `FIELD_PARSERS`, by the type its dataclass
+field declares.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 
 class MalsieveError(Exception):
@@ -140,6 +141,16 @@ def open_text(
             yield fh
         except UnicodeDecodeError as exc:
             raise error(f"{os.fspath(path)} is not UTF-8 text ({exc.reason})") from exc
+
+
+def write_tagged(path: str | os.PathLike, tag: str, header: Mapping[str, object],
+                 rows: Iterable[str] = (), row: str | None = None) -> None:
+    """The file `read_tagged` reads: the tag line, `key=value_text(value)`
+    per header item, then `row <text>` per body row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(tag + "\n")
+        fh.writelines(f"{key}={value_text(value)}\n" for key, value in header.items())
+        fh.writelines(f"{row} {text}\n" for text in rows)
 
 
 def read_tagged(

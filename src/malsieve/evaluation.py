@@ -1,16 +1,17 @@
 """Dataset splitting, label-noise injection and metric computation.
 
 Noise injection models mislabeled training corpora: an equal number of
-samples from each class (a fraction of the class size) gets its label
-swapped to the other class, which keeps the class balance intact.
-Selection is keyed to the dataset's clean labels, so injecting the same
-noise twice restores them; the clean labels ride along on the dataset
-for audits.
+samples from each class (`equal_count_flips`, which the synthetic
+concept noise uses too) gets its label swapped to the other class, which
+keeps the class balance intact. Selection is keyed to the dataset's clean
+labels, so injecting the same noise twice restores them; the clean
+labels ride along on the dataset for audits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -85,31 +86,33 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     return data.subset(train_idx), data.subset(val_idx), data.subset(test_idx)
 
 
-def inject_label_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
-    """Swap labels of an equal count of samples from each class.
+def equal_count_flips(
+    labels: np.ndarray, fraction: float, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Indices of the labels to swap: for each class in (+1, -1) order,
+    the first k of its generator's permutation of the class's members,
+    with k = floor(fraction x the smaller class size). `rngs` holds one
+    generator per class, possibly the same one twice."""
+    members = [np.flatnonzero(labels == cls) for cls in _CLASSES]
+    if not all(m.size for m in members):
+        raise SingleClassData("noise injection needs both classes present")
+    k = int(fraction * min(m.size for m in members))
+    return np.concatenate([m[rng.permutation(m.size)[:k]] for m, rng in zip(members, rngs)])
 
-    The count is flip_fraction times the smaller class size, floored;
-    on balanced data that is exactly the stated fraction per class.
-    Selection is a deterministic function of (seed, clean labels), so a
-    second application with the same spec is an involution.
-    """
+
+def inject_label_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
+    """Swap the labels `equal_count_flips` picks from the clean labels,
+    drawn per class from `make_rng(seed, "noise", class)`. Selection is a
+    deterministic function of (seed, clean labels), so a second
+    application with the same spec is an involution."""
     base = data.clean_labels if data.clean_labels is not None else data.labels()
     if any(l is None for l in base):
         raise ValueError("noise injection requires labeled data")
-    members = {cls: [i for i, l in enumerate(base) if l == cls] for cls in _CLASSES}
-    if any(not m for m in members.values()):
-        raise SingleClassData("noise injection needs both classes present")
-
-    k = int(spec.flip_fraction * min(len(m) for m in members.values()))
-    flip: set[int] = set()
-    for cls in _CLASSES:
-        rng = make_rng(spec.seed, "noise", cls)
-        order = rng.permutation(len(members[cls]))
-        flip.update(members[cls][j] for j in order[:k])
-
-    current = data.labels()
-    flipped = tuple(-l if i in flip else l for i, l in enumerate(current))
-    return data.with_labels(flipped, clean_labels=tuple(base))
+    rngs = [make_rng(spec.seed, "noise", cls) for cls in _CLASSES]
+    flips = equal_count_flips(np.array(base), spec.flip_fraction, rngs)
+    labels = np.array(data.labels())
+    labels[flips] *= -1
+    return data.with_labels(labels.tolist(), clean_labels=tuple(base))
 
 
 @dataclass(frozen=True)

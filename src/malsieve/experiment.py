@@ -39,6 +39,7 @@ from .evaluation import (
     NoiseSpec,
     SplitSpec,
     compute_metrics,
+    equal_count_flips,
     inject_label_noise,
     split,
     stratified_split_indices,
@@ -170,33 +171,23 @@ def synthetic_dataset(
 
     Features are fair coin flips; the clean label is whether the sample's
     score under a hidden Gaussian weight vector lands in the top half;
-    then an equal count per class (concept_noise of each) is swapped,
-    keeping the data balanced while making the concept unlearnable past
-    that noise floor.
+    then the `equal_count_flips` of concept_noise, drawn from the same
+    generator, are swapped, keeping the data balanced while making the
+    concept unlearnable past that noise floor.
     """
     rng = make_rng(seed, "synthetic")
     w = rng.normal(size=n_features)
     X = rng.integers(0, 2, size=(n_samples, n_features))
     scores = (X - 0.5) @ w
     order = np.argsort(scores, kind="stable")
-    labels = np.empty(n_samples, dtype=np.int64)
+    labels = np.ones(n_samples, dtype=np.int64)
     labels[order[: n_samples // 2]] = -1
-    labels[order[n_samples // 2 :]] = 1
 
-    concept = labels.copy()
-    k = int(concept_noise * min(np.sum(concept == 1), np.sum(concept == -1)))
-    for cls in (1, -1):
-        members = np.flatnonzero(concept == cls)
-        picked = members[rng.permutation(members.shape[0])[:k]]
-        labels[picked] = -cls
+    labels[equal_count_flips(labels, concept_noise, (rng, rng))] *= -1
 
     vectors = [
-        FeatureVector(
-            dimension=n_features,
-            indices=tuple(int(j) for j in np.flatnonzero(X[i])),
-            label=int(labels[i]),
-        )
-        for i in range(n_samples)
+        FeatureVector(n_features, tuple(np.flatnonzero(row).tolist()), label)
+        for row, label in zip(X, labels.tolist())
     ]
     return Dataset(vectors, dimension=n_features)
 

@@ -33,7 +33,7 @@ from .errors import (
     FIELD_PARSERS,
     SingleClassData,
     read_tagged,
-    value_text,
+    write_tagged,
 )
 from .rng import make_rng
 
@@ -225,15 +225,12 @@ def save_model(learner: TrainedLearner, path: str | os.PathLike) -> None:
     # file order: kind, dim, then the rest of the spec's fields
     header = {"kind": spec.kind, "dim": learner.dim}
     header.update((f.name, getattr(spec, f.name)) for f in fields(LearnerSpec))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_FORMAT_TAG + "\n")
-        for key, value in header.items():
-            fh.write(f"{key}={value_text(value)}\n")
-        for name in sorted(learner.params):
-            arr = learner.params[name]
-            shape = "x".join(map(str, arr.shape))
-            tokens = " ".join(v.hex() for v in arr.reshape(-1).tolist())
-            fh.write(f"param {name} {shape} {tokens}\n")
+    rows = (
+        f"{name} {'x'.join(map(str, arr.shape))} "
+        + " ".join(v.hex() for v in arr.reshape(-1).tolist())
+        for name, arr in sorted(learner.params.items())
+    )
+    write_tagged(path, _FORMAT_TAG, header, rows, row="param")
 
 
 def load_model(path: str | os.PathLike) -> TrainedLearner:

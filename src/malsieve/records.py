@@ -5,7 +5,8 @@ is a name carrying its block prefix (perm:, action: or api:), so
 permissions, intent actions and API references share one name space,
 the one the vectorizer keys on. A record holds each feature once, in
 perm/action/api block order, exactly as its line in a records file
-does. The text serialization is one tab-separated line per record,
+does, and `feature_blocks` is the one rule that sorts names into blocks.
+The text serialization is one tab-separated line per record,
 
     app_id<TAB>label<TAB>perm:<name>...<TAB>action:<name>...<TAB>api:<name>...
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 from .archive import ApkArchive
 from .axml import parse_manifest
@@ -44,8 +45,15 @@ class FeatureRecord:
     def __post_init__(self):
         if not self.app_id:
             raise ValueError("app_id must be non-empty")
-        if self.label not in (1, -1, None):
+        if self.label not in LABEL_TEXT:
             raise ValueError("label must be +1, -1 or None")
+
+
+def feature_blocks(names: Sequence[str]) -> tuple[list[str], ...]:
+    """The perm, action and api names among `names`, each block in the
+    order given; a name with none of the prefixes is in no block. (One
+    pass per block is faster than testing each name against each prefix.)"""
+    return tuple([n for n in names if n.startswith(p)] for p in BLOCK_PREFIXES)
 
 
 def extract_features(
@@ -95,17 +103,13 @@ def format_record(record: FeatureRecord) -> str:
     return "\t".join([record.app_id, label] + kept)
 
 
-def write_records(records: Iterable[FeatureRecord], fh: IO[str]) -> int:
-    n = 0
-    for record in records:
-        fh.write(format_record(record) + "\n")
-        n += 1
-    return n
-
-
 def save_records(records: Iterable[FeatureRecord], path: str | os.PathLike) -> int:
+    """Write one line per record; returns the count."""
+    n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        return write_records(records, fh)
+        for n, record in enumerate(records, start=1):
+            fh.write(format_record(record) + "\n")
+    return n
 
 
 def parse_record_line(
@@ -143,11 +147,9 @@ def _block_order(unique: tuple[str, ...], lineno: int | None) -> tuple[str, ...]
             i += 1
     if all(map(str.startswith, unique[i:], repeat(API_PREFIX))):
         return unique
-    # one pass per block is faster than testing every field against each
-    # prefix; the prefixes are disjoint, so the blocks partition the
-    # fields unless some field has none of them
-    blocks = [[f for f in unique if f.startswith(p)] for p in BLOCK_PREFIXES]
-    features = tuple(blocks[0] + blocks[1] + blocks[2])
+    # the prefixes are disjoint, so the blocks partition the fields unless
+    # some field has none of them
+    features = tuple(chain.from_iterable(feature_blocks(unique)))
     if len(features) != len(unique):
         bad = next(f for f in unique if not f.startswith(BLOCK_PREFIXES))
         raise FormatError(f"feature without a known prefix: {bad!r}", lineno)

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCorpus, FormatError, InvalidConfig, open_text
-from .records import BLOCK_PREFIXES, LABEL_TEXT, LABELS, FeatureRecord
+from .records import BLOCK_PREFIXES, LABEL_TEXT, LABELS, FeatureRecord, feature_blocks
 
 
 class Vocabulary:
@@ -41,9 +42,8 @@ class Vocabulary:
             raise ValueError("doc_freq length mismatch")
         self.names = tuple(names)
         self.doc_freq = tuple(doc_freq)
-        self.perm_count, self.action_count, self.api_count = (
-            sum(name.startswith(prefix) for name in self.names) for prefix in BLOCK_PREFIXES
-        )
+        blocks = feature_blocks(self.names)
+        self.perm_count, self.action_count, self.api_count = map(len, blocks)
         self.index = {name: i for i, name in enumerate(self.names)}
         if len(self.index) != len(self.names):
             raise ValueError("duplicate feature name in vocabulary")
@@ -68,7 +68,7 @@ class FeatureVector:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        if self.label not in (1, -1, None):
+        if self.label not in LABEL_TEXT:
             raise ValueError("label must be +1, -1 or None")
         prev = -1
         for i in self.indices:
@@ -175,9 +175,7 @@ def build_vocabulary(records: Iterable[FeatureRecord],
         raise EmptyCorpus("no records")
 
     kept = sorted(name for name, c in freq.items() if c >= min_doc_freq)
-    perms, actions, apis = (
-        [name for name in kept if name.startswith(p)] for p in BLOCK_PREFIXES
-    )
+    perms, actions, apis = feature_blocks(kept)
     if len(apis) > max_api_features:
         ranked = sorted(apis, key=lambda name: (-freq[name], name))
         apis = sorted(ranked[:max_api_features])
@@ -213,10 +211,8 @@ def save_vocabulary(vocab: Vocabulary, path: str | os.PathLike) -> None:
 
 
 def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
-    names: list[str] = []
+    names: dict[str, int] = {}  # name -> its line
     freqs: list[int] = []
-    seen: set[str] = set()
-    block = 0  # of the previous name; blocks only move forward
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -231,22 +227,20 @@ def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
                 raise FormatError("index and doc_freq must be integers", lineno)
             if idx != len(names):
                 raise FormatError(f"expected index {len(names)}, got {idx}", lineno)
-            for name_block, prefix in enumerate(BLOCK_PREFIXES):
-                if name.startswith(prefix):
-                    break
-            else:
-                raise FormatError(f"unknown feature prefix in {name!r}", lineno)
-            if name_block < block:
-                raise FormatError("blocks out of perm/action/api order", lineno)
-            if name in seen:
+            if name in names:
                 raise FormatError(f"duplicate feature name {name!r}", lineno)
-            block = name_block
-            seen.add(name)
-            names.append(name)
+            names[name] = lineno
             freqs.append(df)
     if not names:
         raise FormatError("empty vocabulary file", None)
-    return Vocabulary(names, freqs)
+    # the file's names must be its blocks laid end to end; the first that
+    # is not is reported
+    for name, ordered in zip_longest(names, chain.from_iterable(feature_blocks(list(names)))):
+        if not name.startswith(BLOCK_PREFIXES):
+            raise FormatError(f"unknown feature prefix in {name!r}", names[name])
+        if name != ordered:
+            raise FormatError("blocks out of perm/action/api order", names[name])
+    return Vocabulary(list(names), freqs)
 
 
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from malsieve.ensemble import EnsemblePool
+from malsieve.ensemble import EnsemblePool, bootstrap_indices
 from malsieve.learners import LearnerSpec, TrainedLearner
 from malsieve.vectorize import Dataset, FeatureVector
 
@@ -18,6 +18,11 @@ from malsieve.vectorize import Dataset, FeatureVector
 def dense(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """The (X, labels) arrays that `train` and `train_pool` read."""
     return data.to_dense(), data.label_array()
+
+
+def replicate(data: Dataset, seed: int) -> Dataset:
+    """The bootstrap replicate of data that `bootstrap_indices` draws."""
+    return data.subset(bootstrap_indices(len(data), seed).tolist())
 
 
 def one_hot_dataset(m: int, labels=None) -> Dataset:

@@ -333,6 +333,22 @@ def test_predict_dimension_mismatch_fails(tmp_path):
     assert code == 1
 
 
+def test_evaluate_dimension_mismatch_names_both_dimensions(tmp_path, capsys):
+    learners = (
+        TrainedLearner(
+            dim=4,
+            spec=LearnerSpec(kind="linear"),
+            params={"w": np.zeros(4), "b": np.zeros(1)},
+        ),
+    )
+    pool_dir = tmp_path / "pool"
+    save_pool(EnsemblePool(learners=learners, bootstrap_seeds=(0,)), pool_dir)
+    dataset = tmp_path / "d.svm"
+    dataset.write_text("dim=3 n=2\n+1 0\n-1 2\n")
+    assert main(["evaluate", str(pool_dir), str(dataset)]) == 1
+    assert "DimensionMismatch: input dimension 3 != model dimension 4" in capsys.readouterr().err
+
+
 # --- bad flags ---
 
 @pytest.mark.parametrize(

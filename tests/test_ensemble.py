@@ -8,7 +8,6 @@ import malsieve.ensemble
 from malsieve.ensemble import (
     EnsemblePool,
     WeightVector,
-    bootstrap_sample,
     load_pool,
     load_selection,
     majority_vote_matrix,
@@ -29,6 +28,7 @@ from mlfixtures import (
     one_hot_dataset,
     pool_from_matrix,
     random_sign_matrix,
+    replicate,
 )
 
 
@@ -36,15 +36,14 @@ from mlfixtures import (
 
 def test_bootstrap_singleton():
     data = Dataset([FeatureVector(2, (0,), 1)])
-    replicate = bootstrap_sample(data, seed=4)
-    assert replicate.vectors == data.vectors
+    assert replicate(data, seed=4).vectors == data.vectors
 
 
 def test_bootstrap_deterministic_per_seed():
     data = one_hot_dataset(50, labels=[1 if k % 2 else -1 for k in range(50)])
-    a = bootstrap_sample(data, seed=11)
-    b = bootstrap_sample(data, seed=11)
-    c = bootstrap_sample(data, seed=12)
+    a = replicate(data, seed=11)
+    b = replicate(data, seed=11)
+    c = replicate(data, seed=12)
     assert a.vectors == b.vectors
     assert a.vectors != c.vectors
     assert len(a) == len(data)
@@ -55,8 +54,7 @@ def test_bootstrap_distinct_fraction_near_632():
     data = one_hot_dataset(m, labels=[1] * m)
     fractions = []
     for seed in range(50):
-        replicate = bootstrap_sample(data, seed)
-        fractions.append(len(set(replicate.vectors)) / m)
+        fractions.append(len(set(replicate(data, seed).vectors)) / m)
     observed = float(np.mean(fractions))
     expected = 1.0 - (1.0 - 1.0 / m) ** m
     assert abs(observed - expected) <= 0.02
@@ -90,7 +88,7 @@ def test_train_pool_deterministic():
 def test_train_pool_replicates_pairwise_distinct():
     data = one_hot_dataset(500, labels=[1 if k % 2 else -1 for k in range(500)])
     pool = train_pool(*dense(data), 5, LearnerSpec(kind="linear", epochs=1), master_seed=9)
-    replicates = [bootstrap_sample(data, s).vectors for s in pool.bootstrap_seeds]
+    replicates = [replicate(data, s).vectors for s in pool.bootstrap_seeds]
     for a, b in itertools.combinations(replicates, 2):
         assert a != b
 
@@ -125,7 +123,7 @@ def test_train_pool_matches_training_each_replicate(kind, batch_size):
         assert pool.bootstrap_seeds[i] == seed
         reference = train(
             replace(spec, rng_seed=derive_seed(21, "learner", i, spec.rng_seed)),
-            *dense(bootstrap_sample(data, seed)),
+            *dense(replicate(data, seed)),
         )
         assert learner.spec == reference.spec
         assert set(learner.params) == set(reference.params)
@@ -363,3 +361,31 @@ def test_load_pool_rejects_a_key_given_twice(tmp_path):
     with pytest.raises(FormatError, match="master_seed given twice") as info:
         load_pool(tmp_path / "pool")
     assert info.value.line == len(manifest.read_text().splitlines())
+
+
+@pytest.mark.parametrize("name", ["absolute", "../outside.model", "sub/learner_001.model",
+                                  ".", ".."])
+def test_load_pool_rejects_a_model_file_outside_the_pool(tmp_path, name):
+    # a manifest line used to load any path it named, in or out of the pool
+    pool = train_pool(*dense(small_training_data()), 2, LearnerSpec(epochs=2), 5)
+    root = tmp_path / "pool"
+    save_pool(pool, root)
+    (root / "sub").mkdir()
+    for copy in (tmp_path / "outside.model", root / "sub" / "learner_001.model"):
+        copy.write_bytes((root / "learner_001.model").read_bytes())
+    if name == "absolute":
+        name = str(tmp_path / "outside.model")
+    manifest = root / "pool.txt"
+    lines = manifest.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("learner 1 "))
+    lines[lineno - 1] = lines[lineno - 1].replace("file=learner_001.model", f"file={name}")
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="not a plain file name") as info:
+        load_pool(root)
+    assert info.value.line == lineno
+
+
+@pytest.mark.parametrize("text", ["", "2", "1021", "1a0", "１"])
+def test_weight_string_accepts_only_0_and_1(text):
+    with pytest.raises(ValueError):
+        WeightVector.from_string(text)

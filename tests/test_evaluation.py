@@ -7,12 +7,14 @@ from malsieve.evaluation import (
     NoiseSpec,
     SplitSpec,
     compute_metrics,
+    equal_count_flips,
     inject_label_noise,
     metrics_from_counts,
     split,
     stratified_split_indices,
     summarize_metric,
 )
+from malsieve.rng import make_rng
 from malsieve.vectorize import Dataset, FeatureVector
 
 
@@ -136,6 +138,51 @@ def test_noise_requires_both_classes():
     vectors = [FeatureVector(4, (k,), 1) for k in range(4)]
     with pytest.raises(SingleClassData):
         inject_label_noise(Dataset(vectors), NoiseSpec(flip_fraction=0.1, seed=0))
+
+
+# the two flip loops `equal_count_flips` replaced, frozen as they were:
+# inject_label_noise's, over a generator per class, and the synthetic
+# dataset's, over one running generator
+
+def frozen_noise_flips(base, flip_fraction, seed):
+    members = {cls: [i for i, l in enumerate(base) if l == cls] for cls in (1, -1)}
+    k = int(flip_fraction * min(len(m) for m in members.values()))
+    flip = set()
+    for cls in (1, -1):
+        rng = make_rng(seed, "noise", cls)
+        order = rng.permutation(len(members[cls]))
+        flip.update(members[cls][j] for j in order[:k])
+    return flip
+
+
+def frozen_synthetic_flips(labels, concept_noise, rng):
+    concept = labels.copy()
+    k = int(concept_noise * min(np.sum(concept == 1), np.sum(concept == -1)))
+    flipped = labels.copy()
+    for cls in (1, -1):
+        members = np.flatnonzero(concept == cls)
+        picked = members[rng.permutation(members.shape[0])[:k]]
+        flipped[picked] = -cls
+    return flipped
+
+
+@pytest.mark.parametrize("n_pos, n_neg", [(50, 50), (80, 20), (7, 93), (1, 1), (3, 40)])
+@pytest.mark.parametrize("fraction", [0.0, 0.1, 0.37, 0.5])
+def test_equal_count_flips_match_the_frozen_loops(n_pos, n_neg, fraction):
+    order = np.random.default_rng(n_pos * 1000 + n_neg).permutation(n_pos + n_neg)
+    labels = np.where(order < n_pos, 1, -1)
+    for seed in range(5):
+        rngs = [make_rng(seed, "noise", cls) for cls in (1, -1)]
+        flips = equal_count_flips(labels, fraction, rngs)
+        assert set(flips.tolist()) == frozen_noise_flips(labels.tolist(), fraction, seed)
+        assert len(flips) == len(set(flips.tolist()))
+
+        rng, frozen_rng = make_rng(seed, "synthetic"), make_rng(seed, "synthetic")
+        flipped = labels.copy()
+        flipped[equal_count_flips(labels, fraction, (rng, rng))] *= -1
+        assert np.array_equal(flipped, frozen_synthetic_flips(labels, fraction, frozen_rng))
+        # both used the generator for the same draws, so they go on alike
+        assert rng.integers(0, 2**62) == frozen_rng.integers(0, 2**62)
 
 
 def test_noise_spec_never_targets_test():

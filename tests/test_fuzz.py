@@ -9,7 +9,8 @@ DEX reader must agree with the row-by-row walk it replaced, and record
 lines must round-trip and parse like the block partition they skip.
 Saving then loading a vocabulary, dataset, model, pool or selection must
 give an equal object, and so must parsing the lines an experiment config
-writes. The seeds are fixed, so every run tries the same inputs.
+writes and reading back any tagged file `write_tagged` writes. The seeds
+are fixed, so every run tries the same inputs.
 """
 
 import tempfile
@@ -27,7 +28,7 @@ from malsieve import ensemble  # noqa: E402
 from malsieve.archive import parse_archive  # noqa: E402
 from malsieve.axml import parse_manifest  # noqa: E402
 from malsieve.dex import parse_dex  # noqa: E402
-from malsieve.errors import FormatError, MalsieveError  # noqa: E402
+from malsieve.errors import FormatError, MalsieveError, read_tagged, write_tagged  # noqa: E402
 from malsieve.experiment import (  # noqa: E402
     FITNESS_SPLITS,
     ExperimentConfig,
@@ -433,3 +434,35 @@ def experiment_configs(draw) -> ExperimentConfig:
 def test_config_round_trips(config):
     text = "".join(line.removeprefix("config ") + "\n" for line in config_lines(config))
     assert parse_config(text) == config
+
+
+# every character str.splitlines() breaks a line at; surrogates cannot be
+# written as UTF-8
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+ONE_LINE = st.text(st.characters(blacklist_characters=LINE_BREAKS, blacklist_categories=("Cs",)),
+                   max_size=12)
+
+
+@st.composite
+def tagged_files(draw):
+    """(tag, header, rows, row word) that make a well-formed tagged file:
+    no key holds "=", and no key line starts like a body row."""
+    row = draw(st.text(st.characters(whitelist_categories=("L", "N")), min_size=1, max_size=6))
+    key = ONE_LINE.filter(lambda k: "=" not in k and not k.startswith(row + " "))
+    keys = draw(st.lists(key, unique=True, max_size=5))
+    header = {key: draw(ONE_LINE) for key in keys}
+    return draw(ONE_LINE.filter(bool)), header, draw(st.lists(ONE_LINE, max_size=5)), row
+
+
+@seed(436)
+@ROUND_TRIP
+@given(tagged_files())
+def test_tagged_file_round_trips(parts):
+    tag, header, rows, row = parts
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "artifact"
+        write_tagged(path, tag, header, rows, row=row)
+        read_header, read_rows = read_tagged(path, tag, list(header), row=row)
+    assert read_header == header
+    first_row_line = 2 + len(header)
+    assert read_rows == [(first_row_line + i, text) for i, text in enumerate(rows)]

@@ -7,6 +7,7 @@ from malsieve.errors import FormatError, MissingManifest
 from malsieve.records import (
     FeatureRecord,
     extract_features,
+    feature_blocks,
     format_record,
     load_records,
     parse_record_line,
@@ -186,3 +187,9 @@ def test_blank_lines_skipped():
     text = format_record(sample_record()) + "\n\n" + format_record(sample_record(-1)) + "\n"
     records = list(read_records(io.StringIO(text)))
     assert [r.label for r in records] == [1, -1]
+
+
+def test_feature_blocks_partition_by_prefix_keeping_order():
+    names = ["api:b", "perm:z", "x:none", "action:a", "api:a", "perm:a", "apiX", ""]
+    assert feature_blocks(names) == (["perm:z", "perm:a"], ["action:a"], ["api:b", "api:a"])
+    assert feature_blocks([]) == ([], [], [])

@@ -160,6 +160,20 @@ def test_vocabulary_file_rejects_block_disorder(tmp_path):
         load_vocabulary(path)
 
 
+@pytest.mark.parametrize("names, message, line", [
+    # the first name that is not where the block partition puts it
+    (["perm:a", "api:x", "action:b"], "blocks out of perm/action/api order", 2),
+    (["perm:a", "", "perm:b", "x:none"], "unknown feature prefix in ''", 2),
+    (["perm:a", "action:b", "apiX"], "unknown feature prefix in 'apiX'", 3),
+])
+def test_vocabulary_file_names_the_first_misplaced_line(tmp_path, names, message, line):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("".join(f"{i}\t{name}\t2\n" for i, name in enumerate(names)))
+    with pytest.raises(FormatError, match=message) as exc_info:
+        load_vocabulary(path)
+    assert exc_info.value.line == line
+
+
 def test_vocabulary_file_rejects_duplicate_name_with_its_line(tmp_path):
     path = tmp_path / "vocab.tsv"
     path.write_text("0\tperm:a\t3\n1\tperm:b\t2\n2\tperm:a\t2\n")
