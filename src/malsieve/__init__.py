@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .archive import ApkArchive, open_apk, parse_archive
 from .axml import ManifestFeatures, parse_manifest
-from .dex import DexFeatures, parse_dex
+from .dex import parse_dex
 from .ensemble import (
     EnsemblePool,
     WeightVector,

@@ -59,9 +59,6 @@ class ApkArchive:
     data: bytes
     entries: tuple[ZipEntry, ...]
 
-    def entry_paths(self) -> list[str]:
-        return [e.path for e in self.entries]
-
     def find(self, path: str) -> ZipEntry | None:
         for e in self.entries:
             if e.path == path:

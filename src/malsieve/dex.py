@@ -18,7 +18,6 @@ class type before its name).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +36,6 @@ _STRING_ERRORS = (
     "uleb128 longer than 5 bytes",
     "string {} unterminated",
 )
-
-
-@dataclass(frozen=True)
-class DexFeatures:
-    """Method references in method-table order, deduplicated."""
-
-    api_refs: tuple[str, ...] = ()
 
 
 class _Dex:
@@ -145,6 +137,7 @@ class _Dex:
         raise MalformedDex(_STRING_ERRORS[code].format(idx))
 
 
-def parse_dex(payload: bytes) -> DexFeatures:
-    """Extract all method references from one DEX payload."""
-    return DexFeatures(api_refs=_Dex(payload).method_refs())
+def parse_dex(payload: bytes) -> tuple[str, ...]:
+    """Every method reference of one DEX payload, in method-table order,
+    each once."""
+    return _Dex(payload).method_refs()

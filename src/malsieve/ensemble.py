@@ -192,16 +192,22 @@ _SELECTION_TAG = "malsieve-selection v1"
 
 
 def save_pool(pool: EnsemblePool, directory: str | os.PathLike) -> None:
-    """Write one model file per learner, then the pool manifest naming them."""
+    """Write one model file per learner, then the pool manifest naming them.
+    Model files of an earlier pool in the directory that the manifest does
+    not name are deleted, so the directory holds one pool."""
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows, names = [], set()
     for i, (learner, seed) in enumerate(zip(pool.learners, pool.bootstrap_seeds)):
         name = f"learner_{i:03d}.model"
         save_model(learner, root / name)
         rows.append(f"{i} seed={seed} file={name}")
+        names.add(name)
     header = dict(zip(_POOL_KEYS, (pool.size, pool.dim, pool.master_seed)))
     write_tagged(root / "pool.txt", _POOL_TAG, header, rows, row="learner")
+    for stale in root.glob("learner_*.model"):
+        if stale.name not in names:
+            stale.unlink()
 
 
 def load_pool(directory: str | os.PathLike) -> EnsemblePool:
@@ -216,8 +222,9 @@ def load_pool(directory: str | os.PathLike) -> EnsemblePool:
     for lineno, row in rows:
         try:
             idx_text, seed_field, file_field = row.split(" ")
-            entries.append((int(idx_text), int(seed_field.removeprefix("seed=")),
-                            file_field.removeprefix("file="), lineno))
+            if not (seed_field.startswith("seed=") and file_field.startswith("file=")):
+                raise ValueError("a field without its key")
+            entries.append((int(idx_text), int(seed_field[5:]), file_field[5:], lineno))
         except ValueError:
             raise FormatError("bad learner line", lineno)
     try:

@@ -3,14 +3,16 @@
 One record per app: app id, optional label and its features. A feature
 is a name carrying its block prefix (perm:, action: or api:), so
 permissions, intent actions and API references share one name space,
-the one the vectorizer keys on. A record holds each feature once, in
-perm/action/api block order, exactly as its line in a records file
-does, and `feature_blocks` is the one rule that sorts names into blocks.
+the one the vectorizer keys on. A record is the set of its app's
+features: it holds each feature once, in the order given, and no
+consumer reads that order (the vocabulary owns the block layout).
 The text serialization is one tab-separated line per record,
 
-    app_id<TAB>label<TAB>perm:<name>...<TAB>action:<name>...<TAB>api:<name>...
+    app_id<TAB>label<TAB><prefixed-name><TAB><prefixed-name>...
 
-with label +1 (malicious), -1 (benign) or ? (unlabeled).
+with label +1 (malicious), -1 (benign) or ? (unlabeled). Reading
+accepts the names in any order; `extract_features` emits them in
+perm/action/api block order, so every line `extract` writes is in it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 from .archive import ApkArchive
 from .axml import parse_manifest
@@ -36,7 +38,7 @@ LABEL_TEXT = {label: text for text, label in LABELS.items()}
 
 @dataclass(frozen=True)
 class FeatureRecord:
-    """An app's prefixed feature names, each once, in block order."""
+    """An app's prefixed feature names, each once, in the order given."""
 
     app_id: str
     label: int | None
@@ -47,13 +49,6 @@ class FeatureRecord:
             raise ValueError("app_id must be non-empty")
         if self.label not in LABEL_TEXT:
             raise ValueError("label must be +1, -1 or None")
-
-
-def feature_blocks(names: Sequence[str]) -> tuple[list[str], ...]:
-    """The perm, action and api names among `names`, each block in the
-    order given; a name with none of the prefixes is in no block. (One
-    pass per block is faster than testing each name against each prefix.)"""
-    return tuple([n for n in names if n.startswith(p)] for p in BLOCK_PREFIXES)
 
 
 def extract_features(
@@ -70,7 +65,7 @@ def extract_features(
         raise MissingManifest("archive has no AndroidManifest.xml")
     manifest = parse_manifest(archive.read(entry))
 
-    refs = [parse_dex(archive.read(e)).api_refs for e in archive.dex_entries]
+    refs = [parse_dex(archive.read(e)) for e in archive.dex_entries]
     # each parser's names are already distinct; only several DEX entries'
     # refs can repeat one another
     api_refs = refs[0] if len(refs) == 1 else dict.fromkeys(chain.from_iterable(refs))
@@ -129,31 +124,11 @@ def parse_record_line(
     features = fields[2:]
     if names is not None:
         features = map(names.setdefault, features, features)
-    return FeatureRecord(
-        app_id=app_id,
-        label=LABELS[label_text],
-        features=_block_order(tuple(dict.fromkeys(features)), lineno),
-    )
-
-
-def _block_order(unique: tuple[str, ...], lineno: int | None) -> tuple[str, ...]:
-    """Distinct feature names in perm/action/api block order, keeping the
-    order within each block."""
-    # every line format_record writes is in block order already: skip the
-    # few perm and action names, then test the api tail in one C-level pass
-    i, n = 0, len(unique)
-    for prefix in (PERM_PREFIX, ACTION_PREFIX):
-        while i < n and unique[i].startswith(prefix):
-            i += 1
-    if all(map(str.startswith, unique[i:], repeat(API_PREFIX))):
-        return unique
-    # the prefixes are disjoint, so the blocks partition the fields unless
-    # some field has none of them
-    features = tuple(chain.from_iterable(feature_blocks(unique)))
-    if len(features) != len(unique):
-        bad = next(f for f in unique if not f.startswith(BLOCK_PREFIXES))
+    features = tuple(dict.fromkeys(features))
+    if not all(map(str.startswith, features, repeat(BLOCK_PREFIXES))):
+        bad = next(f for f in features if not f.startswith(BLOCK_PREFIXES))
         raise FormatError(f"feature without a known prefix: {bad!r}", lineno)
-    return features
+    return FeatureRecord(app_id=app_id, label=LABELS[label_text], features=features)
 
 
 def read_records(fh: IO[str], names: dict[str, str] | None = None) -> Iterator[FeatureRecord]:

@@ -2,14 +2,18 @@
 
 The vocabulary is built once from a training corpus and frozen; it lays
 features out in three contiguous blocks, permissions first, then intent
-actions, then API references. A record vectorizes to the set of column
-indices whose feature it contains; unknown features are ignored so the
-dimension never moves after training.
+actions, then API references. The block layout is this module's rule
+alone: `feature_blocks` sorts names into blocks by their prefix, and
+building, counting and loading a vocabulary all use it. A record is a
+set of names, so it vectorizes to the set of column indices whose
+feature it contains, whatever the order of its names; unknown features
+are ignored so the dimension never moves after training.
 
 File formats (both plain text, UTF-8):
 
   vocabulary   one feature per line: "<index>\\t<prefixed-name>\\t<doc_freq>",
-               ascending contiguous indices, blocks in perm/action/api order.
+               ascending contiguous indices, blocks in perm/action/api order,
+               doc_freq >= 1.
   dataset      header "dim=<d> n=<M>", then one line per sample:
                "<label> <idx> <idx> ..." with label +1|-1 and strictly
                increasing indices.
@@ -25,7 +29,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCorpus, FormatError, InvalidConfig, open_text
-from .records import BLOCK_PREFIXES, LABEL_TEXT, LABELS, FeatureRecord, feature_blocks
+from .records import BLOCK_PREFIXES, LABEL_TEXT, LABELS, FeatureRecord
+
+
+def feature_blocks(names: Sequence[str]) -> tuple[list[str], ...]:
+    """The perm, action and api names among `names`, each block in the
+    order given; a name with none of the prefixes is in no block. (One
+    pass per block is faster than testing each name against each prefix.)"""
+    return tuple([n for n in names if n.startswith(p)] for p in BLOCK_PREFIXES)
 
 
 class Vocabulary:
@@ -51,10 +62,6 @@ class Vocabulary:
     @property
     def dimension(self) -> int:
         return len(self.names)
-
-    def block_offsets(self) -> tuple[int, int, int]:
-        """Start column of the perm, action and api blocks."""
-        return 0, self.perm_count, self.perm_count + self.action_count
 
 
 @dataclass(frozen=True)
@@ -227,6 +234,8 @@ def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
                 raise FormatError("index and doc_freq must be integers", lineno)
             if idx != len(names):
                 raise FormatError(f"expected index {len(names)}, got {idx}", lineno)
+            if df < 1:
+                raise FormatError(f"doc_freq must be >= 1, got {df}", lineno)
             if name in names:
                 raise FormatError(f"duplicate feature name {name!r}", lineno)
             names[name] = lineno

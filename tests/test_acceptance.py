@@ -219,7 +219,7 @@ def test_criterion_7_parser_fixtures():
         assert features.intent_actions == tuple(actions)
 
         dex_payload = build_dex([("Landroid/telephony/SmsManager;", "sendTextMessage")])
-        assert parse_dex(dex_payload).api_refs == (
+        assert parse_dex(dex_payload) == (
             "Landroid/telephony/SmsManager;->sendTextMessage",
         )
 

@@ -23,7 +23,7 @@ def minimal_archive() -> bytes:
 
 def test_minimal_archive_lists_one_entry():
     archive = parse_archive(minimal_archive())
-    assert archive.entry_paths() == ["AndroidManifest.xml"]
+    assert [e.path for e in archive.entries] == ["AndroidManifest.xml"]
     assert archive.manifest_entry is not None
     assert archive.read(archive.manifest_entry) == MANIFEST
 
@@ -128,4 +128,4 @@ def test_open_apk_reads_from_disk(tmp_path):
     path = tmp_path / "app.apk"
     path.write_bytes(minimal_archive())
     archive = open_apk(path)
-    assert archive.entry_paths() == ["AndroidManifest.xml"]
+    assert [e.path for e in archive.entries] == ["AndroidManifest.xml"]

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,30 @@ def test_vectorize_train_select_evaluate_predict(pipeline, capsys):
     labels = {line.split("\t")[0]: line.split("\t")[1] for line in lines}
     assert labels["mal00"] == "+1"
     assert labels["ben00"] == "-1"
+
+
+def test_vectorize_ignores_the_order_of_names_in_a_record(pipeline):
+    # a record is a set of names: shuffling each line's names, blocks
+    # included, changes neither the vocabulary nor the dataset
+    tmp_path, records = pipeline
+    rng = random.Random(5)
+    shuffled_lines = []
+    for line in records.read_text().splitlines():
+        fields = line.split("\t")
+        names = fields[2:]
+        while len(names) > 1 and names == fields[2:]:
+            rng.shuffle(names)
+        shuffled_lines.append("\t".join(fields[:2] + names) + "\n")
+    shuffled = tmp_path / "shuffled.tsv"
+    shuffled.write_text("".join(shuffled_lines))
+    assert shuffled.read_text() != records.read_text()
+    outputs = []
+    for source in (records, shuffled):
+        vocab, dataset = tmp_path / f"{source.stem}.vocab", tmp_path / f"{source.stem}.svm"
+        assert main(["vectorize", str(source), "--min-doc-freq", "1",
+                     "--vocab-out", str(vocab), "--dataset-out", str(dataset)]) == 0
+        outputs.append((vocab.read_bytes(), dataset.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_vectorize_rejects_unlabeled(pipeline, tmp_path):

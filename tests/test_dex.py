@@ -43,8 +43,7 @@ def mini_dump(payload: bytes) -> list[str]:
 
 def test_single_method_fixture():
     payload = build_dex([SMS_REF])
-    features = parse_dex(payload)
-    assert features.api_refs == ("Landroid/telephony/SmsManager;->sendTextMessage",)
+    assert parse_dex(payload) == ("Landroid/telephony/SmsManager;->sendTextMessage",)
 
 
 def test_parser_agrees_with_reference_dumper():
@@ -56,17 +55,17 @@ def test_parser_agrees_with_reference_dumper():
     ]
     payload = build_dex(refs)
     expected = mini_dump(payload)
-    assert list(parse_dex(payload).api_refs) == expected
+    assert list(parse_dex(payload)) == expected
     assert sorted(expected) == sorted(f"{c}->{m}" for c, m in refs)
 
 
 def test_zero_method_ids():
-    assert parse_dex(build_dex([])).api_refs == ()
+    assert parse_dex(build_dex([])) == ()
 
 
 def test_duplicate_method_rows_deduplicated():
     payload = build_dex([SMS_REF, SMS_REF])
-    assert parse_dex(payload).api_refs == (
+    assert parse_dex(payload) == (
         "Landroid/telephony/SmsManager;->sendTextMessage",
     )
 
@@ -191,7 +190,7 @@ def outcome(parse, payload: bytes):
 
 
 def assert_matches_walk(payload: bytes) -> None:
-    assert outcome(lambda p: parse_dex(p).api_refs, payload) == outcome(walk_method_refs, payload)
+    assert outcome(parse_dex, payload) == outcome(walk_method_refs, payload)
 
 
 EIGHT_REFS = [
@@ -225,7 +224,7 @@ def with_rows(rows: dict[int, tuple[int | None, int | None]]) -> bytes:
 
 
 def test_wide_fixture_matches_walk():
-    assert set(parse_dex(WIDE_DEX).api_refs) == {f"{c}->{m}" for c, m in EIGHT_REFS}
+    assert set(parse_dex(WIDE_DEX)) == {f"{c}->{m}" for c, m in EIGHT_REFS}
     assert_matches_walk(WIDE_DEX)
 
 
@@ -256,7 +255,7 @@ def test_bad_descriptor_string_reported_for_its_row():
 def test_empty_method_table(method_ids_off):
     payload = bytearray(WIDE_DEX)
     struct.pack_into("<II", payload, 88, 0, method_ids_off)
-    assert parse_dex(bytes(payload)).api_refs == ()
+    assert parse_dex(bytes(payload)) == ()
     assert_matches_walk(bytes(payload))
 
 

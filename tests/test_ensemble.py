@@ -385,6 +385,37 @@ def test_load_pool_rejects_a_model_file_outside_the_pool(tmp_path, name):
     assert info.value.line == lineno
 
 
+def test_save_pool_deletes_model_files_the_manifest_does_not_name(tmp_path):
+    # a learner_002.model used to stay beside a manifest with n=2
+    root = tmp_path / "pool"
+    data = dense(small_training_data())
+    save_pool(train_pool(*data, 3, LearnerSpec(epochs=2), 5), root)
+    (root / "notes.txt").write_text("kept\n")
+    (root / "learner_x.txt").write_text("kept\n")
+    pool = train_pool(*data, 2, LearnerSpec(epochs=2), 6)
+    save_pool(pool, root)
+    assert sorted(p.name for p in root.iterdir()) == [
+        "learner_000.model", "learner_001.model", "learner_x.txt", "notes.txt", "pool.txt"
+    ]
+    assert load_pool(root).learners == pool.learners
+
+
+@pytest.mark.parametrize("drop", ["seed=", "file=", "seed=|file="])
+def test_load_pool_rejects_a_learner_field_without_its_key(tmp_path, drop):
+    # `learner 0 5 learner_000.model` used to load
+    root = tmp_path / "pool"
+    save_pool(train_pool(*dense(small_training_data()), 2, LearnerSpec(epochs=2), 5), root)
+    manifest = root / "pool.txt"
+    lines = manifest.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("learner 1 "))
+    for key in drop.split("|"):
+        lines[lineno - 1] = lines[lineno - 1].replace(key, "")
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="bad learner line") as info:
+        load_pool(root)
+    assert info.value.line == lineno
+
+
 @pytest.mark.parametrize("text", ["", "2", "1021", "1a0", "１"])
 def test_weight_string_accepts_only_0_and_1(text):
     with pytest.raises(ValueError):

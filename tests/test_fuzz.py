@@ -5,8 +5,10 @@ Random byte flips and truncations of the fixture APK, manifest and DEX,
 and of each text file the package writes (records, vocabulary, dataset,
 model, pool manifest and selection), must either load or raise a
 MalsieveError; any other exception is a hole in the error contract. The
-DEX reader must agree with the row-by-row walk it replaced, and record
-lines must round-trip and parse like the block partition they skip.
+DEX reader must agree with the row-by-row walk it replaced. A record line
+whose names come in any order, with repeats, must parse to its distinct
+names in that order, or raise FormatError naming the first name without
+a known prefix, and must round-trip through `format_record`.
 Saving then loading a vocabulary, dataset, model, pool or selection must
 give an equal object, and so must parsing the lines an experiment config
 writes and reading back any tagged file `write_tagged` writes. The seeds
@@ -107,7 +109,7 @@ def test_fixtures_parse_unmutated():
     record = extract_features(parse_archive(APK), "app")
     assert any(f.startswith("api:") for f in record.features)
     assert parse_manifest(MANIFEST).permissions
-    assert parse_dex(DEX).api_refs
+    assert parse_dex(DEX)
 
 
 @seed(410)
@@ -177,29 +179,42 @@ def test_record_line_round_trips(record):
     assert parse_record_line(format_record(record)) == record
 
 
-def partitioned(fields: list[str], lineno: int):
-    """What a record line's fields parse to by the plain block partition:
-    the distinct names, perm then action then api, or FormatError naming
-    the first name without a prefix."""
-    unique = list(dict.fromkeys(fields))
-    for f in unique:
-        if not f.startswith(("perm:", "action:", "api:")):
-            return FormatError, f"line {lineno}: feature without a known prefix: {f!r}"
-    return tuple(f for p in ("perm:", "action:", "api:") for f in unique if f.startswith(p))
+PREFIXED = st.tuples(st.sampled_from(BLOCK_PREFIXES), LINE_SAFE).map("".join)
+# near misses of a prefix, and any other text that has none
+UNPREFIXED = st.one_of(
+    st.sampled_from(["", "api", "apiX", "perm", "action", "Perm:x", " api:x"]),
+    LINE_SAFE.filter(lambda name: not name.startswith(BLOCK_PREFIXES)),
+)
+
+
+@st.composite
+def record_fields(draw) -> list[str]:
+    """The fields after a line's label: a few names, each drawn any number
+    of times in any order; one case in two may hold unprefixed names."""
+    names = draw(st.lists(PREFIXED, min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        names += draw(st.lists(UNPREFIXED, min_size=1, max_size=2))
+    return draw(st.lists(st.sampled_from(names), max_size=14))
 
 
 @seed(415)
 @FUZZ
-@given(st.lists(st.sampled_from(
-    ["perm:a", "perm:b", "action:a", "action:b", "api:a", "api:b", "api:c", "apiX", ""]
-), max_size=10), st.integers(1, 99))
-def test_record_line_fields_parse_like_the_block_partition(fields, lineno):
-    line = "\t".join(["app", "+1"] + fields)
-    try:
-        parsed = parse_record_line(line, lineno).features
-    except FormatError as exc:
-        parsed = FormatError, str(exc)
-    assert parsed == partitioned(fields, lineno)
+@given(record_fields(), st.sampled_from(["+1", "-1", "?"]), st.integers(1, 99))
+def test_record_line_parses_to_its_distinct_fields(fields, label, lineno):
+    line = "\t".join(["app", label] + fields)
+    unprefixed = [f for f in fields if not f.startswith(BLOCK_PREFIXES)]
+    if unprefixed:
+        with pytest.raises(FormatError) as info:
+            parse_record_line(line, lineno)
+        assert info.value.line == lineno
+        assert str(info.value) == (
+            f"line {lineno}: feature without a known prefix: {unprefixed[0]!r}"
+        )
+        return
+    record = parse_record_line(line, lineno)
+    assert record.features == tuple(dict.fromkeys(fields))
+    assert parse_record_line(line, lineno, {}) == record
+    assert parse_record_line(format_record(record)) == record
 
 
 # --- text artifacts ---
@@ -288,7 +303,7 @@ def vocabularies(draw) -> Vocabulary:
     if not any(blocks):  # a vocabulary file holds at least one name
         blocks[2] = [BLOCK_PREFIXES[2] + "x"]
     names = [n for block in blocks for n in block]
-    freqs = draw(st.lists(st.integers(0, 10**6), min_size=len(names), max_size=len(names)))
+    freqs = draw(st.lists(st.integers(1, 10**6), min_size=len(names), max_size=len(names)))
     return Vocabulary(names, freqs)
 
 

@@ -7,13 +7,13 @@ from malsieve.errors import FormatError, MissingManifest
 from malsieve.records import (
     FeatureRecord,
     extract_features,
-    feature_blocks,
     format_record,
     load_records,
     parse_record_line,
     read_records,
     save_records,
 )
+from malsieve.vectorize import feature_blocks
 
 from binfixtures import STORED, build_dex, build_zip, simple_manifest
 
@@ -119,10 +119,10 @@ def test_first_unprefixed_feature_named_with_its_line():
     assert exc_info.value.line == 7
 
 
-def test_parsed_features_deduplicated_in_block_order():
+def test_parsed_features_deduplicated_in_given_order():
     line = "app\t+1\tapi:b\tperm:p\tapi:a\taction:x\tapi:b\tperm:p\tperm:o"
     record = parse_record_line(line)
-    assert record.features == ("perm:p", "perm:o", "action:x", "api:b", "api:a")
+    assert record.features == ("api:b", "perm:p", "api:a", "action:x", "perm:o")
 
 
 def test_missing_fields_rejected():
@@ -161,9 +161,10 @@ def test_repeated_names_in_block_order_kept_once():
     assert record.features == ("perm:p", "action:a", "api:x", "api:y")
 
 
-def test_api_block_before_perm_block_reordered():
+def test_api_block_before_perm_block_kept():
+    # a record is a set of names; the vocabulary alone lays out blocks
     record = parse_record_line("app\t+1\tapi:x\taction:a\tperm:p")
-    assert record.features == ("perm:p", "action:a", "api:x")
+    assert record.features == ("api:x", "action:a", "perm:p")
 
 
 def test_unprefixed_field_in_api_tail_rejected_with_its_line():

@@ -35,7 +35,6 @@ def test_block_concatenation_order():
     assert vocab.dimension == 3
     assert vocab.names == ("perm:P", "action:A", "api:Api")
     assert (vocab.perm_count, vocab.action_count, vocab.api_count) == (1, 1, 1)
-    assert vocab.block_offsets() == (0, 1, 2)
 
 
 def test_api_truncation_by_frequency_then_name():
@@ -91,12 +90,11 @@ def test_vectorize_no_known_features():
 def test_vectorize_unknown_api_ignored():
     vocab = fixture_vocab()
     v = vectorize(record(perms=["P2"], apis=["unseen"]), vocab)
-    perm_offset, _, _ = vocab.block_offsets()
-    assert v.indices == (perm_offset + vocab.names.index("perm:P2"),)
+    assert v.indices == (vocab.names.index("perm:P2"),)
     assert len(v.indices) == 1
 
 
-def test_block_offsets_by_brute_force_recount():
+def test_block_layout_by_brute_force_recount():
     rng = np.random.default_rng(7)
     records = []
     for i in range(30):
@@ -106,7 +104,8 @@ def test_block_offsets_by_brute_force_recount():
         records.append(record(perms, actions, apis, app_id=f"r{i}"))
     vocab = build_vocabulary(records, min_doc_freq=1, max_api_features=8)
     # every column index must equal block offset + within-block rank
-    perm_off, action_off, api_off = vocab.block_offsets()
+    perm_off, action_off = 0, vocab.perm_count
+    api_off = vocab.perm_count + vocab.action_count
     perm_names = sorted(n for n in vocab.names if n.startswith("perm:"))
     action_names = sorted(n for n in vocab.names if n.startswith("action:"))
     api_names = sorted(n for n in vocab.names if n.startswith("api:"))
@@ -143,7 +142,9 @@ def test_vocabulary_file_round_trip(tmp_path):
     loaded = load_vocabulary(path)
     assert loaded.names == vocab.names
     assert loaded.doc_freq == vocab.doc_freq
-    assert loaded.block_offsets() == vocab.block_offsets()
+    assert (loaded.perm_count, loaded.action_count, loaded.api_count) == (
+        vocab.perm_count, vocab.action_count, vocab.api_count
+    )
 
 
 def test_vocabulary_file_rejects_gap(tmp_path):
@@ -172,6 +173,17 @@ def test_vocabulary_file_names_the_first_misplaced_line(tmp_path, names, message
     with pytest.raises(FormatError, match=message) as exc_info:
         load_vocabulary(path)
     assert exc_info.value.line == line
+
+
+@pytest.mark.parametrize("doc_freq", ["0", "-5"])
+def test_vocabulary_file_rejects_doc_freq_below_1_with_its_line(tmp_path, doc_freq):
+    # build_vocabulary counts each kept name in at least one record; such a
+    # file used to load
+    path = tmp_path / "vocab.tsv"
+    path.write_text(f"0\tperm:a\t3\n1\tperm:b\t{doc_freq}\n")
+    with pytest.raises(FormatError, match="doc_freq must be >= 1") as exc_info:
+        load_vocabulary(path)
+    assert exc_info.value.line == 2
 
 
 def test_vocabulary_file_rejects_duplicate_name_with_its_line(tmp_path):

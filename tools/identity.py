@@ -1,0 +1,146 @@
+"""Write every artifact one source tree produces on the benchmark's seed-3
+inputs, so that two trees can be checked for byte-identical outputs.
+
+    python3 tools/identity.py TREE_A OUT_A
+    python3 tools/identity.py TREE_B OUT_B
+    diff -r OUT_A OUT_B
+
+TREE is a checkout of this repository, and its `src` is the code that
+runs. The inputs are the ones `python3 bench/run.py --generate-only
+--workload W --seed 3` writes. The bench of the repository that holds
+this script makes them on its first run, so every tree reads the same
+files; run the trees one after the other. OUT must not exist yet. It
+gets:
+
+  experiment-records/run-6.report, run-7.report
+      the `run_one` reports of the experiment-records corpus
+  synthetic/report.txt
+      `malsieve experiment` on configs/synthetic-benchmark.cfg, 2 repeats
+  predict-records/, apk-scan/
+      the CLI chain of each workload: the extracted records and extract
+      logs (apk-scan only), vocabulary, dataset, every pool file,
+      selection, GA report, evaluate line and predictions
+
+Everything runs in this process with BLAS held to one thread. Once the
+inputs exist, one tree takes about 15 s on a 2-core x86-64 machine.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 3
+WORKLOADS = ("experiment-records", "predict-records", "apk-scan")
+
+
+def generate(workload: str) -> Path:
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--generate-only",
+         "--workload", workload, "--seed", str(SEED)],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    )
+    return Path(out.stdout.strip().splitlines()[-1])
+
+
+def cli(*argv: str) -> tuple[str, str]:
+    """One malsieve command in this process; returns its stdout and stderr."""
+    import malsieve.cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = malsieve.cli.main(list(argv))
+    if code != 0:
+        sys.exit(f"malsieve {argv[0]} exited {code}: {err.getvalue()[-500:]}")
+    return out.getvalue(), err.getvalue()
+
+
+def cli_chain(out: Path, train: Path, batch: Path, pool_size: int, epochs: int) -> None:
+    """vectorize, train-pool, select, evaluate and predict, as the CLI
+    workloads of the benchmark run them."""
+    vocab, dataset, pool, selection = (
+        out / "vocab.tsv", out / "train.svm", out / "pool", out / "selection.txt"
+    )
+    cli("vectorize", str(train), "--vocab-out", str(vocab), "--dataset-out", str(dataset))
+    cli("train-pool", str(dataset), "--out", str(pool), "--pool-size", str(pool_size),
+        "--learner", "mlp", "--epochs", str(epochs), "--seed", str(SEED))
+    cli("select", str(pool), str(dataset), "--out", str(selection),
+        "--report", str(out / "ga-report.txt"), "--seed", str(SEED))
+    line, _ = cli("evaluate", str(pool), str(dataset), "--selection", str(selection))
+    (out / "evaluate.txt").write_text(line, encoding="utf-8")
+    cli("predict", str(pool), str(batch), "--vocab", str(vocab),
+        "--selection", str(selection), "--out", str(out / "predictions.txt"))
+
+
+def extract(out: Path, name: str, apks: Path, *flags: str) -> Path:
+    records = out / f"{name}.records"
+    _, log = cli("extract", str(apks), *flags, "--out", str(records))
+    (out / f"{name}.extract.log").write_text(log, encoding="utf-8")
+    return records
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    tree, out = Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()
+    out.mkdir(parents=True)
+    inputs = {workload: generate(workload) for workload in WORKLOADS}
+
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"
+    sys.path[:0] = [str(tree / "src"), str(ROOT / "bench")]
+    import malsieve
+    from malsieve import experiment, records
+
+    from gen import PROFILES
+
+    if not Path(malsieve.__file__).is_relative_to(tree / "src"):
+        sys.exit(f"malsieve was imported from {malsieve.__file__}, not from {tree / 'src'}")
+    profile = PROFILES["full"]
+    # the experiment config names its corpus relative to the repository root
+    os.chdir(ROOT)
+
+    d = out / "experiment-records"
+    d.mkdir()
+    config = experiment.parse_config(
+        (inputs["experiment-records"] / "experiment.cfg").read_text(encoding="utf-8"))
+    source = records.load_records(config.dataset)
+    for index in (2 * SEED, 2 * SEED + 1):
+        summary = experiment.RepeatSummary(1, (experiment.run_one(source, config, index),), (), {})
+        (d / f"run-{index}.report").write_text(
+            experiment.format_report(summary, config), encoding="utf-8")
+
+    d = out / "synthetic"
+    d.mkdir()
+    text = (ROOT / "configs" / "synthetic-benchmark.cfg").read_text(encoding="utf-8")
+    (d / "config.cfg").write_text(re.sub(r"(?m)^repeats=.*$", "repeats=2", text),
+                                  encoding="utf-8")
+    cli("experiment", str(d / "config.cfg"), "--out", str(d / "report.txt"))
+
+    d = out / "predict-records"
+    d.mkdir()
+    source = inputs["predict-records"]
+    cli_chain(d, source / "train.records", source / "batch.records",
+              profile["cli_pool_size"], profile["cli_epochs"])
+
+    d = out / "apk-scan"
+    d.mkdir()
+    source = inputs["apk-scan"]
+    train = d / "train.records"
+    train.write_bytes(b"".join(
+        extract(d, cls, source / "train" / cls, "--label", label).read_bytes()
+        for cls, label in (("mal", "+1"), ("ben", "-1"))
+    ))
+    scan = extract(d, "scan", source / "scan")
+    cli_chain(d, train, scan, profile["cli_pool_size"], profile["cli_epochs"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
