@@ -13,7 +13,8 @@ a dataset into the (N learners x M samples) +-1 matrix of any sequence
 of N learners, and `majority_vote_matrix` turns rows of it into the
 vote. The optimizer's fitness, the experiment's scores and the CLI all
 go through these two; `precompute_predictions` alone densifies samples
-for prediction.
+for prediction. The dense matrix is uint8 0/1; `precompute_predictions`
+widens each block of it to float64 once, for every learner's product.
 """
 
 from __future__ import annotations
@@ -158,11 +159,13 @@ _BLOCK_ROWS = 32  # samples densified at once for prediction
 
 def precompute_predictions(learners: Sequence[TrainedLearner], data: Dataset) -> np.ndarray:
     """(N x M) matrix of each of the N learners' +-1 prediction on each
-    sample, densified a block of rows at a time so memory stays flat in M."""
+    sample, densified a block of rows at a time so memory stays flat in M.
+    Each uint8 block is widened to float64 once, for all N learners: numpy
+    would otherwise widen it inside every learner's product."""
     matrix = np.empty((len(learners), len(data)), dtype=np.int8)
     for start in range(0, len(data), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        X = data.to_dense(rows)
+        X = data.to_dense(rows).astype(np.float64)
         for i, learner in enumerate(learners):
             matrix[i, rows] = predict_labels(learner, X)
     return matrix

@@ -1,7 +1,8 @@
 """Repeated-experiment harness.
 
 One run = split, corrupt the train/validation labels, train a bootstrap
-pool and a single learner on one dense matrix of the training split,
+pool and a single learner on one dense matrix of the training split
+(uint8 0/1, one byte per entry; `train` widens each minibatch to float64),
 GA-select a sub-ensemble, and score three methods on the held-out test
 split through one prediction matrix (the pool's rows, then the single
 learner's), so robustness can be compared:

@@ -15,6 +15,9 @@ label.
 `train` is the one training routine. Its samples are rows of a dense
 matrix that the caller densified once and that every learner of a pool
 reads; a bootstrap replicate is an index array into it, never a copy.
+That matrix is the uint8 0/1 one `Dataset.to_dense` builds, and `train`
+widens only each gathered minibatch to float64, so every product runs
+on float64 operands.
 """
 
 from __future__ import annotations
@@ -175,7 +178,9 @@ def train(
     rows=None means every row. Deterministic given its arguments.
 
     X is only read, so one matrix serves every learner of a pool: each
-    minibatch is gathered into one buffer, so X[rows] is never built.
+    minibatch is gathered into one buffer of X's dtype, so X[rows] is
+    never built, and widened into one float64 buffer for the products
+    (exact for the uint8 0/1 matrix `Dataset.to_dense` builds).
     """
     if X.shape[0] != len(labels):
         raise LengthMismatch(f"{X.shape[0]} rows of X but {len(labels)} labels")
@@ -190,6 +195,7 @@ def train(
     rng = make_rng(spec.rng_seed, "order")
     n = rows.shape[0]
     batch = n if spec.batch_size is None else min(spec.batch_size, n)
+    gathered = np.empty((batch, dim), dtype=X.dtype)
     buf = np.empty((batch, dim))
 
     for _epoch in range(spec.epochs):
@@ -198,7 +204,9 @@ def train(
             idx = order[start : start + batch]
             # mode="clip" skips the bounds check that makes take(out=) slow;
             # rows are valid indices by construction
-            Xb = np.take(X, rows[idx], axis=0, out=buf[: len(idx)], mode="clip")
+            Xg = np.take(X, rows[idx], axis=0, out=gathered[: len(idx)], mode="clip")
+            Xb = buf[: len(idx)]
+            np.copyto(Xb, Xg)
             grads = gradient(spec.kind, params, Xb, y[idx], spec.l2)
             for key, g in grads.items():
                 params[key] -= spec.learning_rate * g
@@ -244,6 +252,8 @@ def load_model(path: str | os.PathLike) -> TrainedLearner:
         try:
             name, shape_text, tokens = row.split(" ", 2)
             shape = tuple(int(s) for s in shape_text.split("x"))
+            if min(shape) < 1:  # reshape would read -1 as "infer this axis"
+                raise ValueError(f"dimension below 1 in shape {shape_text}")
             values = list(map(float.fromhex, tokens.split()))
             param = np.array(values).reshape(shape)
         except (ValueError, OverflowError):  # fromhex overflows past 2**1024

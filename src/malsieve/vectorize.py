@@ -132,12 +132,15 @@ class Dataset:
         return np.array(labels, dtype=np.int8)
 
     def to_dense(self, rows: slice = slice(None)) -> np.ndarray:
-        """The dense 0/1 matrix of the samples `rows` picks, all by default."""
+        """The dense 0/1 matrix of the samples `rows` picks, all by default,
+        as uint8: one byte per entry. Code that multiplies it by learner
+        parameters widens the part it multiplies to float64, which is exact
+        for 0 and 1."""
         vectors = self.vectors[rows]
-        X = np.zeros((len(vectors), self.dimension), dtype=np.float64)
+        X = np.zeros((len(vectors), self.dimension), dtype=np.uint8)
         for row, v in enumerate(vectors):
             if v.indices:
-                X[row, list(v.indices)] = 1.0
+                X[row, list(v.indices)] = 1
         return X
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
@@ -253,11 +256,13 @@ def load_vocabulary(path: str | os.PathLike) -> Vocabulary:
 
 
 def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
+    """Write a dataset file; an unlabeled vector raises before the file
+    is opened, so no partial file is left."""
+    if any(v.label is None for v in dataset.vectors):
+        raise FormatError("dataset files require labeled vectors", None)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"dim={dataset.dimension} n={len(dataset)}\n")
         for v in dataset.vectors:
-            if v.label is None:
-                raise FormatError("dataset files require labeled vectors", None)
             fh.write(" ".join([LABEL_TEXT[v.label], *map(str, v.indices)]) + "\n")
 
 

@@ -18,7 +18,7 @@ from malsieve.ensemble import (
     vote,
 )
 from malsieve.errors import AllZeroWeights, DimensionMismatch, FormatError, RunFailed
-from malsieve.learners import LearnerSpec, train
+from malsieve.learners import LearnerSpec, predict_labels, train
 from malsieve.rng import derive_seed
 from malsieve.vectorize import Dataset, FeatureVector
 
@@ -129,6 +129,35 @@ def test_train_pool_matches_training_each_replicate(kind, batch_size):
         assert set(learner.params) == set(reference.params)
         for key in learner.params:
             assert np.array_equal(learner.params[key], reference.params[key]), key
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("batch_size", [None, 8])  # 8 does not divide 61
+def test_uint8_matrix_trains_as_its_float64_widening(kind, batch_size):
+    """`to_dense` builds uint8; `train` and `train_pool` widen what they
+    gather, so params match training on the float64 matrix bit for bit."""
+    data = sparse_training_data()
+    X, y = dense(data)
+    assert X.dtype == np.uint8
+    X64 = X.astype(np.float64)
+    spec = LearnerSpec(kind=kind, learning_rate=0.2, epochs=6, hidden_units=5,
+                       l2=1e-3, batch_size=batch_size, rng_seed=11)
+    pairs = [(train(spec, X, y), train(spec, X64, y))]
+    pairs += zip(train_pool(X, y, 3, spec, master_seed=21).learners,
+                 train_pool(X64, y, 3, spec, master_seed=21).learners)
+    for got, want in pairs:
+        assert got == want  # equal dim and spec, np.array_equal params
+
+
+def test_precompute_predictions_equal_predict_labels_on_float64_rows():
+    data = sparse_training_data()  # 61 rows: a short last prediction block
+    spec = LearnerSpec(kind="mlp", learning_rate=0.2, epochs=3, hidden_units=5, rng_seed=4)
+    learners = train_pool(*dense(data), 3, spec, master_seed=5).learners
+    spec = replace(spec, kind="linear")
+    learners += train_pool(*dense(data), 2, spec, master_seed=6).learners
+    X64 = data.to_dense().astype(np.float64)
+    expected = np.stack([predict_labels(learner, X64) for learner in learners])
+    assert np.array_equal(precompute_predictions(learners, data), expected)
 
 
 def test_train_pool_failure_keeps_error_type_and_line(monkeypatch):

@@ -326,17 +326,21 @@ def test_single_learner_scores_as_trained_and_predicted_on_dense_splits():
 
 
 def test_run_one_densifies_the_training_split_once(monkeypatch):
-    shapes = []
+    matrices = []
     real = Dataset.to_dense
 
     def record(self, *args, **kwargs):
         X = real(self, *args, **kwargs)
-        shapes.append(X.shape)
+        matrices.append(X)
         return X
 
     monkeypatch.setattr(Dataset, "to_dense", record)
     config = tiny_config(repeats=1, synthetic_samples=300, synthetic_features=12)
     run_one(synthetic_dataset(300, 12, 0.1, seed=8), config, 0)
+    shapes = [X.shape for X in matrices]
     assert shapes.count((180, 12)) == 1
+    # one byte per entry: the training matrix is uint8, not float64
+    (X,) = [X for X in matrices if X.shape == (180, 12)]
+    assert X.dtype == np.uint8 and X.nbytes == 2160
     others = [s for s in shapes if s != (180, 12)]
     assert others and all(rows <= 32 and d == 12 for rows, d in others)

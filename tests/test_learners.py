@@ -356,6 +356,25 @@ def test_load_model_header_is_every_spec_field(tmp_path):
                     "rng_seed", "batch_size"]
 
 
+@pytest.mark.parametrize("kind, name, shape", [
+    ("linear", "w", "-1"), ("mlp", "W1", "-1x4"), ("mlp", "W1", "3x-1"),
+])
+def test_load_model_rejects_a_declared_dimension_below_1(kind, name, shape, tmp_path):
+    # numpy's reshape reads -1 as "infer this axis", so these used to load
+    path = saved_three_wide_model(kind, tmp_path)
+    lines = path.read_text().splitlines()
+    lineno, line = next(
+        (k, line) for k, line in enumerate(lines, start=1)
+        if line.startswith(f"param {name} ")
+    )
+    values = line.split(" ", 3)[3]
+    lines[lineno - 1] = f"param {name} {shape} {values}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="bad param line") as info:
+        load_model(path)
+    assert info.value.line == lineno
+
+
 def test_load_model_rejects_a_param_row_given_twice(tmp_path):
     path = saved_three_wide_model("linear", tmp_path)
     lines = path.read_text().splitlines()

@@ -221,6 +221,15 @@ def test_dataset_header_and_layout(tmp_path):
     assert path.read_text() == "dim=4 n=2\n+1 0 3\n-1\n"
 
 
+def test_save_dataset_with_an_unlabeled_vector_creates_no_file(tmp_path):
+    # the header and first row used to be written before the error
+    data = Dataset([FeatureVector(3, (0,), 1), FeatureVector(3, (2,), None)])
+    path = tmp_path / "d.svm"
+    with pytest.raises(FormatError, match="labeled"):
+        save_dataset(data, path)
+    assert not path.exists()
+
+
 def test_hand_written_dataset_file(tmp_path):
     path = tmp_path / "d.svm"
     path.write_text("dim=5 n=2\n+1 0 2 4\n-1 1\n")
@@ -278,4 +287,6 @@ def test_dense_conversion():
     data = Dataset([FeatureVector(3, (1,), 1), FeatureVector(3, (0, 2), -1)])
     expected = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     assert np.array_equal(data.to_dense(), expected)
+    assert data.to_dense().dtype == np.uint8
+    assert data.to_dense(slice(1, 2)).dtype == np.uint8
     assert np.array_equal(data.label_array(), np.array([1, -1]))

@@ -18,8 +18,9 @@ gets:
       `malsieve experiment` on configs/synthetic-benchmark.cfg, 2 repeats
   predict-records/, apk-scan/
       the CLI chain of each workload: the extracted records and extract
-      logs (apk-scan only), vocabulary, dataset, every pool file,
-      selection, GA report, evaluate line and predictions
+      logs (apk-scan only; they name each APK relative to the inputs
+      directory), vocabulary, dataset, every pool file, selection, GA
+      report, evaluate line and predictions
 
 Everything runs in this process with BLAS held to one thread. Once the
 inputs exist, one tree takes about 15 s on a 2-core x86-64 machine.
@@ -78,9 +79,12 @@ def cli_chain(out: Path, train: Path, batch: Path, pool_size: int, epochs: int) 
         "--selection", str(selection), "--out", str(out / "predictions.txt"))
 
 
-def extract(out: Path, name: str, apks: Path, *flags: str) -> Path:
+def extract(out: Path, name: str, inputs: Path, apks: str, *flags: str) -> Path:
+    """`malsieve extract` on inputs/apks. Its log names each APK relative
+    to inputs, so it does not depend on where the inputs were made."""
     records = out / f"{name}.records"
-    _, log = cli("extract", str(apks), *flags, "--out", str(records))
+    _, log = cli("extract", str(inputs / apks), *flags, "--out", str(records))
+    log = log.replace(f"{inputs}{os.sep}", "")
     (out / f"{name}.extract.log").write_text(log, encoding="utf-8")
     return records
 
@@ -134,10 +138,10 @@ def main() -> int:
     source = inputs["apk-scan"]
     train = d / "train.records"
     train.write_bytes(b"".join(
-        extract(d, cls, source / "train" / cls, "--label", label).read_bytes()
+        extract(d, cls, source, f"train/{cls}", "--label", label).read_bytes()
         for cls, label in (("mal", "+1"), ("ben", "-1"))
     ))
-    scan = extract(d, "scan", source / "scan")
+    scan = extract(d, "scan", source, "scan")
     cli_chain(d, train, scan, profile["cli_pool_size"], profile["cli_epochs"])
     return 0
 
