@@ -197,9 +197,12 @@ _SELECTION_TAG = "malsieve-selection v1"
 def save_pool(pool: EnsemblePool, directory: str | os.PathLike) -> None:
     """Write one model file per learner, then the pool manifest naming them.
     Model files of an earlier pool in the directory that the manifest does
-    not name are deleted, so the directory holds one pool."""
+    not name are deleted, so the directory holds one pool. The earlier
+    manifest goes first, so a save that fails part way leaves no pool to
+    load, not a mix of two."""
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
+    (root / "pool.txt").unlink(missing_ok=True)
     rows, names = [], set()
     for i, (learner, seed) in enumerate(zip(pool.learners, pool.bootstrap_seeds)):
         name = f"learner_{i:03d}.model"

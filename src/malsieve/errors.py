@@ -83,7 +83,8 @@ class SingleClassData(MalsieveError):
 
 class NonFiniteLoss(MalsieveError):
     """Training diverged (a parameter became NaN or infinite after an
-    epoch); the learning rate is almost certainly too high."""
+    epoch); the learning rate is almost certainly too high. Saving a
+    learner that holds such a parameter raises it too."""
 
 
 class AllZeroWeights(MalsieveError):

@@ -18,10 +18,17 @@ reads; a bootstrap replicate is an index array into it, never a copy.
 That matrix is the uint8 0/1 one `Dataset.to_dense` builds, and `train`
 widens only each gathered minibatch to float64, so every product runs
 on float64 operands.
+
+A model file holds each parameter as one row of `float.hex` text,
+row-major. `save_model` writes it with `hex_floats`, one array pass per
+block of values that gives the same bytes as a `float.hex` call per
+value; `load_model` reads it back with `float.fromhex`, so the round
+trip is exact. A non-finite value is neither saved nor loaded.
 """
 
 from __future__ import annotations
 
+import binascii
 import os
 from dataclasses import dataclass, fields
 
@@ -227,17 +234,62 @@ def predict_labels(learner: TrainedLearner, X: np.ndarray) -> np.ndarray:
 
 _FORMAT_TAG = "malsieve-model v1"
 
+# `hex_floats` writes each value as four null-padded 8-byte words: the
+# prefix, the 13 mantissa digits (two words), then `p<exponent> `; one
+# `bytes.translate` deletes the nulls. Values per pass: each temporary
+# stays well under glibc's 128 KiB mmap threshold, since freeing a larger
+# one raises that threshold and with it the peak RSS.
+_HEX_BLOCK = 2048
+
+
+def _words(texts: list[str]) -> np.ndarray:
+    return np.frombuffer(b"".join(t.encode("ascii").ljust(8, b"\0") for t in texts), np.uint64)
+
+
+_HEX_PREFIX = _words(["0x0.", "0x1.", "-0x0.", "-0x1."])  # by 2 * sign + (exponent > 0)
+# by biased exponent: 0 is subnormal, and zero takes inf/nan's slot 2047
+_HEX_SUFFIX = _words(["p-1022 ", *(f"p{e - 1023:+d} " for e in range(1, 2047)), "p+0 "])
+_MANTISSA_DIGITS = np.frombuffer(bytes(3) + b"\xff" * 13, np.uint64)  # last 13 of 16
+_ZERO_DIGITS = np.frombuffer(bytes(3) + b"0" + bytes(12), np.uint64)  # zero keeps one
+
+
+def _hex_block(values: np.ndarray) -> str:
+    bits = values.view(np.uint64)
+    exponent = (bits >> 52) & 0x7FF
+    words = np.empty((bits.size, 4), np.uint64)
+    words[:, 0] = _HEX_PREFIX[(bits >> 63) * 2 + (exponent > 0)]
+    digits = np.frombuffer(binascii.hexlify(bits.astype(">u8").tobytes()), np.uint64)
+    np.bitwise_and(digits.reshape(-1, 2), _MANTISSA_DIGITS, out=words[:, 1:3])
+    words[:, 3] = _HEX_SUFFIX[exponent]
+    zero = (bits << 1) == 0
+    words[zero, 1:3] = _ZERO_DIGITS
+    words[zero, 3] = _HEX_SUFFIX[-1]
+    return words.tobytes().translate(None, b"\0")[:-1].decode("ascii")
+
+
+def hex_floats(values: np.ndarray) -> str:
+    """`" ".join(map(float.hex, values.reshape(-1).tolist()))`, row-major,
+    in one array pass per block of values. Finite values only: zero's
+    exponent word takes the slot of inf and nan."""
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    return " ".join(
+        _hex_block(flat[start : start + _HEX_BLOCK]) for start in range(0, flat.size, _HEX_BLOCK)
+    )
+
 
 def save_model(learner: TrainedLearner, path: str | os.PathLike) -> None:
+    """Write `load_model`'s file: one `param <name> <AxB> <float.hex per
+    value>` row per parameter. A non-finite value is NonFiniteLoss, and no
+    file is written."""
+    params = sorted(learner.params.items())
+    for name, arr in params:
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteLoss(f"param {name} holds a non-finite value")
     spec = learner.spec
     # file order: kind, dim, then the rest of the spec's fields
     header = {"kind": spec.kind, "dim": learner.dim}
     header.update((f.name, getattr(spec, f.name)) for f in fields(LearnerSpec))
-    rows = (
-        f"{name} {'x'.join(map(str, arr.shape))} "
-        + " ".join(v.hex() for v in arr.reshape(-1).tolist())
-        for name, arr in sorted(learner.params.items())
-    )
+    rows = (f"{name} {'x'.join(map(str, arr.shape))} {hex_floats(arr)}" for name, arr in params)
     write_tagged(path, _FORMAT_TAG, header, rows, row="param")
 
 

@@ -17,7 +17,13 @@ from malsieve.ensemble import (
     train_pool,
     vote,
 )
-from malsieve.errors import AllZeroWeights, DimensionMismatch, FormatError, RunFailed
+from malsieve.errors import (
+    AllZeroWeights,
+    DimensionMismatch,
+    FormatError,
+    NonFiniteLoss,
+    RunFailed,
+)
 from malsieve.learners import LearnerSpec, predict_labels, train
 from malsieve.rng import derive_seed
 from malsieve.vectorize import Dataset, FeatureVector
@@ -427,6 +433,20 @@ def test_save_pool_deletes_model_files_the_manifest_does_not_name(tmp_path):
         "learner_000.model", "learner_001.model", "learner_x.txt", "notes.txt", "pool.txt"
     ]
     assert load_pool(root).learners == pool.learners
+
+
+def test_a_save_pool_that_fails_part_way_leaves_no_pool_to_load(tmp_path):
+    # the manifest of the earlier pool used to stay, naming a model file
+    # the failed save had already replaced
+    root = tmp_path / "pool"
+    data = dense(small_training_data())
+    save_pool(train_pool(*data, 2, LearnerSpec(epochs=2), 5), root)
+    pool = train_pool(*data, 2, LearnerSpec(epochs=2), 6)
+    pool.learners[1].params["b"][0] = np.inf
+    with pytest.raises(NonFiniteLoss):
+        save_pool(pool, root)
+    with pytest.raises(FormatError, match="no pool manifest"):
+        load_pool(root)
 
 
 @pytest.mark.parametrize("drop", ["seed=", "file=", "seed=|file="])

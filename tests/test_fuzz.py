@@ -11,10 +11,14 @@ names in that order, or raise FormatError naming the first name without
 a known prefix, and must round-trip through `format_record`.
 Saving then loading a vocabulary, dataset, model, pool or selection must
 give an equal object, and so must parsing the lines an experiment config
-writes and reading back any tagged file `write_tagged` writes. The seeds
-are fixed, so every run tries the same inputs.
+writes and reading back any tagged file `write_tagged` writes. The array
+hex encoder must write what `float.hex` writes for any finite float64, and
+a model file must keep the bytes of the per-value writer it replaced. The
+seeds are fixed, so every run tries the same inputs.
 """
 
+import dataclasses
+import sys
 import tempfile
 from pathlib import Path
 
@@ -39,9 +43,11 @@ from malsieve.experiment import (  # noqa: E402
 )
 from malsieve.ga import DIVERSITY_NORMS  # noqa: E402
 from malsieve.learners import (  # noqa: E402
+    _HEX_BLOCK,
     KINDS,
     LearnerSpec,
     TrainedLearner,
+    hex_floats,
     load_model,
     save_model,
     train,
@@ -481,3 +487,98 @@ def test_tagged_file_round_trips(parts):
     assert read_header == header
     first_row_line = 2 + len(header)
     assert read_rows == [(first_row_line + i, text) for i, text in enumerate(rows)]
+
+
+# --- model text: the array hex encoder against float.hex ---
+
+def float_hex(values) -> str:
+    return " ".join(map(float.hex, np.asarray(values, dtype=np.float64).reshape(-1).tolist()))
+
+
+FINITE_BITS = st.one_of(
+    st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF),
+    st.builds(  # every exponent equally likely, subnormals and zero included
+        lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+        st.integers(0, 1), st.integers(0, 2046), st.integers(0, 2**52 - 1)
+    ),
+)
+
+
+@seed(440)
+@FUZZ
+@given(st.lists(FINITE_BITS, max_size=40))
+def test_hex_floats_equal_float_hex_on_any_finite_bits(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert hex_floats(values) == float_hex(values)
+
+
+SMALLEST_NORMAL = sys.float_info.min
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324,
+    SMALLEST_NORMAL - 5e-324, SMALLEST_NORMAL, -SMALLEST_NORMAL,
+    sys.float_info.max, -sys.float_info.max, 1.0, -1.0, 1.5, 0.1,
+    # exponents of 1 to 4 digits, either sign
+    2.0, 0.5, 2.0**9, -(2.0**-9), 2.0**10, 2.0**-10, 2.0**99, -(2.0**-99),
+    2.0**100, 2.0**-100, 2.0**999, 2.0**-999, 2.0**1000, -(2.0**-1000), 2.0**1023,
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=float.hex)
+def test_hex_floats_edge_value(value):
+    assert hex_floats(np.array([value])) == value.hex()
+
+
+@pytest.mark.parametrize("size", [0, 1, _HEX_BLOCK - 1, _HEX_BLOCK, _HEX_BLOCK + 1, 3 * _HEX_BLOCK])
+def test_hex_floats_across_block_boundaries(size):
+    rng = np.random.default_rng(size)
+    values = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)
+    values = np.where(np.isfinite(values), values, 1.0)
+    values[::7] = 0.0
+    values[1::11] = -0.0
+    values[2::13] = 5e-324
+    assert hex_floats(values) == float_hex(values)
+    assert hex_floats(values.reshape(-1, 1)) == float_hex(values)
+
+
+def per_value_model_text(learner: TrainedLearner, path: Path) -> None:
+    """`save_model` as it was before the array encoder: one float.hex call
+    per value. Kept frozen as the byte oracle for model files."""
+    spec = learner.spec
+    header = {"kind": spec.kind, "dim": learner.dim}
+    header.update((f.name, getattr(spec, f.name)) for f in dataclasses.fields(LearnerSpec))
+    rows = (
+        f"{name} {'x'.join(map(str, arr.shape))} "
+        + " ".join(v.hex() for v in arr.reshape(-1).tolist())
+        for name, arr in sorted(learner.params.items())
+    )
+    write_tagged(path, "malsieve-model v1", header, rows, row="param")
+
+
+def same_bytes_as_per_value_writer(learner: TrainedLearner) -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.model", Path(tmp) / "old.model"
+        save_model(learner, new)
+        per_value_model_text(learner, old)
+        return new.read_bytes() == old.read_bytes()
+
+
+@seed(441)
+@ROUND_TRIP
+@given(learners())
+def test_model_file_bytes_equal_the_per_value_writer(learner):
+    assert same_bytes_as_per_value_writer(learner)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [1, _HEX_BLOCK + 3])
+def test_trained_model_file_bytes_equal_the_per_value_writer(kind, dim):
+    # a linear weight of a feature no training row holds stays exactly 0.0
+    rng = np.random.default_rng(dim)
+    X = (rng.random((40, dim)) < 0.3).astype(np.uint8)
+    X[:, 0] = 0
+    labels = np.where(np.arange(40) % 2 == 0, 1, -1)
+    spec = LearnerSpec(kind=kind, epochs=2, hidden_units=1, rng_seed=5)
+    learner = train(spec, X, labels)
+    if kind == "linear":
+        assert learner.params["w"][0] == 0.0
+    assert same_bytes_as_per_value_writer(learner)

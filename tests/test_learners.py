@@ -260,6 +260,19 @@ def test_model_file_round_trip_is_exact(kind, tmp_path):
     assert np.array_equal(loaded.margins(X), learner.margins(X))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_save_model_rejects_a_non_finite_param_and_writes_no_file(kind, value, tmp_path):
+    # the file used to be written, and load_model then refused it
+    learner = train(LearnerSpec(kind=kind, epochs=1, hidden_units=2), *dense(xor_dataset(2)))
+    name = "w" if kind == "linear" else "w2"
+    learner.params[name][0] = value
+    path = tmp_path / "m.model"
+    with pytest.raises(NonFiniteLoss, match=f"param {name} "):
+        save_model(learner, path)
+    assert not path.exists()
+
+
 def saved_three_wide_model(kind, tmp_path):
     data = Dataset(
         [labeled(3, (0,), 1), labeled(3, (1, 2), -1), labeled(3, (0, 2), 1)],

@@ -21,9 +21,15 @@ gets:
       logs (apk-scan only; they name each APK relative to the inputs
       directory), vocabulary, dataset, every pool file, selection, GA
       report, evaluate line and predictions
+  apk-scan-linear/
+      the apk-scan chain from the same records with a linear pool. A
+      linear weight of a feature that none of a learner's bootstrap rows
+      holds stays 0.0, and the apk-scan vocabulary keeps features of 2
+      documents, so these model files hold `0x0.0p+0` tokens, which the
+      MLP pools rarely do
 
 Everything runs in this process with BLAS held to one thread. Once the
-inputs exist, one tree takes about 15 s on a 2-core x86-64 machine.
+inputs exist, one tree takes about 20 s on a 2-core x86-64 machine.
 """
 
 from __future__ import annotations
@@ -62,15 +68,16 @@ def cli(*argv: str) -> tuple[str, str]:
     return out.getvalue(), err.getvalue()
 
 
-def cli_chain(out: Path, train: Path, batch: Path, pool_size: int, epochs: int) -> None:
+def cli_chain(out: Path, train: Path, batch: Path, pool_size: int, epochs: int,
+              learner: str = "mlp") -> None:
     """vectorize, train-pool, select, evaluate and predict, as the CLI
-    workloads of the benchmark run them."""
+    workloads of the benchmark run them; their pools are MLPs."""
     vocab, dataset, pool, selection = (
         out / "vocab.tsv", out / "train.svm", out / "pool", out / "selection.txt"
     )
     cli("vectorize", str(train), "--vocab-out", str(vocab), "--dataset-out", str(dataset))
     cli("train-pool", str(dataset), "--out", str(pool), "--pool-size", str(pool_size),
-        "--learner", "mlp", "--epochs", str(epochs), "--seed", str(SEED))
+        "--learner", learner, "--epochs", str(epochs), "--seed", str(SEED))
     cli("select", str(pool), str(dataset), "--out", str(selection),
         "--report", str(out / "ga-report.txt"), "--seed", str(SEED))
     line, _ = cli("evaluate", str(pool), str(dataset), "--selection", str(selection))
@@ -143,6 +150,10 @@ def main() -> int:
     ))
     scan = extract(d, "scan", source, "scan")
     cli_chain(d, train, scan, profile["cli_pool_size"], profile["cli_epochs"])
+
+    d = out / "apk-scan-linear"
+    d.mkdir()
+    cli_chain(d, train, scan, profile["cli_pool_size"], profile["cli_epochs"], learner="linear")
     return 0
 
 
