@@ -11,6 +11,9 @@ a file with a documented format:
     predict     pool + selection + (vocabulary + records | dataset) -> labels
     experiment  config -> repeated-experiment report
 
+`select`, `evaluate` and `predict` leave the check that an input's
+dimension is the pool's to `ensemble.precompute_predictions`.
+
 Diagnostics go to stderr, data to stdout or the requested file. All
 randomness is controlled by explicit --seed flags or config keys. Exit
 codes: 0 success, 1 processing failure, 2 bad usage or bad config.
@@ -23,13 +26,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import ensemble as ens
 from . import experiment as exp
 from .errors import (
     FIELD_PARSERS,
-    DimensionMismatch,
     FormatError,
     InvalidConfig,
     MalsieveError,
@@ -183,22 +183,13 @@ def _selection(args: argparse.Namespace, pool: ens.EnsemblePool) -> ens.WeightVe
     return ens.WeightVector.ones(pool.size)
 
 
-def _vote(pool: ens.EnsemblePool, omega: ens.WeightVector, data: Dataset) -> np.ndarray:
-    """The selected learners' vote on each sample of data, whose dimension
-    must be the pool's."""
-    if data.dimension != pool.dim:
-        raise DimensionMismatch(
-            f"input dimension {data.dimension} != model dimension {pool.dim}"
-        )
-    matrix = ens.precompute_predictions(pool.learners, data)
-    return ens.majority_vote_matrix(matrix, omega.bits)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     pool = ens.load_pool(args.pool)
     data = load_dataset(args.dataset)
     omega = _selection(args, pool)
-    report = compute_metrics(_vote(pool, omega, data), data.label_array())
+    votes = ens.majority_vote_matrix(ens.precompute_predictions(pool.learners, data),
+                                     omega.bits)
+    report = compute_metrics(votes, data.label_array())
     sys.stdout.write(
         f"selected={omega.selected_count}/{pool.size} {report.as_fields()}\n"
     )
@@ -225,7 +216,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 ids.append(record.app_id)
                 vectors.append(vectorize(record, vocab))
         data = Dataset(vectors, dimension=vocab.dimension)
-    votes = _vote(pool, omega, data)
+    votes = ens.majority_vote_matrix(ens.precompute_predictions(pool.learners, data),
+                                     omega.bits)
     _write_text(args.out, "".join(
         f"{app_id}\t{LABEL_TEXT[label]}\n" for app_id, label in zip(ids, votes.tolist())
     ))

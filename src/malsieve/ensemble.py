@@ -13,8 +13,9 @@ a dataset into the (N learners x M samples) +-1 matrix of any sequence
 of N learners, and `majority_vote_matrix` turns rows of it into the
 vote. The optimizer's fitness, the experiment's scores and the CLI all
 go through these two; `precompute_predictions` alone densifies samples
-for prediction. The dense matrix is uint8 0/1; `precompute_predictions`
-widens each block of it to float64 once, for every learner's product.
+for prediction and checks a dataset's dimension against the learners'.
+The dense matrix is uint8 0/1; `precompute_predictions` widens each
+block of it to float64 once, for every learner's product.
 """
 
 from __future__ import annotations
@@ -161,7 +162,13 @@ def precompute_predictions(learners: Sequence[TrainedLearner], data: Dataset) ->
     """(N x M) matrix of each of the N learners' +-1 prediction on each
     sample, densified a block of rows at a time so memory stays flat in M.
     Each uint8 block is widened to float64 once, for all N learners: numpy
-    would otherwise widen it inside every learner's product."""
+    would otherwise widen it inside every learner's product. A learner of
+    another dimension than data's raises DimensionMismatch, even on no rows."""
+    for learner in learners:
+        if learner.dim != data.dimension:
+            raise DimensionMismatch(
+                f"input dimension {data.dimension} != model dimension {learner.dim}"
+            )
     matrix = np.empty((len(learners), len(data)), dtype=np.int8)
     for start in range(0, len(data), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)

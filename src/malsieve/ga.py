@@ -212,11 +212,12 @@ class GAResult:
 def run_ga(pool: EnsemblePool, data: Dataset, config: GAConfig = GAConfig()) -> GAResult:
     """Search weight vectors over the pool against the dataset's labels;
     returns the best chromosome ever evaluated, its fitness decomposition
-    and per-generation stats. Deterministic per config.rng_seed.
+    and per-generation stats. Deterministic per config.rng_seed. A dataset
+    of the pool's dimension without samples raises EmptyDataset.
     """
+    matrix = precompute_predictions(pool.learners, data)
     if len(data) == 0:
         raise EmptyDataset("the GA needs at least one sample to score")
-    matrix = precompute_predictions(pool.learners, data)
     y = data.label_array()
     distances = pairwise_distances(matrix)
     rng = make_rng(config.rng_seed, "ga")

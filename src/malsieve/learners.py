@@ -169,12 +169,11 @@ def loss(
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
+    # e = exp(-|t|) cannot overflow; the mask, not np.abs, picks the
+    # exponent's sign, so a nan keeps its sign bit as it did
     pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(np.where(pos, -t, t))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 def train(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 from .archive import ApkArchive
 from .axml import parse_manifest
@@ -83,8 +83,13 @@ def _printable(name: str) -> bool:
 
 def format_record(record: FeatureRecord) -> str:
     """The record's line, without its newline. Names that hold a tab,
-    newline or carriage return are dropped; an app id that holds one
-    raises FormatError."""
+    newline or carriage return are dropped; an app id that holds one, or
+    that UTF-8 cannot encode (a file name that is not UTF-8), raises
+    FormatError."""
+    try:
+        record.app_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise FormatError(f"app id {record.app_id!r} cannot be encoded as UTF-8") from None
     label = LABEL_TEXT[record.label]
     line = "\t".join((record.app_id, label) + record.features)
     # one scan per character over the joined line; only a line that fails
@@ -96,15 +101,6 @@ def format_record(record: FeatureRecord) -> str:
         raise FormatError(f"app id {record.app_id!r} holds a tab, newline or carriage return")
     kept = [f for f in record.features if _printable(f)]
     return "\t".join([record.app_id, label] + kept)
-
-
-def save_records(records: Iterable[FeatureRecord], path: str | os.PathLike) -> int:
-    """Write one line per record; returns the count."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for n, record in enumerate(records, start=1):
-            fh.write(format_record(record) + "\n")
-    return n
 
 
 def parse_record_line(

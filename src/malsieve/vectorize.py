@@ -7,7 +7,8 @@ alone: `feature_blocks` sorts names into blocks by their prefix, and
 building, counting and loading a vocabulary all use it. A record is a
 set of names, so it vectorizes to the set of column indices whose
 feature it contains, whatever the order of its names; unknown features
-are ignored so the dimension never moves after training.
+are ignored so the dimension never moves after training. A dataset is
+built with its dimension, which `ensemble.precompute_predictions` checks.
 
 File formats (both plain text, UTF-8):
 
@@ -22,6 +23,7 @@ File formats (both plain text, UTF-8):
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, zip_longest
 from typing import Iterable, Sequence
@@ -93,21 +95,16 @@ class FeatureVector:
 
 
 class Dataset:
-    """Ordered collection of equal-dimension feature vectors.
+    """Ordered collection of feature vectors of the given dimension.
 
     `clean_labels`, when set, preserves the labels the dataset had before
     any noise injection; evaluation uses it for audits and to make
     repeated noise application an involution.
     """
 
-    def __init__(self, vectors: Sequence[FeatureVector],
-                 dimension: int | None = None,
+    def __init__(self, vectors: Sequence[FeatureVector], dimension: int,
                  clean_labels: tuple[int | None, ...] | None = None):
         vectors = list(vectors)
-        if dimension is None:
-            if not vectors:
-                raise ValueError("empty dataset needs an explicit dimension")
-            dimension = vectors[0].dimension
         for v in vectors:
             if v.dimension != dimension:
                 raise DimensionMismatch(
@@ -175,12 +172,11 @@ def build_vocabulary(records: Iterable[FeatureRecord],
     if max_api_features < 0:
         raise InvalidConfig("max_api_features must be >= 0")
 
-    freq: dict[str, int] = {}
+    freq: Counter[str] = Counter()
     n_records = 0
     for record in records:
         n_records += 1
-        for name in record.features:
-            freq[name] = freq.get(name, 0) + 1
+        freq.update(record.features)
     if n_records == 0:
         raise EmptyCorpus("no records")
 
@@ -268,9 +264,11 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
 
 def is_dataset_file(path: str | os.PathLike) -> bool:
     """Whether path starts with a dataset header; the other text input the
-    pipeline takes in its place is a records file."""
+    pipeline takes in its place is a records file, whose lines, unlike a
+    header, always hold a tab (the record of dim=1.apk starts with dim=)."""
     with open_text(path) as fh:
-        return fh.readline().startswith("dim=")
+        first = fh.readline()
+    return first.startswith("dim=") and "\t" not in first
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:

@@ -1,3 +1,4 @@
+import os
 import random
 
 import numpy as np
@@ -103,6 +104,26 @@ def test_extract_skips_file_name_that_cannot_be_an_app_id(tmp_path, capsys, char
     assert "FormatError: app id" in capsys.readouterr().err
     assert [r.app_id for r in load_records(out)] == ["good"]
     assert main(["extract", str(apks), "--strict", "--out", str(out)]) == 1
+
+
+def test_extract_skips_file_name_that_is_not_utf8(tmp_path, capfd):
+    # the app id of b"bad\xff.apk" holds a lone surrogate, which no UTF-8
+    # records file can hold; the good APK's record must still be written
+    apks = tmp_path / "apks"
+    apks.mkdir()
+    write_apk(apks / "good.apk", [INTERNET])
+    try:
+        bad = os.path.join(os.fsencode(apks), b"bad\xff.apk")
+        with open(bad, "wb") as fh:
+            fh.write((apks / "good.apk").read_bytes())
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    if sorted(os.listdir(os.fsencode(apks))) != [b"bad\xff.apk", b"good.apk"]:
+        pytest.skip("the filesystem rewrote a file name that is not UTF-8")
+    out = tmp_path / "records.tsv"
+    assert main(["extract", str(apks), "--label", "+1", "--out", str(out)]) == 0
+    assert "FormatError: app id 'bad\\udcff' cannot be encoded as UTF-8" in capfd.readouterr().err
+    assert [r.app_id for r in load_records(out)] == ["good"]
 
 
 # --- pipeline chain ---
@@ -608,6 +629,30 @@ def test_malformed_text_artifact_is_usage_error(tmp_path, capsys, path, content,
     assert code == 2
     err = capsys.readouterr().err
     assert error in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows", ["dim=4 n=1\n+1 3\n", "dim=4 n=0\n"], ids=["rows", "empty"])
+@pytest.mark.parametrize("argv", [
+    ["select", "{t}/pool", "{t}/wide.svm", "--out", "{t}/s.txt"],
+    ["evaluate", "{t}/pool", "{t}/wide.svm"],
+    ["predict", "{t}/pool", "{t}/wide.svm"],
+], ids=["select", "evaluate", "predict"])
+def test_dataset_of_another_width_is_one_dimension_mismatch(tmp_path, capsys, argv, rows):
+    write_small_artifacts(tmp_path)  # a pool of dimension 3
+    (tmp_path / "wide.svm").write_text(rows)
+    assert main([arg.format(t=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"{argv[0]}: DimensionMismatch: input dimension 4 != model dimension 3\n" == err
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_predict_records_whose_first_app_id_looks_like_a_header(tmp_path, capsys):
+    write_small_artifacts(tmp_path)
+    records = tmp_path / "dim.records"
+    records.write_text("dim=1\t?\tperm:a\nn=2\t?\tapi:c\n")
+    assert main(["predict", f"{tmp_path}/pool", str(records),
+                 "--vocab", f"{tmp_path}/vocab.tsv"]) == 0
+    assert capsys.readouterr().out == "dim=1\t+1\nn=2\t+1\n"
 
 
 def test_select_on_empty_dataset_fails_with_empty_dataset(tmp_path, capsys):

@@ -24,7 +24,7 @@ from malsieve.errors import (
     NonFiniteLoss,
     RunFailed,
 )
-from malsieve.learners import LearnerSpec, predict_labels, train
+from malsieve.learners import LearnerSpec, TrainedLearner, predict_labels, train
 from malsieve.rng import derive_seed
 from malsieve.vectorize import Dataset, FeatureVector
 
@@ -41,7 +41,7 @@ from mlfixtures import (
 # --- bootstrap ---
 
 def test_bootstrap_singleton():
-    data = Dataset([FeatureVector(2, (0,), 1)])
+    data = Dataset([FeatureVector(2, (0,), 1)], dimension=2)
     assert replicate(data, seed=4).vectors == data.vectors
 
 
@@ -164,6 +164,15 @@ def test_precompute_predictions_equal_predict_labels_on_float64_rows():
     X64 = data.to_dense().astype(np.float64)
     expected = np.stack([predict_labels(learner, X64) for learner in learners])
     assert np.array_equal(precompute_predictions(learners, data), expected)
+
+
+@pytest.mark.parametrize("m", [0, 1, 40], ids=["empty", "one-row", "two-blocks"])
+def test_precompute_predictions_checks_the_width_before_any_block(m, monkeypatch):
+    learners = [TrainedLearner(3, LearnerSpec(), {"w": np.ones(3), "b": np.zeros(1)})] * 2
+    data = Dataset([FeatureVector(4, (m % 4,), 1)] * m, dimension=4)
+    monkeypatch.setattr(Dataset, "to_dense", lambda *a: pytest.fail("densified"))
+    with pytest.raises(DimensionMismatch, match=r"^input dimension 4 != model dimension 3$"):
+        precompute_predictions(learners, data)
 
 
 def test_train_pool_failure_keeps_error_type_and_line(monkeypatch):

@@ -137,7 +137,7 @@ def test_noise_keeps_features_and_clean_labels():
 def test_noise_requires_both_classes():
     vectors = [FeatureVector(4, (k,), 1) for k in range(4)]
     with pytest.raises(SingleClassData):
-        inject_label_noise(Dataset(vectors), NoiseSpec(flip_fraction=0.1, seed=0))
+        inject_label_noise(Dataset(vectors, dimension=4), NoiseSpec(flip_fraction=0.1, seed=0))
 
 
 # the two flip loops `equal_count_flips` replaced, frozen as they were:

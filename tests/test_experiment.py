@@ -232,7 +232,7 @@ def test_noise_test_protocol_changes_scores():
 
 
 def test_records_source_pipeline(tmp_path):
-    from malsieve.records import FeatureRecord, save_records
+    from malsieve.records import FeatureRecord, format_record
 
     rng = np.random.default_rng(4)
     records = []
@@ -248,7 +248,7 @@ def test_records_source_pipeline(tmp_path):
             )
         )
     path = tmp_path / "corpus.records"
-    save_records(records, path)
+    path.write_text("".join(format_record(r) + "\n" for r in records), encoding="utf-8")
     config = tiny_config(
         repeats=1, dataset=str(path), min_doc_freq=1, noise_fraction=0.1
     )

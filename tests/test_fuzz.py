@@ -58,7 +58,6 @@ from malsieve.records import (  # noqa: E402
     format_record,
     load_records,
     parse_record_line,
-    save_records,
 )
 from malsieve.vectorize import (  # noqa: E402
     BLOCK_PREFIXES,
@@ -250,7 +249,8 @@ def artifacts(tmp_path_factory):
         extract_features(parse_archive(APK), "mal", 1),
         extract_features(parse_archive(BENIGN_APK), "ben", -1),
     ]
-    save_records(records, root / "corpus.records")
+    (root / "corpus.records").write_text(
+        "".join(format_record(r) + "\n" for r in records), encoding="utf-8")
     vocab = build_vocabulary(records, min_doc_freq=1)
     save_vocabulary(vocab, root / "vocab.tsv")
     data = vectorize_all(records, vocab)

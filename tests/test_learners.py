@@ -12,6 +12,7 @@ from malsieve.errors import (
 from malsieve.learners import (
     LearnerSpec,
     TrainedLearner,
+    _sigmoid,
     decision_values,
     gradient,
     init_params,
@@ -44,7 +45,7 @@ def xor_dataset(n_per_corner=50):
 
 def row(x):
     """One sample as a one-row dense matrix."""
-    return Dataset([x]).to_dense()
+    return Dataset([x], dimension=x.dimension).to_dense()
 
 
 def training_accuracy(learner, data):
@@ -140,6 +141,25 @@ def test_dimension_mismatch():
         predict_labels(learner, row(labeled(3, (0,), None)))
     with pytest.raises(DimensionMismatch):
         learner.margins(row(labeled(3, (0,), None)))
+
+
+def _masked_sigmoid(t):
+    # the two-branch form _sigmoid replaced, frozen as it was
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_bit_identical_to_the_masked_form():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 745.0, -745.0,
+             np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324]
+    rng = np.random.default_rng(11)
+    for t in [np.array(edges), rng.normal(scale=40, size=1801),
+              rng.permutation(np.tile(edges, 9)), np.array([np.nan])]:
+        assert np.array_equal(_sigmoid(t).view(np.uint64), _masked_sigmoid(t).view(np.uint64))
 
 
 def finite_difference_gradients(kind, params, X, y, l2, h=1e-6):

@@ -11,7 +11,6 @@ from malsieve.records import (
     load_records,
     parse_record_line,
     read_records,
-    save_records,
 )
 from malsieve.vectorize import feature_blocks
 
@@ -93,7 +92,7 @@ def test_record_line_format():
 def test_records_round_trip(tmp_path):
     records = [sample_record(1), sample_record(-1), sample_record(None)]
     path = tmp_path / "corpus.records"
-    assert save_records(records, path) == 3
+    path.write_text("".join(format_record(r) + "\n" for r in records), encoding="utf-8")
     assert load_records(path) == records
 
 
@@ -143,7 +142,8 @@ def test_feature_with_line_break_dropped_at_write(char):
     assert format_record(record) == "x\t+1\tperm:good\tapi:a"
 
 
-@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+# "\udcff" is what the byte 0xff of a file name that is not UTF-8 decodes to
+@pytest.mark.parametrize("char", ["\t", "\n", "\r", "\udcff"])
 def test_app_id_that_breaks_the_line_rejected_at_write(char):
     record = FeatureRecord(app_id=f"ab{char}cd", label=1, features=("perm:p",))
     with pytest.raises(FormatError, match="app id"):

@@ -7,6 +7,7 @@ from malsieve.vectorize import (
     Dataset,
     FeatureVector,
     build_vocabulary,
+    is_dataset_file,
     load_dataset,
     load_vocabulary,
     save_dataset,
@@ -215,7 +216,7 @@ def test_dataset_round_trip_identity(tmp_path):
 
 
 def test_dataset_header_and_layout(tmp_path):
-    data = Dataset([FeatureVector(4, (0, 3), 1), FeatureVector(4, (), -1)])
+    data = Dataset([FeatureVector(4, (0, 3), 1), FeatureVector(4, (), -1)], dimension=4)
     path = tmp_path / "d.svm"
     save_dataset(data, path)
     assert path.read_text() == "dim=4 n=2\n+1 0 3\n-1\n"
@@ -223,11 +224,24 @@ def test_dataset_header_and_layout(tmp_path):
 
 def test_save_dataset_with_an_unlabeled_vector_creates_no_file(tmp_path):
     # the header and first row used to be written before the error
-    data = Dataset([FeatureVector(3, (0,), 1), FeatureVector(3, (2,), None)])
+    data = Dataset([FeatureVector(3, (0,), 1), FeatureVector(3, (2,), None)], dimension=3)
     path = tmp_path / "d.svm"
     with pytest.raises(FormatError, match="labeled"):
         save_dataset(data, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("first, expected", [
+    ("dim=3 n=2\n", True),
+    ("dim=1\t+1\tperm:a\n", False),  # the record of dim=1.apk
+    ("dim=1\t?\n", False),
+    ("app\t+1\tperm:a\n", False),
+    ("", False),
+])
+def test_is_dataset_file_tells_a_header_from_a_record(tmp_path, first, expected):
+    path = tmp_path / "input"
+    path.write_text(first + "app\t-1\n")
+    assert is_dataset_file(path) is expected
 
 
 def test_hand_written_dataset_file(tmp_path):
@@ -284,7 +298,7 @@ def test_vectorize_all_stream():
 
 
 def test_dense_conversion():
-    data = Dataset([FeatureVector(3, (1,), 1), FeatureVector(3, (0, 2), -1)])
+    data = Dataset([FeatureVector(3, (1,), 1), FeatureVector(3, (0, 2), -1)], dimension=3)
     expected = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     assert np.array_equal(data.to_dense(), expected)
     assert data.to_dense().dtype == np.uint8
