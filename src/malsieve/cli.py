@@ -272,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vectorize", help="build vocabulary and dataset files")
     p.add_argument("records")
     p.add_argument("--dataset-out", required=True)
-    p.add_argument("--vocab-out")
-    p.add_argument("--vocab", help="reuse an existing vocabulary")
+    vocab = p.add_mutually_exclusive_group()
+    vocab.add_argument("--vocab-out", help="write the vocabulary built from the records")
+    vocab.add_argument("--vocab", help="reuse an existing vocabulary")
     _add_config_flags(p, ("min_doc_freq", "max_api_features"))
     p.set_defaults(func=cmd_vectorize)
 

@@ -2,7 +2,9 @@
 
 A pool holds N learners, each trained on its own bootstrap replicate
 (M draws with replacement from the M training samples), kept as row
-indices into the training matrix that the caller densified. A binary
+indices into the training matrix that the caller densified. A pool is
+its learners and its master seed: learner i's bootstrap seed and model
+file name follow from (master_seed, i), and are never stored. A binary
 weight vector picks the sub-ensemble that actually votes: the prediction
 is the sign of the sum of the selected learners' +1/-1 outputs, with a
 tied sum counting as malicious. Deselected learners cannot influence the
@@ -51,7 +53,8 @@ from .vectorize import Dataset, FeatureVector
 
 @dataclass(frozen=True)
 class WeightVector:
-    """0/1 selection mask over a pool; doubles as the GA chromosome."""
+    """0/1 selection mask over a pool: the GA's result (its population is
+    one (P x N) int8 array) and the content of a selection file."""
 
     bits: tuple[int, ...]
 
@@ -84,14 +87,11 @@ class WeightVector:
 @dataclass(frozen=True)
 class EnsemblePool:
     learners: tuple[TrainedLearner, ...]
-    bootstrap_seeds: tuple[int, ...]
     master_seed: int = 0
 
     def __post_init__(self):
         if not self.learners:
             raise ValueError("pool must hold at least one learner")
-        if len(self.bootstrap_seeds) != len(self.learners):
-            raise ValueError("one bootstrap seed per learner required")
         dims = {l.dim for l in self.learners}
         if len(dims) != 1:
             raise DimensionMismatch(f"learners disagree on dimension: {sorted(dims)}")
@@ -103,6 +103,11 @@ class EnsemblePool:
     @property
     def dim(self) -> int:
         return self.learners[0].dim
+
+
+def bootstrap_seed(master_seed: int, i: int) -> int:
+    """The seed of learner i's bootstrap replicate in a pool of master_seed."""
+    return derive_seed(master_seed, "bootstrap", i)
 
 
 def bootstrap_indices(m: int, seed: int) -> np.ndarray:
@@ -121,25 +126,20 @@ def train_pool(
     Seeds for replicate i and for its learner's own randomness are both
     derived from (master_seed, i), so the pool is a pure function of its
     arguments and pool order is stable. Replicate i is the array of row
-    indices `bootstrap_indices(len(X), seed_i)`, and learner i trains on
-    those rows of X, never on a copy of them.
+    indices `bootstrap_indices(len(X), bootstrap_seed(master_seed, i))`,
+    and learner i trains on those rows of X, never on a copy of them.
     """
     if n < 1:
         raise InvalidConfig("pool size must be >= 1")
     learners: list[TrainedLearner] = []
-    seeds: list[int] = []
     for i in range(n):
-        boot_seed = derive_seed(master_seed, "bootstrap", i)
-        rows = bootstrap_indices(X.shape[0], boot_seed)
+        rows = bootstrap_indices(X.shape[0], bootstrap_seed(master_seed, i))
         learner_seed = derive_seed(master_seed, "learner", i, spec.rng_seed)
         try:
             learners.append(train(replace(spec, rng_seed=learner_seed), X, labels, rows))
         except Exception as exc:
             raise with_context(exc, f"learner {i}") from exc
-        seeds.append(boot_seed)
-    return EnsemblePool(
-        learners=tuple(learners), bootstrap_seeds=tuple(seeds), master_seed=master_seed
-    )
+    return EnsemblePool(learners=tuple(learners), master_seed=master_seed)
 
 
 def selection_masks(masks, pool_size: int) -> np.ndarray:
@@ -199,24 +199,29 @@ def vote(pool: EnsemblePool, omega: WeightVector, x: FeatureVector) -> int:
 _POOL_TAG = "malsieve-pool v1"
 _POOL_KEYS = ("n", "dim", "master_seed")
 _SELECTION_TAG = "malsieve-selection v1"
+_MODEL_FILE = "learner_{:03d}.model"  # learner i's model file in a pool directory
+
+
+def _learner_row(master_seed: int, i: int) -> str:
+    """Row i of a pool manifest, after its `learner ` word."""
+    return f"{i} seed={bootstrap_seed(master_seed, i)} file={_MODEL_FILE.format(i)}"
 
 
 def save_pool(pool: EnsemblePool, directory: str | os.PathLike) -> None:
-    """Write one model file per learner, then the pool manifest naming them.
-    Model files of an earlier pool in the directory that the manifest does
-    not name are deleted, so the directory holds one pool. The earlier
-    manifest goes first, so a save that fails part way leaves no pool to
-    load, not a mix of two."""
+    """Write one model file per learner, then the pool manifest: its
+    header, then for each learner i the row `learner i seed=<bootstrap
+    seed i> file=learner_<iii>.model`. Model files of an earlier pool in
+    the directory that the manifest does not name are deleted, so the
+    directory holds one pool. The earlier manifest goes first, so a save
+    that fails part way leaves no pool to load, not a mix of two."""
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
     (root / "pool.txt").unlink(missing_ok=True)
-    rows, names = [], set()
-    for i, (learner, seed) in enumerate(zip(pool.learners, pool.bootstrap_seeds)):
-        name = f"learner_{i:03d}.model"
+    names = [_MODEL_FILE.format(i) for i in range(pool.size)]
+    for learner, name in zip(pool.learners, names):
         save_model(learner, root / name)
-        rows.append(f"{i} seed={seed} file={name}")
-        names.add(name)
     header = dict(zip(_POOL_KEYS, (pool.size, pool.dim, pool.master_seed)))
+    rows = [_learner_row(pool.master_seed, i) for i in range(pool.size)]
     write_tagged(root / "pool.txt", _POOL_TAG, header, rows, row="learner")
     for stale in root.glob("learner_*.model"):
         if stale.name not in names:
@@ -224,42 +229,30 @@ def save_pool(pool: EnsemblePool, directory: str | os.PathLike) -> None:
 
 
 def load_pool(directory: str | os.PathLike) -> EnsemblePool:
-    """The pool a `save_pool` directory holds. Every model file must be a
-    plain file name in that directory: a path is a FormatError."""
+    """The pool a `save_pool` directory holds. Its learner rows must be
+    the n rows `save_pool` writes for its master seed, in order: any other
+    row is a FormatError naming its line. So the model files opened are
+    the names `save_pool` gives, never a name read from the manifest."""
     root = Path(directory)
     manifest = root / "pool.txt"
     if not manifest.exists():
         raise FormatError(f"no pool manifest at {manifest}", None)
     header, rows = read_tagged(manifest, _POOL_TAG, _POOL_KEYS, row="learner")
-    entries: list[tuple[int, int, str, int]] = []
-    for lineno, row in rows:
-        try:
-            idx_text, seed_field, file_field = row.split(" ")
-            if not (seed_field.startswith("seed=") and file_field.startswith("file=")):
-                raise ValueError("a field without its key")
-            entries.append((int(idx_text), int(seed_field[5:]), file_field[5:], lineno))
-        except ValueError:
-            raise FormatError("bad learner line", lineno)
     try:
         n, dim, master_seed = (int(header[k]) for k in _POOL_KEYS)
     except ValueError as exc:
         raise FormatError(f"bad header field ({exc})", None)
     if n < 1:
         raise FormatError(f"pool needs n >= 1 learners, got n={n}", None)
-    if len(entries) != n or sorted(e[0] for e in entries) != list(range(n)):
+    if len(rows) != n:
         raise FormatError(f"manifest must list learners 0..{n - 1}", None)
-    entries.sort()
-    for _, _, fname, lineno in entries:
-        if Path(fname).name != fname or fname in (".", ".."):
-            raise FormatError(f"model file {fname!r} is not a plain file name", lineno)
-        if not (root / fname).is_file():
-            raise FormatError(f"no model file {fname!r} in {root}", lineno)
-    learners = tuple(load_model(root / fname) for _, _, fname, _ in entries)
-    pool = EnsemblePool(
-        learners=learners,
-        bootstrap_seeds=tuple(seed for _, seed, _, _ in entries),
-        master_seed=master_seed,
-    )
+    files = [root / _MODEL_FILE.format(i) for i in range(n)]
+    for i, (lineno, row) in enumerate(rows):
+        if row != (expected := _learner_row(master_seed, i)):
+            raise FormatError(f"learner row is not 'learner {expected}'", lineno)
+        if not files[i].is_file():
+            raise FormatError(f"no model file {files[i].name!r} in {root}", lineno)
+    pool = EnsemblePool(tuple(load_model(f) for f in files), master_seed)
     if pool.dim != dim:
         raise DimensionMismatch("manifest dim disagrees with model files")
     return pool

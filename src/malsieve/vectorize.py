@@ -301,7 +301,5 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
                 raise FormatError(str(exc), lineno)
 
     if len(vectors) != n:
-        raise DimensionMismatch(
-            f"header declares n={n} but file holds {len(vectors)} samples"
-        )
+        raise FormatError(f"header declares n={n} but file holds {len(vectors)} samples", 1)
     return Dataset(vectors, dimension=dim)

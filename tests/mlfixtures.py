@@ -47,7 +47,7 @@ def pool_from_matrix(matrix: np.ndarray) -> EnsemblePool:
         )
         for i in range(n)
     )
-    return EnsemblePool(learners=learners, bootstrap_seeds=(0,) * n)
+    return EnsemblePool(learners=learners)
 
 
 def random_sign_matrix(rng, n: int, m: int) -> np.ndarray:

@@ -221,6 +221,20 @@ def test_vectorize_ignores_the_order_of_names_in_a_record(pipeline):
     assert outputs[0] == outputs[1]
 
 
+def test_vectorize_takes_one_of_vocab_and_vocab_out(pipeline, tmp_path, capsys):
+    # given both, --vocab-out used to be ignored: exit 0 and no file
+    _, records = pipeline
+    vocab, out = tmp_path / "vocab.tsv", tmp_path / "out.tsv"
+    assert main(["vectorize", str(records), "--vocab-out", str(vocab),
+                 "--dataset-out", str(tmp_path / "a.svm")]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["vectorize", str(records), "--vocab", str(vocab), "--vocab-out", str(out),
+              "--dataset-out", str(tmp_path / "b.svm")])
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "b.svm").exists()
+
+
 def test_vectorize_rejects_unlabeled(pipeline, tmp_path):
     _, records = pipeline
     mixed = tmp_path / "mixed.tsv"
@@ -240,7 +254,7 @@ def test_predict_dataset_input_and_tie_rule(tmp_path, capsys):
         for _ in range(2)
     )
     pool_dir = tmp_path / "pool"
-    save_pool(EnsemblePool(learners=learners, bootstrap_seeds=(0, 0)), pool_dir)
+    save_pool(EnsemblePool(learners=learners), pool_dir)
     dataset = tmp_path / "d.svm"
     dataset.write_text("dim=3 n=2\n+1 0\n-1 1 2\n")
     code = main(["predict", str(pool_dir), str(dataset)])
@@ -261,7 +275,7 @@ def test_predict_batch_matches_per_sample_vote(tmp_path, capsys):
         )
         for _ in range(5)
     )
-    pool = EnsemblePool(learners=learners, bootstrap_seeds=(0,) * 5)
+    pool = EnsemblePool(learners=learners)
     save_pool(pool, tmp_path / "pool")
     omega = WeightVector((1, 0, 1, 1, 1))
     save_selection(omega, tmp_path / "selection.txt")
@@ -291,7 +305,7 @@ def random_mlp_pool(rng, dim, n):
         )
         for _ in range(n)
     )
-    return EnsemblePool(learners=learners, bootstrap_seeds=(0,) * n)
+    return EnsemblePool(learners=learners)
 
 
 def test_evaluate_counts_match_predict_labels(tmp_path, capsys):
@@ -352,7 +366,7 @@ def test_predict_zero_known_features_is_tieward(tmp_path, capsys):
         ),
     )
     pool_dir = tmp_path / "pool"
-    save_pool(EnsemblePool(learners=learners, bootstrap_seeds=(0,)), pool_dir)
+    save_pool(EnsemblePool(learners=learners), pool_dir)
     vocab = tmp_path / "vocab.tsv"
     vocab.write_text("0\tperm:known_a\t2\n1\tperm:known_b\t2\n")
     records = tmp_path / "r.tsv"
@@ -371,7 +385,7 @@ def test_predict_dimension_mismatch_fails(tmp_path):
         ),
     )
     pool_dir = tmp_path / "pool"
-    save_pool(EnsemblePool(learners=learners, bootstrap_seeds=(0,)), pool_dir)
+    save_pool(EnsemblePool(learners=learners), pool_dir)
     vocab = tmp_path / "vocab.tsv"
     vocab.write_text("0\tperm:a\t2\n")  # dimension 1 != model dimension 4
     records = tmp_path / "r.tsv"
@@ -389,7 +403,7 @@ def test_evaluate_dimension_mismatch_names_both_dimensions(tmp_path, capsys):
         ),
     )
     pool_dir = tmp_path / "pool"
-    save_pool(EnsemblePool(learners=learners, bootstrap_seeds=(0,)), pool_dir)
+    save_pool(EnsemblePool(learners=learners), pool_dir)
     dataset = tmp_path / "d.svm"
     dataset.write_text("dim=3 n=2\n+1 0\n-1 2\n")
     assert main(["evaluate", str(pool_dir), str(dataset)]) == 1
@@ -588,7 +602,7 @@ def write_small_artifacts(tmp_path):
         )
         for _ in range(2)
     )
-    save_pool(EnsemblePool(learners=learners, bootstrap_seeds=(0, 1)), tmp_path / "pool")
+    save_pool(EnsemblePool(learners=learners), tmp_path / "pool")
     save_selection(WeightVector((1, 1)), tmp_path / "selection.txt")
     (tmp_path / "vocab.tsv").write_text("0\tperm:a\t2\n1\tperm:b\t2\n2\tapi:c\t2\n")
     (tmp_path / "d.svm").write_text("dim=3 n=2\n+1 0\n-1 1 2\n")

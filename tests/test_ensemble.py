@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import malsieve.ensemble
+from malsieve.cli import main
 from malsieve.ensemble import (
     EnsemblePool,
     WeightVector,
+    bootstrap_seed,
     load_pool,
     load_selection,
     majority_vote_matrix,
@@ -80,7 +82,6 @@ def small_training_data(m=60):
 def test_train_pool_single_learner():
     pool = train_pool(*dense(small_training_data()), 1, LearnerSpec(kind="linear", epochs=5), 7)
     assert pool.size == 1
-    assert len(pool.bootstrap_seeds) == 1
 
 
 def test_train_pool_deterministic():
@@ -88,13 +89,12 @@ def test_train_pool_deterministic():
     a = train_pool(*dense(small_training_data()), 5, spec, master_seed=3)
     b = train_pool(*dense(small_training_data()), 5, spec, master_seed=3)
     assert a.learners == b.learners
-    assert a.bootstrap_seeds == b.bootstrap_seeds
 
 
 def test_train_pool_replicates_pairwise_distinct():
     data = one_hot_dataset(500, labels=[1 if k % 2 else -1 for k in range(500)])
     pool = train_pool(*dense(data), 5, LearnerSpec(kind="linear", epochs=1), master_seed=9)
-    replicates = [replicate(data, s).vectors for s in pool.bootstrap_seeds]
+    replicates = [replicate(data, bootstrap_seed(9, i)).vectors for i in range(pool.size)]
     for a, b in itertools.combinations(replicates, 2):
         assert a != b
 
@@ -126,7 +126,7 @@ def test_train_pool_matches_training_each_replicate(kind, batch_size):
     pool = train_pool(*dense(data), 4, spec, master_seed=21)
     for i, learner in enumerate(pool.learners):
         seed = derive_seed(21, "bootstrap", i)
-        assert pool.bootstrap_seeds[i] == seed
+        assert bootstrap_seed(21, i) == seed
         reference = train(
             replace(spec, rng_seed=derive_seed(21, "learner", i, spec.rng_seed)),
             *dense(replicate(data, seed)),
@@ -367,7 +367,6 @@ def test_pool_round_trip(tmp_path):
     save_pool(pool, tmp_path / "pool")
     loaded = load_pool(tmp_path / "pool")
     assert loaded.learners == pool.learners
-    assert loaded.bootstrap_seeds == pool.bootstrap_seeds
     assert loaded.master_seed == pool.master_seed
 
 
@@ -424,7 +423,7 @@ def test_load_pool_rejects_a_model_file_outside_the_pool(tmp_path, name):
     lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith("learner 1 "))
     lines[lineno - 1] = lines[lineno - 1].replace("file=learner_001.model", f"file={name}")
     manifest.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match="not a plain file name") as info:
+    with pytest.raises(FormatError, match="learner row is not") as info:
         load_pool(root)
     assert info.value.line == lineno
 
@@ -469,9 +468,86 @@ def test_load_pool_rejects_a_learner_field_without_its_key(tmp_path, drop):
     for key in drop.split("|"):
         lines[lineno - 1] = lines[lineno - 1].replace(key, "")
     manifest.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match="bad learner line") as info:
+    with pytest.raises(FormatError, match="learner row is not") as info:
         load_pool(root)
     assert info.value.line == lineno
+
+
+MASTER = -3  # negative, as `train-pool --seed -3` gives
+
+
+def swap_rows(lines, rows, tmp_path):
+    lines[rows[0]], lines[rows[1]] = lines[rows[1]], lines[rows[0]]
+    return rows[0]
+
+
+def edit_seed(lines, rows, tmp_path):
+    seed = bootstrap_seed(MASTER, 2)
+    lines[rows[2]] = lines[rows[2]].replace(f"seed={seed}", f"seed={seed + 1}")
+    return rows[2]
+
+
+def rename_file(name):
+    def tamper(lines, rows, tmp_path):
+        lines[rows[1]] = lines[rows[1]].replace("learner_001.model", name(tmp_path))
+        return rows[1]
+    return tamper
+
+
+def drop_row(lines, rows, tmp_path):
+    del lines[rows[2]]
+
+
+def add_row(lines, rows, tmp_path):
+    lines.append(f"learner 3 seed={bootstrap_seed(MASTER, 3)} file=learner_003.model")
+
+
+# each edit of a 3-learner manifest returns the index of the line the
+# FormatError names, or None where the row count disagrees with n
+MANIFEST_TAMPERS = {
+    "swap": swap_rows,
+    "seed": edit_seed,
+    "other-plain-name": rename_file(lambda tmp_path: "learner_002.model"),
+    "parent-path": rename_file(lambda tmp_path: "../outside.model"),
+    "absolute-path": rename_file(lambda tmp_path: str(tmp_path / "outside.model")),
+    "drop": drop_row,
+    "add": add_row,
+}
+
+
+def tampered_pool(tmp_path, how):
+    """A saved 3-learner pool whose manifest `how` edited, with every
+    model file a row could name present, and the line the error names."""
+    root = tmp_path / "pool"
+    save_pool(train_pool(*dense(small_training_data()), 3, LearnerSpec(epochs=2), MASTER), root)
+    for copy in (tmp_path / "outside.model", root / "learner_003.model"):
+        copy.write_bytes((root / "learner_001.model").read_bytes())
+    manifest = root / "pool.txt"
+    lines = manifest.read_text().splitlines()
+    rows = [k for k, line in enumerate(lines) if line.startswith("learner ")]
+    index = MANIFEST_TAMPERS[how](lines, rows, tmp_path)
+    manifest.write_text("\n".join(lines) + "\n")
+    return root, None if index is None else index + 1
+
+
+@pytest.mark.parametrize("how", sorted(MANIFEST_TAMPERS))
+def test_load_pool_accepts_only_the_rows_save_pool_writes(tmp_path, how):
+    # a reordered manifest, an edited seed and another plain file name
+    # used to load
+    root, line = tampered_pool(tmp_path, how)
+    with pytest.raises(FormatError) as info:
+        load_pool(root)
+    assert info.value.line == line
+
+
+@pytest.mark.parametrize("how", sorted(MANIFEST_TAMPERS))
+def test_predict_on_a_tampered_manifest_exits_2(tmp_path, capsys, how):
+    root, _ = tampered_pool(tmp_path, how)
+    data = tmp_path / "d.svm"
+    data.write_text("dim=6 n=1\n+1 0 3\n")
+    assert main(["predict", str(root), str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "predict: FormatError" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text", ["", "2", "1021", "1a0", "１"])

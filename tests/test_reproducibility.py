@@ -1,16 +1,25 @@
-"""The cross-kernel reproducibility contract (README, "Reproducibility").
+"""The reproducibility contract (README, "Reproducibility"), across
+commits and across BLAS kernels.
 
-A tiny CLI chain and a 2-repeat experiment run in subprocesses twice:
-once on the BLAS kernel OpenBLAS picks for this CPU, and once with
-OPENBLAS_CORETYPE=Prescott, the baseline x86-64 kernel. Reports,
-selections, predictions and evaluate lines must be byte-identical, and
-model files must agree to MODEL_TOLERANCE. Only a DYNAMIC_ARCH OpenBLAS
-honours OPENBLAS_CORETYPE, so the test skips on any other BLAS.
+A tiny CLI chain and a 2-repeat experiment run in subprocesses on the
+BLAS kernel OpenBLAS picks for this CPU. Their artifacts must match the
+ones committed under tests/expected: reports, selections, predictions,
+the evaluate line and the pool manifest byte for byte, model files to
+MODEL_TOLERANCE. A change that moves an output on purpose rewrites those
+files (`PYTHONPATH=src python tests/test_reproducibility.py`) and says
+why.
+
+The chain then runs again with OPENBLAS_CORETYPE=Prescott, the baseline
+x86-64 kernel, and must agree with the native run the same way. Only a
+DYNAMIC_ARCH OpenBLAS honours OPENBLAS_CORETYPE, so that second test
+skips on any other BLAS; the first never does.
 """
 
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +29,11 @@ from malsieve.experiment import synthetic_dataset
 from malsieve.vectorize import save_dataset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+EXPECTED = Path(__file__).resolve().parent / "expected"
 
-# largest absolute difference allowed between two kernels' model
-# parameters; the differences seen are float rounding, near 1e-15
+# largest absolute difference allowed between two runs' model parameters
+# (two kernels, or a run and the expected files); the differences seen
+# across kernels are float rounding, near 1e-15
 MODEL_TOLERANCE = 1e-9
 
 EXPERIMENT_CONFIG = """\
@@ -43,13 +54,6 @@ def dynamic_arch_openblas() -> bool:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
         "openblas configuration", "")
-
-
-pytestmark = pytest.mark.skipif(
-    not dynamic_arch_openblas(),
-    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE "
-           "cannot choose the kernel",
-)
 
 
 def run_chain(inputs: Path, out: Path, coretype: str | None) -> None:
@@ -78,6 +82,14 @@ def run_chain(inputs: Path, out: Path, coretype: str | None) -> None:
     cli("experiment", inputs / "experiment.cfg", "--out", out / "report.txt")
 
 
+def write_inputs(inputs: Path) -> None:
+    inputs.mkdir()
+    data = synthetic_dataset(360, 16, 0.1, seed=1)
+    save_dataset(data.subset(range(240)), inputs / "train.svm")
+    save_dataset(data.subset(range(240, 360)), inputs / "test.svm")
+    (inputs / "experiment.cfg").write_text(EXPERIMENT_CONFIG)
+
+
 def params(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
     """A model file's non-parameter lines, and its parameters by name."""
     other, values = [], {}
@@ -91,26 +103,51 @@ def params(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
     return other, values
 
 
-def test_artifacts_agree_across_blas_kernels(tmp_path):
-    inputs = tmp_path / "inputs"
-    inputs.mkdir()
-    data = synthetic_dataset(360, 16, 0.1, seed=1)
-    save_dataset(data.subset(range(240)), inputs / "train.svm")
-    save_dataset(data.subset(range(240, 360)), inputs / "test.svm")
-    (inputs / "experiment.cfg").write_text(EXPERIMENT_CONFIG)
-    native, baseline = tmp_path / "native", tmp_path / "prescott"
-    run_chain(inputs, native, None)
-    run_chain(inputs, baseline, "Prescott")
-
-    files = sorted(p.relative_to(native) for p in native.rglob("*") if p.is_file())
-    assert files == sorted(p.relative_to(baseline) for p in baseline.rglob("*") if p.is_file())
+def assert_same_artifacts(expected: Path, actual: Path) -> None:
+    """The same files; model files agree to MODEL_TOLERANCE, the rest
+    byte for byte."""
+    files = sorted(p.relative_to(expected) for p in expected.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(actual) for p in actual.rglob("*") if p.is_file())
     models = [f for f in files if f.suffix == ".model"]
     assert len(models) == 6
     for name in files:
         if name.suffix != ".model":
-            assert (native / name).read_bytes() == (baseline / name).read_bytes(), name
+            assert (expected / name).read_bytes() == (actual / name).read_bytes(), name
             continue
-        (lines_a, params_a), (lines_b, params_b) = params(native / name), params(baseline / name)
+        (lines_a, params_a), (lines_b, params_b) = params(expected / name), params(actual / name)
         assert lines_a == lines_b, name
         for key, value in params_a.items():
             assert np.max(np.abs(value - params_b[key])) <= MODEL_TOLERANCE, (name, key)
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """The inputs, and the artifacts of the chain on the native kernel."""
+    root = tmp_path_factory.mktemp("chain")
+    write_inputs(root / "inputs")
+    run_chain(root / "inputs", root / "native", None)
+    return root / "inputs", root / "native"
+
+
+def test_native_artifacts_match_the_expected_files(chain):
+    assert_same_artifacts(EXPECTED, chain[1])
+
+
+@pytest.mark.skipif(
+    not dynamic_arch_openblas(),
+    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE "
+           "cannot choose the kernel",
+)
+def test_artifacts_agree_across_blas_kernels(chain, tmp_path):
+    inputs, native = chain
+    run_chain(inputs, tmp_path / "prescott", "Prescott")
+    assert_same_artifacts(native, tmp_path / "prescott")
+
+
+if __name__ == "__main__":
+    # rewrite tests/expected from the native run of this tree
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(Path(tmp) / "inputs")
+        run_chain(Path(tmp) / "inputs", Path(tmp) / "native", None)
+        shutil.rmtree(EXPECTED, ignore_errors=True)
+        shutil.copytree(Path(tmp) / "native", EXPECTED)

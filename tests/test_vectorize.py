@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from malsieve.errors import DimensionMismatch, EmptyCorpus, FormatError
+from malsieve.errors import EmptyCorpus, FormatError
 from malsieve.records import FeatureRecord
 from malsieve.vectorize import (
     Dataset,
@@ -263,9 +263,11 @@ def test_dataset_index_at_dimension_rejected(tmp_path):
 
 def test_dataset_header_count_mismatch(tmp_path):
     path = tmp_path / "d.svm"
+    # a count, not a dimension: this used to be a DimensionMismatch
     path.write_text("dim=5 n=3\n+1 1\n")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(FormatError, match="header declares n=3") as info:
         load_dataset(path)
+    assert info.value.line == 1
 
 
 def test_dataset_non_increasing_indices_rejected(tmp_path):
