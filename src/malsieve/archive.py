@@ -59,15 +59,9 @@ class ApkArchive:
     data: bytes
     entries: tuple[ZipEntry, ...]
 
-    def find(self, path: str) -> ZipEntry | None:
-        for e in self.entries:
-            if e.path == path:
-                return e
-        return None
-
     @property
     def manifest_entry(self) -> ZipEntry | None:
-        return self.find(MANIFEST_PATH)
+        return next((e for e in self.entries if e.path == MANIFEST_PATH), None)
 
     @property
     def dex_entries(self) -> list[ZipEntry]:

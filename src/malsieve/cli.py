@@ -34,6 +34,7 @@ from .errors import (
     InvalidConfig,
     MalsieveError,
     open_text,
+    value_text,
 )
 from .evaluation import compute_metrics
 from .ga import format_ga_report, run_ga
@@ -108,7 +109,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 # --- vectorize ---
 
+# the ExperimentConfig keys that shape a vocabulary vectorize builds
+_VOCAB_KEYS = ("min_doc_freq", "max_api_features")
+
+
 def cmd_vectorize(args: argparse.Namespace) -> int:
+    if args.vocab and (given := [_flag(key) for key in _VOCAB_KEYS if key in args]):
+        _log(f"vectorize: {' and '.join(given)} cannot act with --vocab, "
+             "which reuses a vocabulary instead of building one")
+        return _EXIT_USAGE
     records = load_records(args.records)
     if any(r.label is None for r in records):
         _log("vectorize: records must be labeled (+1/-1); use predict for unlabeled")
@@ -116,10 +125,11 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
     if args.vocab:
         vocab = load_vocabulary(args.vocab)
     else:
+        config = _config(args, _VOCAB_KEYS)
         vocab = build_vocabulary(
             records,
-            min_doc_freq=args.min_doc_freq,
-            max_api_features=args.max_api_features,
+            min_doc_freq=config.min_doc_freq,
+            max_api_features=config.max_api_features,
         )
         if args.vocab_out:
             save_vocabulary(vocab, args.vocab_out)
@@ -141,17 +151,18 @@ _GA_KEYS = ("pop_size", "max_iter", "crossover_rate", "mutation_rate", "elite_co
 
 
 def _config(args: argparse.Namespace, keys: tuple[str, ...]) -> exp.ExperimentConfig:
-    values = {key: getattr(args, key) for key in keys}
+    """The config of the given flags among keys, every other key at its default."""
+    values = {key: getattr(args, key) for key in keys if key in args}
     if values.get("batch_size") == 0:  # --batch-size 0 is full batch
         values["batch_size"] = None
     return exp.ExperimentConfig(**values)
 
 
 def cmd_train_pool(args: argparse.Namespace) -> int:
-    spec = _config(args, _POOL_KEYS).learner_spec(args.seed)
+    config = _config(args, _POOL_KEYS)
     data = load_dataset(args.dataset)
-    pool = ens.train_pool(data.to_dense(), data.label_array(), args.pool_size, spec,
-                          master_seed=args.seed)
+    pool = ens.train_pool(data.to_dense(), data.label_array(), config.pool_size,
+                          config.learner_spec(args.seed), master_seed=args.seed)
     ens.save_pool(pool, args.out)
     _log(f"train-pool: {pool.size} learners, dimension {pool.dim} -> {args.out}")
     return _EXIT_OK
@@ -199,14 +210,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # --- predict ---
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    if is_dataset_file(args.input) != (args.vocab is None):
+        _log("predict: a records input requires --vocab, and a dataset input takes none")
+        return _EXIT_USAGE
     pool = ens.load_pool(args.pool)
     omega = _selection(args, pool)
-    if is_dataset_file(args.input):
+    if args.vocab is None:
         data = load_dataset(args.input)
         ids = [f"sample_{i}" for i in range(len(data))]
-    elif not args.vocab:
-        _log("predict: records input requires --vocab")
-        return _EXIT_USAGE
     else:
         # each record is dropped once vectorized: only ids and vectors stay
         vocab = load_vocabulary(args.vocab)
@@ -230,9 +241,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.print_default_config:
         sys.stdout.write(exp.DEFAULT_CONFIG_TEXT)
         return _EXIT_OK
-    if not args.config:
-        _log("experiment: config path required")
-        return _EXIT_USAGE
     with open_text(args.config, InvalidConfig) as fh:
         config = exp.parse_config(fh.read())
     summary = exp.repeated_experiment(config)
@@ -241,16 +249,21 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
     """One flag per ExperimentConfig key (pool_size is --pool-size), read
-    and defaulted as the config reads and defaults it."""
+    as the config reads it. A flag not given is absent from the parsed
+    arguments, so `_config` leaves its key at the config's default."""
     for f in fields(exp.ExperimentConfig):
         if f.name in keys:
             parser.add_argument(
-                "--" + f.name.replace("_", "-"),
+                _flag(f.name),
                 type=FIELD_PARSERS[f.type],
-                default=f.default,
-                help="default %(default)s",
+                default=argparse.SUPPRESS,
+                help=f"default {value_text(f.default)}",
             )
 
 
@@ -275,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     vocab = p.add_mutually_exclusive_group()
     vocab.add_argument("--vocab-out", help="write the vocabulary built from the records")
     vocab.add_argument("--vocab", help="reuse an existing vocabulary")
-    _add_config_flags(p, ("min_doc_freq", "max_api_features"))
+    _add_config_flags(p, _VOCAB_KEYS)
     p.set_defaults(func=cmd_vectorize)
 
     p = sub.add_parser("train-pool", help="train a bootstrap pool of learners",
@@ -305,14 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pool")
     p.add_argument("input", help="records file or dataset file")
     p.add_argument("--selection")
-    p.add_argument("--vocab", help="required for records input")
+    p.add_argument("--vocab", help="required for records input, refused for dataset input")
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("experiment", help="run the repeated robustness experiment")
-    p.add_argument("config", nargs="?")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("config", nargs="?")
+    source.add_argument("--print-default-config", action="store_true")
     p.add_argument("--out", help="report file (default stdout)")
-    p.add_argument("--print-default-config", action="store_true")
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -9,6 +9,17 @@ all written by `write_tagged` and read by `read_tagged`, and every setting
 (an experiment config key, a model header field) goes between text and
 value through `value_text` and `FIELD_PARSERS`, by the type its dataclass
 field declares.
+
+`ValueError` is the channel for a programmer's bad arguments: the
+constructors and helpers raise it on values no reader hands them
+(`FeatureVector`, `Dataset`, `Vocabulary`, `FeatureRecord`,
+`WeightVector`, `EnsemblePool`, `ga.select_newpop` on negative or
+non-finite fitness, the splitter and the noise injector on unlabeled
+data). It is never the answer to outside input: every reader of a file
+(`load_dataset`, `load_selection`, `load_model`, `load_pool`,
+`parse_config`) checks what it reads or turns such an error into a
+FormatError or InvalidConfig, with its line when one is known, so the
+command line exits 2 on it, never with a traceback.
 """
 
 from __future__ import annotations

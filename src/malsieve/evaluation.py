@@ -105,14 +105,13 @@ def inject_label_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
     drawn per class from `make_rng(seed, "noise", class)`. Selection is a
     deterministic function of (seed, clean labels), so a second
     application with the same spec is an involution."""
-    base = data.clean_labels if data.clean_labels is not None else data.labels()
-    if any(l is None for l in base):
+    if any(l is None for l in data.clean_labels):
         raise ValueError("noise injection requires labeled data")
     rngs = [make_rng(spec.seed, "noise", cls) for cls in _CLASSES]
-    flips = equal_count_flips(np.array(base), spec.flip_fraction, rngs)
+    flips = equal_count_flips(np.array(data.clean_labels), spec.flip_fraction, rngs)
     labels = np.array(data.labels())
     labels[flips] *= -1
-    return data.with_labels(labels.tolist(), clean_labels=tuple(base))
+    return data.with_labels(labels.tolist())
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,15 @@ from .vectorize import (
 )
 
 METHODS = ("single", "full_pool", "selective")
-FITNESS_SPLITS = ("train", "validation")
+FITNESS_SPLITS = ("validation",)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The keys of a config file, with their defaults. `fitness_split`
+    has one value, `validation`: the GA scores sub-ensembles on the noisy
+    validation split, never on the rows the pool trained on."""
+
     repeats: int = 30
     master_seed: int = 0
     dataset: str = "synthetic"
@@ -229,6 +233,10 @@ def run_one(
     config: ExperimentConfig,
     run_index: int,
 ) -> RunOutcome:
+    """Run `run_index` of the experiment: split, inject noise, train the
+    pool and the single learner on the noisy training split, GA-select on
+    the noisy validation split, and score the three methods on the test
+    split."""
     run_seed = derive_seed(config.master_seed, "run", run_index)
     train_set, val_set, test_set = _prepare_splits(source, config, run_seed)
 
@@ -252,9 +260,8 @@ def run_one(
     single = train(single_spec, X, y)
     del X  # not held through the GA and the test predictions
 
-    fit_data = noisy_val if config.fitness_split == "validation" else noisy_train
     ga_result = run_ga(
-        pool, fit_data, config=config.ga_config(derive_seed(run_seed, "ga"))
+        pool, noisy_val, config=config.ga_config(derive_seed(run_seed, "ga"))
     )
 
     y_test = test_set.label_array()

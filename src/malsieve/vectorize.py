@@ -97,9 +97,10 @@ class FeatureVector:
 class Dataset:
     """Ordered collection of feature vectors of the given dimension.
 
-    `clean_labels`, when set, preserves the labels the dataset had before
-    any noise injection; evaluation uses it for audits and to make
-    repeated noise application an involution.
+    `clean_labels` are the labels the dataset had before any noise
+    injection: its own labels unless given. `subset` and `with_labels`
+    pass them on, so evaluation can audit against them and a repeated
+    noise application is an involution.
     """
 
     def __init__(self, vectors: Sequence[FeatureVector], dimension: int,
@@ -110,10 +111,12 @@ class Dataset:
                 raise DimensionMismatch(
                     f"vector dimension {v.dimension} != dataset dimension {dimension}"
                 )
-        if clean_labels is not None and len(clean_labels) != len(vectors):
-            raise ValueError("clean_labels length mismatch")
         self.vectors = vectors
         self.dimension = dimension
+        if clean_labels is None:
+            clean_labels = self.labels()
+        elif len(clean_labels) != len(vectors):
+            raise ValueError("clean_labels length mismatch")
         self.clean_labels = clean_labels
 
     def __len__(self) -> int:
@@ -141,21 +144,18 @@ class Dataset:
         return X
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        picked = [self.vectors[i] for i in indices]
-        clean = None
-        if self.clean_labels is not None:
-            clean = tuple(self.clean_labels[i] for i in indices)
-        return Dataset(picked, dimension=self.dimension, clean_labels=clean)
+        return Dataset([self.vectors[i] for i in indices], dimension=self.dimension,
+                       clean_labels=tuple(self.clean_labels[i] for i in indices))
 
-    def with_labels(self, labels: Sequence[int | None],
-                    clean_labels: tuple[int | None, ...] | None = None) -> "Dataset":
+    def with_labels(self, labels: Sequence[int | None]) -> "Dataset":
+        """These vectors with `labels`; the clean labels stay this dataset's."""
         if len(labels) != len(self.vectors):
             raise ValueError("label count mismatch")
         vecs = [
             FeatureVector(v.dimension, v.indices, label)
             for v, label in zip(self.vectors, labels)
         ]
-        return Dataset(vecs, dimension=self.dimension, clean_labels=clean_labels)
+        return Dataset(vecs, dimension=self.dimension, clean_labels=self.clean_labels)
 
 
 def build_vocabulary(records: Iterable[FeatureRecord],

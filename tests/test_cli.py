@@ -235,6 +235,27 @@ def test_vectorize_takes_one_of_vocab_and_vocab_out(pipeline, tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "b.svm").exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--min-doc-freq", "5"], "--min-doc-freq"),
+    (["--max-api-features", "0"], "--max-api-features"),
+    (["--min-doc-freq", "2", "--max-api-features", "2000"],
+     "--min-doc-freq and --max-api-features"),
+])
+def test_vectorize_refuses_vocabulary_flags_with_vocab(pipeline, tmp_path, capsys, flags,
+                                                      named):
+    # they shape only a vocabulary that vectorize builds, which --vocab skips
+    _, records = pipeline
+    vocab = tmp_path / "vocab.tsv"
+    assert main(["vectorize", str(records), "--vocab-out", str(vocab),
+                 "--dataset-out", str(tmp_path / "a.svm")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "b.svm"
+    assert main(["vectorize", str(records), "--vocab", str(vocab), "--dataset-out", str(out),
+                 *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"vectorize: {named} cannot act with --vocab")
+    assert not out.exists()
+
+
 def test_vectorize_rejects_unlabeled(pipeline, tmp_path):
     _, records = pipeline
     mixed = tmp_path / "mixed.tsv"
@@ -374,6 +395,19 @@ def test_predict_zero_known_features_is_tieward(tmp_path, capsys):
     code = main(["predict", str(pool_dir), str(records), "--vocab", str(vocab)])
     assert code == 0
     assert capsys.readouterr().out == "stranger\t+1\n"
+
+
+def test_predict_refuses_vocab_for_a_dataset_input(tmp_path, capsys):
+    # a dataset input has no use for --vocab, even one naming no file
+    write_small_artifacts(tmp_path)
+    out = tmp_path / "labels.txt"
+    for vocab in ("vocab.tsv", "nonexistent.tsv"):
+        assert main(["predict", f"{tmp_path}/pool", f"{tmp_path}/d.svm",
+                     "--vocab", f"{tmp_path}/{vocab}", "--out", str(out)]) == 2
+        assert "--vocab" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["predict", f"{tmp_path}/pool", f"{tmp_path}/r.records"]) == 2
+    assert "--vocab" in capsys.readouterr().err
 
 
 def test_predict_dimension_mismatch_fails(tmp_path):
@@ -581,6 +615,28 @@ def test_experiment_rejects_unknown_key(tmp_path):
     assert main(["experiment", str(config)]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["{t}/exp.cfg", "--print-default-config"], "not allowed with argument"),
+    ([], "one of the arguments config --print-default-config is required"),
+], ids=["both", "neither"])
+def test_experiment_takes_one_of_config_and_print_default_config(tmp_path, capsys, argv,
+                                                                message):
+    # given both, one of them would go unused
+    (tmp_path / "exp.cfg").write_text(TINY_EXPERIMENT)
+    assert cli_exit_code(["experiment", *(a.format(t=tmp_path) for a in argv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_experiment_rejects_fitness_on_the_training_split(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text(TINY_EXPERIMENT + "fitness_split=train\n")
+    out = tmp_path / "report.txt"
+    assert main(["experiment", str(config), "--out", str(out)]) == 2
+    assert "InvalidConfig: fitness_split" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_print_default_config_round_trips(tmp_path, capsys):
     assert main(["experiment", "--print-default-config"]) == 0
     text = capsys.readouterr().out
@@ -632,9 +688,35 @@ def write_small_artifacts(tmp_path):
         ("pool/pool.txt",
          b"malsieve-pool v1\nn=1\ndim=3\nmaster_seed=0\nlearner 0 seed=0 file=gone.model\n",
          ["predict", "{t}/pool", "{t}/d.svm"], "FormatError"),
+        # the readers turn the constructors' ValueErrors into typed errors
+        ("d.svm", b"dim=3 n=1\n+1 0 3\n",
+         ["evaluate", "{t}/pool", "{t}/d.svm"], "FormatError: line 2: index 3 >= dimension 3"),
+        ("d.svm", b"dim=3 n=1\n+1 2 1\n",
+         ["select", "{t}/pool", "{t}/d.svm", "--out", "{t}/s.txt"],
+         "FormatError: line 2: indices must be strictly increasing"),
+        ("d.svm", b"dim=3 n=1\n+1 x\n",
+         ["predict", "{t}/pool", "{t}/d.svm"], "FormatError: line 2"),
+        ("selection.txt", b"malsieve-selection v1\nn=2\nomega=12\n",
+         ["evaluate", "{t}/pool", "{t}/d.svm", "--selection", "{t}/selection.txt"],
+         "FormatError: bad selection file (bits must be 0 or 1)"),
+        ("selection.txt", b"malsieve-selection v1\nn=0\nomega=\n",
+         ["predict", "{t}/pool", "{t}/d.svm", "--selection", "{t}/selection.txt"],
+         "FormatError: bad selection file (weight vector must have at least one position)"),
+        ("pool/learner_001.model",
+         b"malsieve-model v1\nkind=linear\ndim=3\nlearning_rate=0.3\nepochs=40\n"
+         b"hidden_units=16\nl2=0.0001\nbatch_size=32\nrng_seed=0\n"
+         b"param w 2x2 0x1p+0 0x1p+0 0x1p+0\nparam b 1 0x0p+0\n",
+         ["predict", "{t}/pool", "{t}/d.svm"], "FormatError: line 10: bad param line"),
+        ("pool/pool.txt", b"malsieve-pool v1\nn=two\ndim=3\nmaster_seed=0\n",
+         ["predict", "{t}/pool", "{t}/d.svm"], "FormatError: bad header field"),
+        ("exp.cfg", b"repeats=2.5\n",
+         ["experiment", "{t}/exp.cfg"], "InvalidConfig: bad value for repeats"),
     ],
     ids=["dataset-not-utf8", "records-not-utf8", "model-not-utf8", "selection-not-utf8",
-         "config-not-utf8", "vocab-duplicate-name", "pool-n-0", "pool-model-missing"],
+         "config-not-utf8", "vocab-duplicate-name", "pool-n-0", "pool-model-missing",
+         "dataset-index-past-dim", "dataset-row-not-increasing", "dataset-index-not-int",
+         "selection-bit-2", "selection-empty", "model-param-count", "pool-n-not-int",
+         "config-repeats-not-int"],
 )
 def test_malformed_text_artifact_is_usage_error(tmp_path, capsys, path, content, argv, error):
     write_small_artifacts(tmp_path)

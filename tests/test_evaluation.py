@@ -134,6 +134,22 @@ def test_noise_keeps_features_and_clean_labels():
     assert noisy.clean_labels == data.labels()
 
 
+def test_with_labels_keeps_the_clean_labels():
+    data = balanced_dataset(4)
+    relabeled = data.with_labels([-l for l in data.labels()])
+    assert relabeled.labels() == tuple(-l for l in data.labels())
+    assert relabeled.clean_labels == data.labels()
+
+
+def test_noise_then_subset_keeps_the_clean_labels():
+    data = balanced_dataset(20)
+    noisy = inject_label_noise(data, NoiseSpec(flip_fraction=0.3, seed=2))
+    rows = [0, 5, 39, 21, 5]
+    part = noisy.subset(rows)
+    assert part.clean_labels == tuple(data.labels()[i] for i in rows)
+    assert part.labels() == tuple(noisy.labels()[i] for i in rows)
+
+
 def test_noise_requires_both_classes():
     vectors = [FeatureVector(4, (k,), 1) for k in range(4)]
     with pytest.raises(SingleClassData):

@@ -96,6 +96,13 @@ def test_unknown_fitness_split_rejected():
         ExperimentConfig(fitness_split="test")
 
 
+def test_fitness_on_the_training_split_is_rejected():
+    # fitness is measured on held-out rows, never on the rows the pool trained on
+    assert malsieve.experiment.FITNESS_SPLITS == ("validation",)
+    with pytest.raises(InvalidConfig, match="fitness_split"):
+        parse_config("fitness_split=train\n")
+
+
 # --- synthetic data ---
 
 def test_synthetic_dataset_balanced_and_deterministic():

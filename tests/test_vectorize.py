@@ -215,6 +215,25 @@ def test_dataset_round_trip_identity(tmp_path):
         assert loaded.vectors == data.vectors
 
 
+def test_every_dataset_carries_its_own_labels_as_clean_labels(tmp_path):
+    from malsieve.experiment import synthetic_dataset
+
+    rng = np.random.default_rng(5)
+    path = tmp_path / "d.svm"
+    save_dataset(random_dataset(rng), path)
+    records = [record(perms=["P"], label=1, app_id="a"), record(apis=["M"], label=-1),
+               record(perms=["P"], label=-1)]
+    built = {
+        "load_dataset": load_dataset(path),
+        "vectorize_all": vectorize_all(records, build_vocabulary(records, min_doc_freq=1)),
+        "synthetic_dataset": synthetic_dataset(40, 6, 0.1, seed=2),
+        "subset": random_dataset(rng).subset([3, 0, 3, 7]),
+    }
+    for name, data in built.items():
+        assert data.clean_labels == data.labels(), name
+        assert len(data) and None not in data.labels(), name
+
+
 def test_dataset_header_and_layout(tmp_path):
     data = Dataset([FeatureVector(4, (0, 3), 1), FeatureVector(4, (), -1)], dimension=4)
     path = tmp_path / "d.svm"
