@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from dataclasses import fields
 from pathlib import Path
 
@@ -60,11 +61,14 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, chunks: Iterable[str]) -> None:
+    """Write the strings in order to the file at path, or to stdout for
+    no path or -, so no caller has to join them into one text first."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 # --- extract ---
@@ -94,13 +98,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             record = extract_features(open_apk(path), app_id=path.stem, label=label)
-            lines.append(format_record(record))
+            lines.append(format_record(record) + "\n")
         except (MalsieveError, OSError) as exc:
             failures += 1
             _log(f"extract: {path}: {type(exc).__name__}: {exc}")
             if args.strict:
                 return _EXIT_FAILURE
-    _write_text(args.out, "".join(line + "\n" for line in lines))
+    _write_text(args.out, lines)
     _log(f"extract: {len(lines)} records, {failures} failures")
     if not lines:
         return _EXIT_FAILURE
@@ -152,10 +156,7 @@ _GA_KEYS = ("pop_size", "max_iter", "crossover_rate", "mutation_rate", "elite_co
 
 def _config(args: argparse.Namespace, keys: tuple[str, ...]) -> exp.ExperimentConfig:
     """The config of the given flags among keys, every other key at its default."""
-    values = {key: getattr(args, key) for key in keys if key in args}
-    if values.get("batch_size") == 0:  # --batch-size 0 is full batch
-        values["batch_size"] = None
-    return exp.ExperimentConfig(**values)
+    return exp.ExperimentConfig(**{key: getattr(args, key) for key in keys if key in args})
 
 
 def cmd_train_pool(args: argparse.Namespace) -> int:
@@ -177,7 +178,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     result = run_ga(pool, data, config=config)
     ens.save_selection(result.omega, args.out)
     if args.report:
-        _write_text(args.report, format_ga_report(result, config))
+        _write_text(args.report, [format_ga_report(result, config)])
     _log(
         f"select: picked {result.omega.selected_count}/{pool.size} learners, "
         f"fitness {result.fitness:.6f}"
@@ -229,7 +230,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         data = Dataset(vectors, dimension=vocab.dimension)
     votes = ens.majority_vote_matrix(ens.precompute_predictions(pool.learners, data),
                                      omega.bits)
-    _write_text(args.out, "".join(
+    _write_text(args.out, (
         f"{app_id}\t{LABEL_TEXT[label]}\n" for app_id, label in zip(ids, votes.tolist())
     ))
     return _EXIT_OK
@@ -239,12 +240,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     if args.print_default_config:
-        sys.stdout.write(exp.DEFAULT_CONFIG_TEXT)
+        _write_text(args.out, [exp.DEFAULT_CONFIG_TEXT])
         return _EXIT_OK
     with open_text(args.config, InvalidConfig) as fh:
         config = exp.parse_config(fh.read())
     summary = exp.repeated_experiment(config)
-    _write_text(args.out, exp.format_report(summary, config))
+    _write_text(args.out, [exp.format_report(summary, config)])
     _log(f"experiment: {config.repeats} repeats done")
     return _EXIT_OK
 
@@ -291,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, _VOCAB_KEYS)
     p.set_defaults(func=cmd_vectorize)
 
-    p = sub.add_parser("train-pool", help="train a bootstrap pool of learners",
-                       epilog="--batch-size 0 (or none) trains on the full batch")
+    p = sub.add_parser("train-pool", help="train a bootstrap pool of learners")
     p.add_argument("dataset")
     p.add_argument("--out", required=True, help="pool directory")
     _add_config_flags(p, _POOL_KEYS)
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("config", nargs="?")
     source.add_argument("--print-default-config", action="store_true")
-    p.add_argument("--out", help="report file (default stdout)")
+    p.add_argument("--out", help="report or default-config file (default stdout)")
     p.set_defaults(func=cmd_experiment)
 
     return parser

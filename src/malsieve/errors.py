@@ -199,12 +199,10 @@ def read_tagged(
 
 
 def value_text(value: object) -> str:
-    """The text of a setting's value: true/false, none, the repr of a
-    float (which reads back exactly), and str of anything else."""
+    """The text of a setting's value: true/false, the repr of a float
+    (which reads back exactly), and str of anything else."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "none"
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -212,10 +210,6 @@ def _bool(text: str) -> bool:
     if text.lower() not in ("true", "false", "1", "0"):
         raise ValueError("expected true/false")
     return text.lower() in ("true", "1")
-
-
-def int_or_none(text: str) -> int | None:
-    return None if text.lower() == "none" else int(text)
 
 
 def _finite_float(text: str) -> float:
@@ -226,6 +220,4 @@ def _finite_float(text: str) -> float:
 
 # a dataclass field's declared type -> the inverse of `value_text` for it;
 # each raises ValueError on text it cannot read
-FIELD_PARSERS = {
-    "str": str, "int": int, "float": _finite_float, "bool": _bool, "int | None": int_or_none
-}
+FIELD_PARSERS = {"str": str, "int": int, "float": _finite_float, "bool": _bool}

@@ -88,7 +88,7 @@ class ExperimentConfig:
     epochs: int = 40
     hidden_units: int = 16
     l2: float = 0.0001
-    batch_size: int | None = 32
+    batch_size: int = 32
     learner_seed: int = 0
     pop_size: int = 30
     max_iter: int = 50

@@ -58,7 +58,7 @@ class LearnerSpec:
     hidden_units: int = 8
     l2: float = 0.0
     rng_seed: int = 0
-    batch_size: int | None = 32  # None = full batch
+    batch_size: int = 32  # the training rows or more is the full batch
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -71,8 +71,8 @@ class LearnerSpec:
             raise InvalidConfig("hidden_units must be >= 1")
         if not 0 <= self.l2 < np.inf:
             raise InvalidConfig("l2 must be finite and >= 0")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise InvalidConfig("batch_size must be >= 1 or None")
+        if self.batch_size < 1:
+            raise InvalidConfig("batch_size must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +200,7 @@ def train(
     params = init_params(spec, dim)
     rng = make_rng(spec.rng_seed, "order")
     n = rows.shape[0]
-    batch = n if spec.batch_size is None else min(spec.batch_size, n)
+    batch = min(spec.batch_size, n)
     gathered = np.empty((batch, dim), dtype=X.dtype)
     buf = np.empty((batch, dim))
 

@@ -448,7 +448,8 @@ def test_evaluate_dimension_mismatch_names_both_dimensions(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--pool-size", "0"], ["--learning-rate", "-1"], ["--batch-size", "-3"]],
+    [["--pool-size", "0"], ["--learning-rate", "-1"], ["--batch-size", "-3"],
+     ["--batch-size", "0"]],
 )
 def test_train_pool_bad_flag_is_usage_error(tmp_path, capsys, flags):
     dataset = tmp_path / "d.svm"
@@ -510,12 +511,12 @@ def recorded(monkeypatch):
          GAConfig(pop_size=30, max_iter=50, crossover_rate=0.8, mutation_rate=0.05,
                   elite_count=2, rng_seed=0, diversity_norm="selected")),
         (["--pool-size", "3", "--learner", "linear", "--epochs", "2", "--seed", "7",
-          "--batch-size", "0"],
+          "--batch-size", "20"],
          ["--diversity-norm", "pairs", "--seed", "7", "--pop-size", "4",
           "--max-iter", "3"],
          3,
          LearnerSpec(kind="linear", learning_rate=0.3, epochs=2, hidden_units=16,
-                     l2=0.0001, rng_seed=7, batch_size=None),
+                     l2=0.0001, rng_seed=7, batch_size=20),
          7,
          GAConfig(pop_size=4, max_iter=3, crossover_rate=0.8, mutation_rate=0.05,
                   elite_count=2, rng_seed=7, diversity_norm="pairs")),
@@ -645,6 +646,15 @@ def test_print_default_config_round_trips(tmp_path, capsys):
     from malsieve.experiment import ExperimentConfig, parse_config
 
     assert parse_config(text) == ExperimentConfig()
+
+
+def test_print_default_config_honours_out(tmp_path, capsys):
+    out = tmp_path / "default.cfg"
+    assert main(["experiment", "--print-default-config", "--out", str(out)]) == 0
+    from malsieve.experiment import DEFAULT_CONFIG_TEXT
+
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == DEFAULT_CONFIG_TEXT
 
 
 # --- malformed text artifacts ---

@@ -116,7 +116,7 @@ def sparse_training_data(m=61, d=40, seed=5):
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
-@pytest.mark.parametrize("batch_size", [None, 8])  # 8 does not divide 61
+@pytest.mark.parametrize("batch_size", [61, 8])  # 61 rows: full batch; 8 does not divide 61
 def test_train_pool_matches_training_each_replicate(kind, batch_size):
     """Rows of one shared matrix train each learner bit for bit as a
     densified copy of its bootstrap replicate does."""
@@ -138,7 +138,7 @@ def test_train_pool_matches_training_each_replicate(kind, batch_size):
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
-@pytest.mark.parametrize("batch_size", [None, 8])  # 8 does not divide 61
+@pytest.mark.parametrize("batch_size", [61, 8])  # 61 rows: full batch; 8 does not divide 61
 def test_uint8_matrix_trains_as_its_float64_widening(kind, batch_size):
     """`to_dense` builds uint8; `train` and `train_pool` widen what they
     gather, so params match training on the float64 matrix bit for bit."""

@@ -43,10 +43,10 @@ def test_default_config_text_round_trips():
 
 
 def test_parse_config_overrides_and_comments():
-    config = parse_config("# comment\nrepeats=5\n\nlearner=linear\nbatch_size=none\n")
+    config = parse_config("# comment\nrepeats=5\n\nlearner=linear\nbatch_size=5\n")
     assert config.repeats == 5
     assert config.learner == "linear"
-    assert config.batch_size is None
+    assert config.batch_size == 5
 
 
 def test_unknown_key_rejected():
@@ -68,6 +68,13 @@ def test_non_finite_float_rejected_naming_key(line):
     key = line.partition("=")[0]
     with pytest.raises(InvalidConfig, match=f"bad value for {key}: .*finite"):
         parse_config(line + "\n")
+
+
+@pytest.mark.parametrize("value", ["none", "None"])
+def test_batch_size_must_be_a_positive_integer(value):
+    # a full batch is a batch_size of the training rows or more
+    with pytest.raises(InvalidConfig, match="batch_size"):
+        parse_config(f"batch_size={value}\n")
 
 
 def test_repeated_key_rejected_naming_key():

@@ -355,7 +355,7 @@ def learners(draw, dim=None) -> TrainedLearner:
         hidden_units=draw(st.integers(1, 4)),
         l2=draw(L2S),
         rng_seed=draw(st.integers(0, 2**63 - 1)),
-        batch_size=draw(st.one_of(st.none(), st.integers(1, 4096))),
+        batch_size=draw(st.integers(1, 4096)),
     )
     dim = draw(st.integers(1, 5)) if dim is None else dim
     h = spec.hidden_units
@@ -434,7 +434,7 @@ def experiment_configs(draw) -> ExperimentConfig:
         epochs=draw(counts),
         hidden_units=draw(counts),
         l2=draw(L2S),
-        batch_size=draw(st.one_of(st.none(), counts)),
+        batch_size=draw(counts),
         learner_seed=draw(seeds),
         pop_size=pop_size,
         max_iter=draw(counts),

@@ -226,10 +226,31 @@ def test_full_batch_loss_non_increasing():
     history = [full_loss(init_params(LearnerSpec(kind="linear"), 1))]
     for k in range(1, 41):
         spec = LearnerSpec(
-            kind="linear", learning_rate=0.05, epochs=k, batch_size=None, rng_seed=0
+            kind="linear", learning_rate=0.05, epochs=k, batch_size=len(data), rng_seed=0
         )
         history.append(full_loss(train(spec, *dense(data)).params))
     assert all(later <= earlier + 1e-12 for earlier, later in zip(history, history[1:]))
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_any_batch_size_of_the_rows_or_more_trains_the_same_full_batch(kind):
+    data = xor_dataset(5)  # 20 rows
+    X, y = dense(data)
+    n = len(data)
+    full, wider = (
+        train(LearnerSpec(kind=kind, learning_rate=0.3, epochs=7, hidden_units=3,
+                          l2=1e-3, rng_seed=4, batch_size=b), X, y).params
+        for b in (n, 3 * n)
+    )
+    assert set(full) == set(wider)
+    for key in full:
+        assert np.array_equal(full[key], wider[key]), key
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_spec_rejects_a_batch_size_below_1(batch_size):
+    with pytest.raises(InvalidConfig, match="batch_size must be >= 1$"):
+        LearnerSpec(batch_size=batch_size)
 
 
 @pytest.mark.parametrize("labels", [6, 2, 0])
@@ -368,6 +389,16 @@ def test_load_model_rejects_a_non_finite_setting(line, tmp_path):
     )
     path.write_text(text)
     with pytest.raises(FormatError, match="finite"):
+        load_model(path)
+
+
+def test_load_model_rejects_a_batch_size_of_none(tmp_path):
+    # a full batch is a batch_size of the training rows or more
+    path = saved_three_wide_model("linear", tmp_path)
+    text = path.read_text()
+    assert "\nbatch_size=32\n" in text
+    path.write_text(text.replace("\nbatch_size=32\n", "\nbatch_size=none\n"))
+    with pytest.raises(FormatError, match="bad header field"):
         load_model(path)
 
 
