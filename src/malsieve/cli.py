@@ -122,13 +122,20 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
         _log(f"vectorize: {' and '.join(given)} cannot act with --vocab, "
              "which reuses a vocabulary instead of building one")
         return _EXIT_USAGE
-    records = load_records(args.records)
-    if any(r.label is None for r in records):
-        _log("vectorize: records must be labeled (+1/-1); use predict for unlabeled")
-        return _EXIT_FAILURE
+    unlabeled = "vectorize: records must be labeled (+1/-1); use predict for unlabeled"
     if args.vocab:
+        # each record is dropped once vectorized, as in predict
         vocab = load_vocabulary(args.vocab)
+        with open_text(args.records) as fh:
+            data = vectorize_all(read_records(fh), vocab)
+        if None in data.labels():
+            _log(unlabeled)
+            return _EXIT_FAILURE
     else:
+        records = load_records(args.records)
+        if any(r.label is None for r in records):
+            _log(unlabeled)
+            return _EXIT_FAILURE
         config = _config(args, _VOCAB_KEYS)
         vocab = build_vocabulary(
             records,
@@ -137,9 +144,10 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
         )
         if args.vocab_out:
             save_vocabulary(vocab, args.vocab_out)
-    save_dataset(vectorize_all(records, vocab), args.dataset_out)
+        data = vectorize_all(records, vocab)
+    save_dataset(data, args.dataset_out)
     _log(
-        f"vectorize: {len(records)} records, dimension {vocab.dimension} "
+        f"vectorize: {len(data)} records, dimension {vocab.dimension} "
         f"({vocab.perm_count} perm / {vocab.action_count} action / {vocab.api_count} api)"
     )
     return _EXIT_OK

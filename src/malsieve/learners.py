@@ -23,7 +23,10 @@ A model file holds each parameter as one row of `float.hex` text,
 row-major. `save_model` writes it with `hex_floats`, one array pass per
 block of values that gives the same bytes as a `float.hex` call per
 value; `load_model` reads it back with `float.fromhex`, so the round
-trip is exact. A non-finite value is neither saved nor loaded.
+trip is exact. It decodes a row with `hex_values`, a slice of text at a
+time, so no row becomes one list of token strings, and refuses a finite
+value without float.hex's 0x prefix. A non-finite value is neither saved
+nor loaded.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import binascii
 import os
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -276,6 +280,41 @@ def hex_floats(values: np.ndarray) -> str:
     )
 
 
+# characters of a param row that `hex_values` decodes at once; its text
+# and token list stay far below the size of a W1 row's
+_DECODE_SLICE = 1 << 16
+
+
+def hex_values(text: str, start: int = 0) -> np.ndarray:
+    """The float64 values of the whitespace-separated tokens of
+    text[start:], each read by `float.fromhex`, decoded a slice of about
+    _DECODE_SLICE characters at a time, cut at a space. A finite value
+    must carry float.hex's `0x` prefix (`0x...`, `-0x...`): a token without
+    it, such as the decimal-looking `1.5` that `float.fromhex` would read
+    as hex, raises ValueError. Non-finite tokens (`nan`, `-inf`) are read,
+    for the caller to refuse."""
+
+    def slices():
+        begin = start
+        while begin < len(text):
+            end = text.find(" ", begin + _DECODE_SLICE)
+            if end < 0:
+                end = len(text)
+            yield text[begin:end]
+            begin = end + 1
+
+    values = np.fromiter(
+        chain.from_iterable(map(float.fromhex, s.split()) for s in slices()), np.float64
+    )
+    # a token `float.fromhex` reads holds an "x" only in its 0x prefix, and
+    # every token with one is finite; so all finite values carry the
+    # prefix exactly when the "x"s are as many (a one-character count is
+    # several times faster than one of "0x")
+    if text.count("x", start) != np.count_nonzero(np.isfinite(values)):
+        raise ValueError("a finite value without float.hex's 0x prefix")
+    return values
+
+
 def save_model(learner: TrainedLearner, path: str | os.PathLike) -> None:
     """Write `load_model`'s file: one `param <name> <AxB> <float.hex per
     value>` row per parameter. A non-finite value is NonFiniteLoss, and no
@@ -301,12 +340,13 @@ def load_model(path: str | os.PathLike) -> TrainedLearner:
     param_lines: dict[str, int] = {}
     for lineno, row in rows:
         try:
-            name, shape_text, tokens = row.split(" ", 2)
+            name_end = row.index(" ")
+            shape_end = row.index(" ", name_end + 1)
+            name, shape_text = row[:name_end], row[name_end + 1 : shape_end]
             shape = tuple(int(s) for s in shape_text.split("x"))
             if min(shape) < 1:  # reshape would read -1 as "infer this axis"
                 raise ValueError(f"dimension below 1 in shape {shape_text}")
-            values = list(map(float.fromhex, tokens.split()))
-            param = np.array(values).reshape(shape)
+            param = hex_values(row, shape_end + 1).reshape(shape)
         except (ValueError, OverflowError):  # fromhex overflows past 2**1024
             raise FormatError("bad param line", lineno)
         if name in params:

@@ -9,7 +9,7 @@ from malsieve.ensemble import EnsemblePool, WeightVector, save_pool, save_select
 from malsieve.ga import GAConfig
 from malsieve.learners import LearnerSpec, TrainedLearner
 from malsieve.records import load_records
-from malsieve.vectorize import load_dataset, load_vocabulary
+from malsieve.vectorize import load_dataset, load_vocabulary, save_dataset, vectorize_all
 
 from binfixtures import STORED, build_dex, build_zip, simple_manifest
 
@@ -262,6 +262,44 @@ def test_vectorize_rejects_unlabeled(pipeline, tmp_path):
     mixed.write_text(records.read_text() + "mystery\t?\tperm:" + INTERNET + "\n")
     code = main(["vectorize", str(mixed), "--dataset-out", str(tmp_path / "d.svm")])
     assert code != 0
+
+
+def test_vectorize_with_vocab_streams_its_records(pipeline, tmp_path, monkeypatch):
+    # each record is vectorized as it is read, as predict does; the corpus
+    # is never loaded whole
+    import malsieve.cli
+
+    _, records = pipeline
+    vocab, built = tmp_path / "vocab.tsv", tmp_path / "built.svm"
+    assert main(["vectorize", str(records), "--vocab-out", str(vocab),
+                 "--dataset-out", str(built)]) == 0
+    expected = tmp_path / "expected.svm"
+    save_dataset(vectorize_all(load_records(records), load_vocabulary(vocab)), expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("vectorize --vocab loaded the whole corpus")
+
+    monkeypatch.setattr(malsieve.cli, "load_records", refuse)
+    out = tmp_path / "reused.svm"
+    assert main(["vectorize", str(records), "--vocab", str(vocab),
+                 "--dataset-out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes() == built.read_bytes()
+
+
+def test_vectorize_with_vocab_rejects_unlabeled_and_writes_no_dataset(pipeline, tmp_path,
+                                                                      capsys):
+    _, records = pipeline
+    vocab = tmp_path / "vocab.tsv"
+    assert main(["vectorize", str(records), "--vocab-out", str(vocab),
+                 "--dataset-out", str(tmp_path / "a.svm")]) == 0
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_text("mystery\t?\tperm:" + INTERNET + "\n" + records.read_text())
+    out = tmp_path / "b.svm"
+    capsys.readouterr()
+    assert main(["vectorize", str(mixed), "--vocab", str(vocab),
+                 "--dataset-out", str(out)]) == 1
+    assert "records must be labeled" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_predict_dataset_input_and_tie_rule(tmp_path, capsys):

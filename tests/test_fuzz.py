@@ -13,14 +13,16 @@ Saving then loading a vocabulary, dataset, model, pool or selection must
 give an equal object, and so must parsing the lines an experiment config
 writes and reading back any tagged file `write_tagged` writes. The array
 hex encoder must write what `float.hex` writes for any finite float64, and
-a model file must keep the bytes of the per-value writer it replaced. The
-seeds are fixed, so every run tries the same inputs.
+a model file must keep the bytes of the per-value writer it replaced;
+the sliced decoder of a model row must give the values of the per-token
+one. The seeds are fixed, so every run tries the same inputs.
 """
 
 import dataclasses
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import malsieve.learners  # noqa: E402
 from malsieve import ensemble  # noqa: E402
 from malsieve.archive import parse_archive  # noqa: E402
 from malsieve.axml import parse_manifest  # noqa: E402
@@ -580,3 +583,40 @@ def test_trained_model_file_bytes_equal_the_per_value_writer(kind, dim):
     if kind == "linear":
         assert learner.params["w"][0] == 0.0
     assert same_bytes_as_per_value_writer(learner)
+
+
+# --- the sliced decoder of a model row ---
+
+def fromhex_per_token(text: str) -> np.ndarray:
+    """`load_model`'s decoder before slicing, kept frozen as its oracle."""
+    return np.array(list(map(float.fromhex, text.split())))
+
+
+SEPARATORS = [" ", "\t", "  ", " \t", "\t "]
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=repr)
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_hex_values_across_slice_boundaries(sep, offset):
+    # every value in [1, 2) is 20 characters of float.hex, so a slice is
+    # `per_slice` tokens; rows of 0, 1 and a slice less one, exactly and
+    # plus one tokens
+    per_slice = -(-malsieve.learners._DECODE_SLICE // (20 + len(sep)))
+    rng = np.random.default_rng(len(sep))
+    for size in (0, 1, per_slice + offset, 2 * per_slice + offset):
+        values = rng.uniform(1.0, 2.0, size=size)
+        text = sep.join(map(float.hex, values.tolist()))
+        decoded = malsieve.learners.hex_values("w 1 " + text, 4)
+        assert decoded.tobytes() == fromhex_per_token(text).tobytes() == values.tobytes()
+
+
+@seed(442)
+@FUZZ
+@given(st.lists(st.tuples(FINITE_BITS, st.sampled_from(SEPARATORS)), max_size=30),
+       st.integers(1, 60))
+def test_hex_values_equal_the_per_token_decoder_for_any_slice(pairs, slice_chars):
+    values = np.array([bits for bits, _ in pairs], dtype=np.uint64).view(np.float64)
+    text = "".join(value.hex() + sep for value, (_, sep) in zip(values.tolist(), pairs))
+    with mock.patch.object(malsieve.learners, "_DECODE_SLICE", slice_chars):
+        decoded = malsieve.learners.hex_values(text)
+    assert decoded.tobytes() == fromhex_per_token(text).tobytes() == values.tobytes()

@@ -357,6 +357,32 @@ def test_load_model_rejects_non_finite_values(kind, token, tmp_path):
     assert info.value.line == len(lines)
 
 
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("token", ["1.5", "2", "-0.25", "1p0", "+1.8p0", "0X1P0", "-0X1p-3"])
+def test_load_model_refuses_values_not_spelt_as_float_hex(kind, token, tmp_path):
+    # float.fromhex reads unprefixed text as hex: 1.5 used to load as 1.3125
+    path = saved_three_wide_model(kind, tmp_path)
+    lines = path.read_text().splitlines()
+    last = lines[-1].split(" ")
+    last[-1] = token
+    lines[-1] = " ".join(last)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="bad param line") as info:
+        load_model(path)
+    assert info.value.line == len(lines)
+
+
+def test_load_model_refuses_a_decimal_row(tmp_path):
+    path = saved_three_wide_model("linear", tmp_path)
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("param w "))
+    lines[row] = "param w 3 1.5 2 0x1p+0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="bad param line") as info:
+        load_model(path)
+    assert info.value.line == row + 1
+
+
 def test_load_model_rejects_hex_float_past_the_float_range(tmp_path):
     path = saved_three_wide_model("linear", tmp_path)
     lines = path.read_text().splitlines()
