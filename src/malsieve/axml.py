@@ -11,7 +11,9 @@ event stream and collect exactly two things:
 
 Attribute name matching follows the android namespace URI when the
 document declares it; documents that never declare it (some obfuscated
-apps strip namespace chunks) fall back to a bare local-name match.
+apps strip namespace chunks) fall back to a bare local-name match. The
+rule is decided once per document, after the whole walk, so the position
+of the namespace chunk does not change which names count.
 
 Any structural violation raises MalformedAxml: bad outer type, a chunk
 header that lies about its size, a string index out of range, or an end
@@ -109,9 +111,8 @@ class _Parser:
         self.strings: list[str] | None = None
         self.android_ns_seen = False
         self.element_stack: list[str] = []
-        # insertion-ordered sets of the names found
-        self.permissions: dict[str, None] = {}
-        self.actions: dict[str, None] = {}
+        # (is a permission, value, has no namespace) per name attribute found
+        self.found: list[tuple[bool, str, bool]] = []
 
     def string(self, idx: int) -> str:
         if self.strings is None:
@@ -151,9 +152,13 @@ class _Parser:
             # other chunk types are skipped; their size field was validated
             pos += csize
 
+        # the local-name fallback holds for the whole document or not at
+        # all, wherever its namespace chunk sits
+        kept = [(perm, value) for perm, value, bare in self.found
+                if not (bare and self.android_ns_seen)]
         return ManifestFeatures(
-            permissions=tuple(self.permissions),
-            intent_actions=tuple(self.actions),
+            permissions=tuple(dict.fromkeys(value for perm, value in kept if perm)),
+            intent_actions=tuple(dict.fromkeys(value for perm, value in kept if not perm)),
         )
 
     def start_namespace(self, pos: int, cheader: int, csize: int) -> None:
@@ -190,17 +195,12 @@ class _Parser:
             )
             if self.string(a_name) != "name":
                 continue
-            if not self._namespace_matches(a_ns):
+            bare = a_ns == _NO_INDEX
+            if not bare and self.string(a_ns) != ANDROID_NS:
                 continue
             value = self._attr_value(a_raw, vtype, vdata)
             if value:  # an empty name is no feature
-                (self.permissions if wants_permission else self.actions)[value] = None
-
-    def _namespace_matches(self, a_ns: int) -> bool:
-        if a_ns != _NO_INDEX and self.string(a_ns) == ANDROID_NS:
-            return True
-        # local-name fallback for documents that never declare the namespace
-        return a_ns == _NO_INDEX and not self.android_ns_seen
+                self.found.append((wants_permission, value, bare))
 
     def _attr_value(self, a_raw: int, vtype: int, vdata: int) -> str | None:
         if a_raw != _NO_INDEX:

@@ -237,11 +237,8 @@ def load_pool(directory: str | os.PathLike) -> EnsemblePool:
     manifest = root / "pool.txt"
     if not manifest.exists():
         raise FormatError(f"no pool manifest at {manifest}", None)
-    header, rows = read_tagged(manifest, _POOL_TAG, _POOL_KEYS, row="learner")
-    try:
-        n, dim, master_seed = (int(header[k]) for k in _POOL_KEYS)
-    except ValueError as exc:
-        raise FormatError(f"bad header field ({exc})", None)
+    header, rows = read_tagged(manifest, _POOL_TAG, dict.fromkeys(_POOL_KEYS, int), row="learner")
+    n, dim, master_seed = (header[k] for k in _POOL_KEYS)
     if n < 1:
         raise FormatError(f"pool needs n >= 1 learners, got n={n}", None)
     if len(rows) != n:
@@ -263,12 +260,7 @@ def save_selection(omega: WeightVector, path: str | os.PathLike) -> None:
 
 
 def load_selection(path: str | os.PathLike) -> WeightVector:
-    header, _ = read_tagged(path, _SELECTION_TAG, ("n", "omega"))
-    try:
-        n = int(header["n"])
-        omega = WeightVector.from_string(header["omega"])
-    except ValueError as exc:
-        raise FormatError(f"bad selection file ({exc})", None)
-    if len(omega) != n:
+    header, _ = read_tagged(path, _SELECTION_TAG, {"n": int, "omega": WeightVector.from_string})
+    if len(header["omega"]) != header["n"]:
         raise FormatError("omega length disagrees with n", None)
-    return omega
+    return header["omega"]

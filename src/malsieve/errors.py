@@ -5,10 +5,12 @@ Every malformed input or contract violation maps to one of these; nothing
 in the package intentionally lets a raw struct/index error escape. Every
 text artifact is read through `open_text`, so bytes that are not UTF-8
 raise a typed error too. The model, pool-manifest and selection files are
-all written by `write_tagged` and read by `read_tagged`, and every setting
-(an experiment config key, a model header field) goes between text and
-value through `value_text` and `FIELD_PARSERS`, by the type its dataclass
-field declares.
+all written by `write_tagged` and read by `read_tagged`, which reads each
+header value with the parser its caller gives for that key, so a value
+the parser refuses is a FormatError naming the key and its line. Every
+setting (an experiment config key, a model header field) goes between
+text and value through `value_text` and `FIELD_PARSERS`, by the type its
+dataclass field declares.
 
 `ValueError` is the channel for a programmer's bad arguments: the
 constructors and helpers raise it on values no reader hands them
@@ -19,7 +21,8 @@ data). It is never the answer to outside input: every reader of a file
 (`load_dataset`, `load_selection`, `load_model`, `load_pool`,
 `parse_config`) checks what it reads or turns such an error into a
 FormatError or InvalidConfig, with its line when one is known, so the
-command line exits 2 on it, never with a traceback.
+command line exits 2 on it, never with a traceback. For the tagged files
+`read_tagged` does that turning once, for every header value.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping
 
 
 class MalsieveError(Exception):
@@ -166,19 +169,24 @@ def write_tagged(path: str | os.PathLike, tag: str, header: Mapping[str, object]
 
 
 def read_tagged(
-    path: str | os.PathLike, tag: str, keys: Sequence[str], row: str | None = None
-) -> tuple[dict[str, str], list[tuple[int, str]]]:
+    path: str | os.PathLike,
+    tag: str,
+    parsers: Mapping[str, Callable[[str], object]],
+    row: str | None = None,
+) -> tuple[dict[str, Any], list[tuple[int, str]]]:
     """Read a tagged text artifact (model, pool manifest, selection): line
     1 is `tag`; every other nonblank line is a body row starting with the
-    word `row`, or a `key=value` line giving one of `keys`, each exactly
-    once. Returns the header by key and the body rows as (line number,
-    rest of the row); any other line is a FormatError with its number."""
+    word `row`, or a `key=value` line giving one of the keys of `parsers`,
+    each exactly once. Returns the header, each value read by its key's
+    parser, and the body rows as (line number, rest of the row). Any other
+    line, or a value its parser refuses with ValueError, is a FormatError
+    with its number."""
     with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != tag:
         raise FormatError(f"expected the tag {tag!r}", 1)
     prefix = None if row is None else row + " "
-    header: dict[str, str] = {}
+    header: dict[str, Any] = {}
     rows: list[tuple[int, str]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -187,12 +195,15 @@ def read_tagged(
             rows.append((lineno, line[len(prefix):]))
             continue
         key, sep, value = line.partition("=")
-        if not sep or key not in keys:
+        if not sep or key not in parsers:
             raise FormatError("unrecognized line", lineno)
         if key in header:
             raise FormatError(f"{key} given twice", lineno)
-        header[key] = value
-    for key in keys:
+        try:
+            header[key] = parsers[key](value)
+        except ValueError as exc:
+            raise FormatError(f"bad header field {key} ({exc})", lineno)
+    for key in parsers:
         if key not in header:
             raise FormatError(f"missing header field {key}", None)
     return header, rows

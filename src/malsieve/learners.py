@@ -23,10 +23,12 @@ A model file holds each parameter as one row of `float.hex` text,
 row-major. `save_model` writes it with `hex_floats`, one array pass per
 block of values that gives the same bytes as a `float.hex` call per
 value; `load_model` reads it back with `float.fromhex`, so the round
-trip is exact. It decodes a row with `hex_values`, a slice of text at a
-time, so no row becomes one list of token strings, and refuses a finite
-value without float.hex's 0x prefix. A non-finite value is neither saved
-nor loaded.
+trip is exact. The file's header (dim and the spec) fixes the name and
+shape of every row, so `load_model` checks a row's name and shape text
+against it before it decodes the values. It decodes a row with
+`hex_values`, a slice of text at a time, so no row becomes one list of
+token strings, and refuses a finite value without float.hex's 0x prefix.
+A non-finite value is neither saved nor loaded.
 """
 
 from __future__ import annotations
@@ -97,13 +99,6 @@ class TrainedLearner:
             and set(self.params) == set(other.params)
             and all(np.array_equal(self.params[k], other.params[k]) for k in self.params)
         )
-
-    def margins(self, X: np.ndarray) -> np.ndarray:
-        if X.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"matrix width {X.shape[1]} != learner dimension {self.dim}"
-            )
-        return decision_values(self.kind, self.params, X)
 
 
 def init_params(spec: LearnerSpec, dim: int) -> dict[str, np.ndarray]:
@@ -229,7 +224,9 @@ def train(
 def predict_labels(learner: TrainedLearner, X: np.ndarray) -> np.ndarray:
     """+1/-1 per row of X: the sign of the margin, an exact 0 counting as
     malicious."""
-    m = learner.margins(X)
+    if X.shape[1] != learner.dim:
+        raise DimensionMismatch(f"matrix width {X.shape[1]} != learner dimension {learner.dim}")
+    m = decision_values(learner.kind, learner.params, X)
     return np.where(m >= 0.0, 1, -1).astype(np.int8)
 
 
@@ -332,47 +329,43 @@ def save_model(learner: TrainedLearner, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> TrainedLearner:
-    spec_fields = fields(LearnerSpec)
-    header, rows = read_tagged(
-        path, _FORMAT_TAG, ["dim", *(f.name for f in spec_fields)], row="param"
-    )
-    params: dict[str, np.ndarray] = {}
-    param_lines: dict[str, int] = {}
-    for lineno, row in rows:
-        try:
-            name_end = row.index(" ")
-            shape_end = row.index(" ", name_end + 1)
-            name, shape_text = row[:name_end], row[name_end + 1 : shape_end]
-            shape = tuple(int(s) for s in shape_text.split("x"))
-            if min(shape) < 1:  # reshape would read -1 as "infer this axis"
-                raise ValueError(f"dimension below 1 in shape {shape_text}")
-            param = hex_values(row, shape_end + 1).reshape(shape)
-        except (ValueError, OverflowError):  # fromhex overflows past 2**1024
-            raise FormatError("bad param line", lineno)
-        if name in params:
-            raise FormatError(f"param {name} given twice", lineno)
-        params[name] = param
-        param_lines[name] = lineno
+    """The learner a `save_model` file holds. The header fixes which params
+    the file has and their shapes, so a row whose name is unknown or given
+    twice, or whose shape text is not the declared one, is a FormatError
+    on its line before its values are decoded."""
+    parsers = {"dim": int, **{f.name: FIELD_PARSERS[f.type] for f in fields(LearnerSpec)}}
+    header, rows = read_tagged(path, _FORMAT_TAG, parsers, row="param")
+    dim = header.pop("dim")
+    if dim < 1:
+        raise FormatError(f"bad header field dim ({dim} is below 1)", None)
     try:
-        spec = LearnerSpec(
-            **{f.name: FIELD_PARSERS[f.type](header[f.name]) for f in spec_fields}
-        )
-        dim = int(header["dim"])
-    except (ValueError, InvalidConfig) as exc:
+        spec = LearnerSpec(**header)
+    except InvalidConfig as exc:
         raise FormatError(f"bad header field ({exc})", None)
     h = spec.hidden_units
     shapes = {
         "linear": {"w": (dim,), "b": (1,)},
         "mlp": {"W1": (dim, h), "b1": (h,), "w2": (h,), "b2": (1,)},
     }[spec.kind]
-    if set(params) != set(shapes):
-        raise FormatError(f"model needs params {sorted(shapes)}", None)
-    for name, shape in shapes.items():
-        if params[name].shape != shape:
-            raise FormatError(
-                f"param {name} has shape {params[name].shape}, expected {shape}",
-                param_lines[name],
-            )
+    params: dict[str, np.ndarray] = {}
+    for lineno, row in rows:
+        name_end = row.find(" ")
+        shape_end = row.find(" ", name_end + 1)
+        if shape_end < 0:
+            raise FormatError("bad param line", lineno)
+        name, shape_text = row[:name_end], row[name_end + 1 : shape_end]
+        if name not in shapes:
+            raise FormatError(f"unknown param {name!r} for a {spec.kind} model", lineno)
+        if name in params:
+            raise FormatError(f"param {name} given twice", lineno)
+        if shape_text != (declared := "x".join(map(str, shapes[name]))):
+            raise FormatError(f"param {name} has shape {shape_text}, expected {declared}", lineno)
+        try:
+            params[name] = hex_values(row, shape_end + 1).reshape(shapes[name])
+        except (ValueError, OverflowError):  # fromhex overflows past 2**1024
+            raise FormatError("bad param line", lineno)
         if not np.all(np.isfinite(params[name])):
-            raise FormatError(f"param {name} holds a non-finite value", param_lines[name])
+            raise FormatError(f"param {name} holds a non-finite value", lineno)
+    if len(params) != len(shapes):
+        raise FormatError(f"model needs params {sorted(shapes)}", None)
     return TrainedLearner(dim=dim, spec=spec, params=params)

@@ -125,8 +125,7 @@ class AxmlBuilder:
             offsets.append(len(data))
             if self.utf8:
                 raw = s.encode("utf-8")
-                assert len(s) < 0x80 and len(raw) < 0x80
-                data += bytes([len(s), len(raw)]) + raw + b"\x00"
+                data += _utf8_length(len(s)) + _utf8_length(len(raw)) + raw + b"\x00"
             else:
                 raw = s.encode("utf-16-le")
                 assert len(s) < 0x8000
@@ -150,6 +149,13 @@ class AxmlBuilder:
         pool = self.string_pool()
         total = 8 + len(pool) + len(self.body)
         return struct.pack("<HHI", 0x0003, 8, total) + pool + bytes(self.body)
+
+
+def _utf8_length(n: int) -> bytes:
+    """A UTF-8 pool string's length field: one byte below 0x80, else two,
+    big-endian, with the high bit of the first set."""
+    assert n < 0x8000
+    return bytes([n]) if n < 0x80 else bytes([0x80 | n >> 8, n & 0xFF])
 
 
 def simple_manifest(

@@ -129,3 +129,45 @@ def test_open_apk_reads_from_disk(tmp_path):
     path.write_bytes(minimal_archive())
     archive = open_apk(path)
     assert [e.path for e in archive.entries] == ["AndroidManifest.xml"]
+
+
+def test_local_header_past_the_end_of_the_file():
+    data = bytearray(minimal_archive())
+    cd = data.index(b"PK\x01\x02")
+    struct.pack_into("<I", data, cd + 42, len(data))  # local header offset
+    archive = parse_archive(bytes(data))
+    with pytest.raises(TruncatedArchive, match="local header past end of file"):
+        archive.read(archive.entries[0])
+
+
+def test_end_record_cut_short():
+    # the magic sits in the last 21 bytes, so no whole record follows it
+    with pytest.raises(TruncatedArchive, match="end-of-central-directory record cut short"):
+        parse_archive(bytes(30) + b"PK\x05\x06" + bytes(4))
+
+
+def test_end_record_counting_more_entries_than_the_directory_holds():
+    data = bytearray(minimal_archive())
+    eocd = data.index(b"PK\x05\x06")
+    struct.pack_into("<H", data, eocd + 10, 2)  # total entries
+    with pytest.raises(TruncatedArchive, match="central directory entry cut short"):
+        parse_archive(bytes(data))
+
+
+def test_entry_name_running_past_the_directory():
+    data = bytearray(minimal_archive())
+    cd = data.index(b"PK\x01\x02")
+    struct.pack_into("<H", data, cd + 28, 200)  # name length
+    with pytest.raises(TruncatedArchive, match="entry name cut short"):
+        parse_archive(bytes(data))
+
+
+def test_entry_name_without_the_utf8_flag_is_cp437():
+    data = bytearray(build_zip([("caf\u00e9.txt", b"x", STORED)]))
+    for magic, flags_at in ((b"PK\x03\x04", 6), (b"PK\x01\x02", 8)):
+        at = data.index(magic)
+        struct.pack_into("<H", data, at + flags_at, 0)
+    archive = parse_archive(bytes(data))
+    with zipfile.ZipFile(io.BytesIO(bytes(data))) as zf:
+        assert [e.path for e in archive.entries] == zf.namelist() == ["caf\u251c\u2310.txt"]
+    assert archive.read(archive.entries[0]) == b"x"

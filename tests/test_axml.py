@@ -103,6 +103,32 @@ def test_local_name_fallback_without_namespace():
     assert features.permissions == (INTERNET,)
 
 
+def manifest_declaring_the_namespace_at(position):
+    """Two uses-permission names without a namespace, then one in the
+    android namespace; the android start-namespace chunk comes before
+    element `position` (None: nowhere)."""
+    b = AxmlBuilder().start("manifest")
+    names = [(None, "early.PERM"), (None, "late.PERM"), (ANDROID_NS, "ns.PERM")]
+    for i, (ns, name) in enumerate(names):
+        if i == position:
+            b.start_ns("android", ANDROID_NS)
+        b.start("uses-permission", [(ns, "name", name)]).end("uses-permission")
+    return b.end("manifest").build()
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_namespace_fallback_is_decided_once_per_document(position):
+    # a bare name before a late namespace chunk used to count, and one
+    # after it not
+    features = parse_manifest(manifest_declaring_the_namespace_at(position))
+    assert features.permissions == ("ns.PERM",)
+
+
+def test_undeclared_namespace_keeps_every_name_in_order():
+    features = parse_manifest(manifest_declaring_the_namespace_at(None))
+    assert features.permissions == ("early.PERM", "late.PERM", "ns.PERM")
+
+
 def test_foreign_namespace_attribute_ignored():
     b = AxmlBuilder()
     b.start_ns("android", ANDROID_NS)
@@ -131,6 +157,106 @@ def test_typed_only_attribute_value():
     )
     assert patched != payload
     assert parse_manifest(patched).permissions == (INTERNET,)
+
+
+def test_utf8_pool_with_two_byte_lengths():
+    name = "android.permission." + "\u00e9" * 150  # 169 characters, 319 bytes
+    features = parse_manifest(simple_manifest([name], [BOOT], utf8_pool=True))
+    assert features.permissions == (name,)
+    assert features.intent_actions == (BOOT,)
+
+
+NO_INDEX = 0xFFFFFFFF
+STRINGS = ["uses-permission", "name", INTERNET]  # indices 0, 1, 2
+
+
+def document(body: bytes) -> bytes:
+    """A document whose string pool holds STRINGS and whose event chunks
+    are the raw bytes `body`."""
+    b = AxmlBuilder()
+    for text in STRINGS:
+        b.intern(text)
+    b.body += body
+    return b.build()
+
+
+def uses_permission(attr_size=20, attr_count=1, vtype=0x03, raw=2) -> bytes:
+    """A start-element chunk for uses-permission with one name attribute
+    of no namespace; its header may declare other attribute sizes and
+    counts than the one record that follows."""
+    return struct.pack(
+        "<HHIIIIIHHHHHH", 0x0102, 16, 56, 1, NO_INDEX,
+        NO_INDEX, 0, 20, attr_size, attr_count, 0, 0, 0,
+    ) + struct.pack("<IIIHBBI", NO_INDEX, 1, raw, 8, 0, vtype, 2)
+
+
+def pool_only(data: bytes, utf8: bool = False) -> bytes:
+    """A document holding one string pool chunk: one string at offset 0
+    of the string data `data`, with no padding."""
+    pool = struct.pack(
+        "<HHIIIIII", 0x0001, 28, 32 + len(data), 1, 0, (1 << 8) if utf8 else 0, 32, 0
+    ) + struct.pack("<I", 0) + data
+    return struct.pack("<HHI", 0x0003, 8, 8 + len(pool)) + pool
+
+
+def patched(payload: bytes, at: int, fmt: str, value: int) -> bytes:
+    out = bytearray(payload)
+    struct.pack_into(fmt, out, at, value)
+    return bytes(out)
+
+
+def trailing_bytes() -> bytes:
+    payload = simple_manifest([INTERNET], []) + bytes(4)
+    return patched(payload, 4, "<I", len(payload))
+
+
+MALFORMED = {
+    "pool header under 28 bytes": (
+        lambda: patched(pool_only(b"\x00\x00\x00\x00"), 10, "<H", 20),
+        "string pool header cut short"),
+    "offset table past the pool": (
+        lambda: patched(pool_only(b"\x00\x00\x00\x00"), 16, "<I", 1000),
+        "string pool offset table cut short"),
+    "utf-16 length cut": (lambda: pool_only(b"\x00"), "utf-16 string length out of bounds"),
+    "utf-16 extended length cut": (
+        lambda: pool_only(b"\x00\x80"), "utf-16 extended length out of bounds"),
+    "utf-8 length cut": (
+        lambda: pool_only(b"\x01", utf8=True), "utf-8 string length out of bounds"),
+    "utf-8 extended length cut": (
+        lambda: pool_only(b"\x81", utf8=True), "utf-8 extended length out of bounds"),
+    "utf-8 data past the pool": (
+        lambda: pool_only(b"\x01\x32a", utf8=True), "utf-8 string data out of bounds"),
+    "trailing bytes": (trailing_bytes, "trailing bytes too short for a chunk header"),
+    "namespace body cut": (
+        lambda: document(struct.pack("<HHI", 0x0100, 16, 16) + bytes(8)),
+        "namespace chunk body cut short"),
+    "element body cut": (
+        lambda: document(struct.pack("<HHI", 0x0102, 16, 24) + bytes(16)),
+        "element chunk body cut short"),
+    "attribute record under 20 bytes": (
+        lambda: document(uses_permission(attr_size=8)),
+        "attribute record smaller than 20 bytes"),
+    "attribute table past the element": (
+        lambda: document(uses_permission(attr_count=2)), "attribute table out of bounds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_payload_raises_typed_error(case):
+    build, message = MALFORMED[case]
+    with pytest.raises(MalformedAxml, match=message):
+        parse_manifest(build())
+
+
+def test_well_formed_raw_element_counts():
+    # the raw chunks above are right but for the one field each case breaks
+    assert parse_manifest(document(uses_permission())).permissions == (INTERNET,)
+
+
+def test_non_string_attribute_value_is_no_feature():
+    # no raw string, and an integer (0x10) typed value
+    element = uses_permission(vtype=0x10, raw=NO_INDEX)
+    assert parse_manifest(document(element)).permissions == ()
 
 
 def test_bad_outer_type():

@@ -746,17 +746,17 @@ def write_small_artifacts(tmp_path):
          ["predict", "{t}/pool", "{t}/d.svm"], "FormatError: line 2"),
         ("selection.txt", b"malsieve-selection v1\nn=2\nomega=12\n",
          ["evaluate", "{t}/pool", "{t}/d.svm", "--selection", "{t}/selection.txt"],
-         "FormatError: bad selection file (bits must be 0 or 1)"),
+         "FormatError: line 3: bad header field omega (bits must be 0 or 1)"),
         ("selection.txt", b"malsieve-selection v1\nn=0\nomega=\n",
          ["predict", "{t}/pool", "{t}/d.svm", "--selection", "{t}/selection.txt"],
-         "FormatError: bad selection file (weight vector must have at least one position)"),
+         "FormatError: line 3: bad header field omega (weight vector must have at least one position)"),
         ("pool/learner_001.model",
          b"malsieve-model v1\nkind=linear\ndim=3\nlearning_rate=0.3\nepochs=40\n"
          b"hidden_units=16\nl2=0.0001\nbatch_size=32\nrng_seed=0\n"
          b"param w 2x2 0x1p+0 0x1p+0 0x1p+0\nparam b 1 0x0p+0\n",
-         ["predict", "{t}/pool", "{t}/d.svm"], "FormatError: line 10: bad param line"),
+         ["predict", "{t}/pool", "{t}/d.svm"], "FormatError: line 10: param w has shape 2x2, expected 3"),
         ("pool/pool.txt", b"malsieve-pool v1\nn=two\ndim=3\nmaster_seed=0\n",
-         ["predict", "{t}/pool", "{t}/d.svm"], "FormatError: bad header field"),
+         ["predict", "{t}/pool", "{t}/d.svm"], "FormatError: line 2: bad header field n ("),
         ("exp.cfg", b"repeats=2.5\n",
          ["experiment", "{t}/exp.cfg"], "InvalidConfig: bad value for repeats"),
     ],

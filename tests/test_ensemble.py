@@ -23,10 +23,11 @@ from malsieve.errors import (
     AllZeroWeights,
     DimensionMismatch,
     FormatError,
+    InvalidConfig,
     NonFiniteLoss,
     RunFailed,
 )
-from malsieve.learners import LearnerSpec, TrainedLearner, predict_labels, train
+from malsieve.learners import LearnerSpec, TrainedLearner, load_model, predict_labels, train
 from malsieve.rng import derive_seed
 from malsieve.vectorize import Dataset, FeatureVector
 
@@ -82,6 +83,21 @@ def small_training_data(m=60):
 def test_train_pool_single_learner():
     pool = train_pool(*dense(small_training_data()), 1, LearnerSpec(kind="linear", epochs=5), 7)
     assert pool.size == 1
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_train_pool_refuses_a_size_below_1(n):
+    with pytest.raises(InvalidConfig, match="pool size must be >= 1"):
+        train_pool(*dense(small_training_data()), n, LearnerSpec(epochs=1), 7)
+
+
+def test_pool_learners_must_share_a_dimension():
+    learners = tuple(
+        TrainedLearner(dim, LearnerSpec(), {"w": np.zeros(dim), "b": np.zeros(1)})
+        for dim in (3, 4)
+    )
+    with pytest.raises(DimensionMismatch, match=r"learners disagree on dimension: \[3, 4\]"):
+        EnsemblePool(learners)
 
 
 def test_train_pool_deterministic():
@@ -378,6 +394,33 @@ def test_selection_round_trip(tmp_path):
     assert "omega=10110" in path.read_text()
 
 
+def test_load_selection_rejects_omega_of_another_length_than_n(tmp_path):
+    path = tmp_path / "selection.txt"
+    path.write_text("malsieve-selection v1\nn=3\nomega=10\n")
+    with pytest.raises(FormatError, match="omega length disagrees with n"):
+        load_selection(path)
+
+
+def test_load_pool_names_the_row_of_a_missing_model_file(tmp_path):
+    root = tmp_path / "pool"
+    save_pool(train_pool(*dense(small_training_data()), 2, LearnerSpec(epochs=2), 5), root)
+    (root / "learner_001.model").unlink()
+    lines = (root / "pool.txt").read_text().splitlines()
+    lineno = next(k for k, line in enumerate(lines, start=1) if line.startswith("learner 1 "))
+    with pytest.raises(FormatError, match="no model file 'learner_001.model'") as info:
+        load_pool(root)
+    assert info.value.line == lineno
+
+
+def test_load_pool_refuses_a_manifest_dim_other_than_the_models(tmp_path):
+    root = tmp_path / "pool"
+    save_pool(train_pool(*dense(small_training_data()), 2, LearnerSpec(epochs=2), 5), root)
+    manifest = root / "pool.txt"
+    manifest.write_text(manifest.read_text().replace("\ndim=6\n", "\ndim=7\n"))
+    with pytest.raises(DimensionMismatch, match="manifest dim disagrees with model files"):
+        load_pool(root)
+
+
 def test_load_selection_rejects_a_stray_line(tmp_path):
     # a garbage line used to be skipped
     path = tmp_path / "selection.txt"
@@ -404,6 +447,33 @@ def test_load_pool_rejects_a_key_given_twice(tmp_path):
     with pytest.raises(FormatError, match="master_seed given twice") as info:
         load_pool(tmp_path / "pool")
     assert info.value.line == len(manifest.read_text().splitlines())
+
+
+@pytest.mark.parametrize("file, key, value", [
+    ("learner_001.model", "dim", "3.0"),
+    ("learner_001.model", "epochs", "1.5"),
+    ("learner_000.model", "l2", "nan"),
+    ("learner_000.model", "batch_size", "none"),
+    ("pool.txt", "n", "two"),
+    ("pool.txt", "master_seed", ""),
+    ("selection.txt", "n", "2.0"),
+    ("selection.txt", "omega", "1x"),
+])
+def test_a_bad_header_value_is_refused_with_its_key_and_line(tmp_path, file, key, value):
+    # each loader used to parse its header itself, naming no line and,
+    # for the selection file and the pool's ints, no key
+    root = tmp_path / "pool"
+    save_pool(train_pool(*dense(small_training_data()), 2, LearnerSpec(epochs=2), 5), root)
+    save_selection(WeightVector((1, 0)), root / "selection.txt")
+    path = root / file
+    lines = path.read_text().splitlines()
+    lineno = next(k for k, line in enumerate(lines, start=1) if line.startswith(f"{key}="))
+    lines[lineno - 1] = f"{key}={value}"
+    path.write_text("\n".join(lines) + "\n")
+    load = {"pool.txt": lambda path: load_pool(path.parent), "selection.txt": load_selection}
+    with pytest.raises(FormatError, match=rf"^line {lineno}: bad header field {key} \(") as info:
+        load.get(file, load_model)(path)
+    assert info.value.line == lineno
 
 
 @pytest.mark.parametrize("name", ["absolute", "../outside.model", "sub/learner_001.model",

@@ -484,7 +484,7 @@ def test_tagged_file_round_trips(parts):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "artifact"
         write_tagged(path, tag, header, rows, row=row)
-        read_header, read_rows = read_tagged(path, tag, list(header), row=row)
+        read_header, read_rows = read_tagged(path, tag, dict.fromkeys(header, str), row=row)
     assert read_header == header
     first_row_line = 2 + len(header)
     assert read_rows == [(first_row_line + i, text) for i, text in enumerate(rows)]

@@ -16,6 +16,7 @@ from malsieve.ga import (
     run_ga,
     select_newpop,
 )
+from malsieve.learners import decision_values
 from malsieve.rng import make_rng
 from malsieve.vectorize import Dataset
 
@@ -49,7 +50,8 @@ def test_precompute_matches_predict_label():
     for _ in range(20):
         i = int(rng.integers(0, 4))
         k = int(rng.integers(0, 12))
-        expected = np.where(pool.learners[i].margins(X) >= 0, 1, -1)
+        learner = pool.learners[i]
+        expected = np.where(decision_values(learner.kind, learner.params, X) >= 0, 1, -1)
         assert computed[i, k] == expected[k]
     assert np.array_equal(computed, precompute_predictions(pool.learners, data))
 

@@ -1,6 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
+import malsieve.learners
 from malsieve.errors import (
     DimensionMismatch,
     FormatError,
@@ -15,6 +19,7 @@ from malsieve.learners import (
     _sigmoid,
     decision_values,
     gradient,
+    hex_values,
     init_params,
     load_model,
     loss,
@@ -87,7 +92,7 @@ def test_zero_weight_margin_is_zero_and_predicts_malicious():
         params={"w": np.zeros(3), "b": np.zeros(1)},
     )
     x = row(labeled(3, (1,), None))
-    assert learner.margins(x)[0] == 0.0
+    assert decision_values(learner.kind, learner.params, x)[0] == 0.0
     assert predict_labels(learner, x)[0] == 1
 
 
@@ -111,7 +116,7 @@ def test_margin_sign_matches_predicted_label():
     for _ in range(100):
         k = int(rng.integers(0, 7))
         x = row(labeled(6, sorted(rng.choice(6, size=k, replace=False).tolist()), None))
-        m = learner.margins(x)[0]
+        m = decision_values(learner.kind, learner.params, x)[0]
         assert predict_labels(learner, x)[0] == (1 if m >= 0 else -1)
         assert predict_labels(learner, x)[0] in (1, -1)
 
@@ -126,7 +131,7 @@ def test_margin_monotone_in_single_weight():
             spec=LearnerSpec(kind="linear"),
             params={"w": base + np.array([delta, 0.0]), "b": np.zeros(1)},
         )
-        margins.append(learner.margins(x)[0])
+        margins.append(decision_values(learner.kind, learner.params, x)[0])
     assert margins == sorted(margins)
     assert margins[-1] - margins[0] == pytest.approx(1.5)
 
@@ -139,8 +144,6 @@ def test_dimension_mismatch():
     )
     with pytest.raises(DimensionMismatch):
         predict_labels(learner, row(labeled(3, (0,), None)))
-    with pytest.raises(DimensionMismatch):
-        learner.margins(row(labeled(3, (0,), None)))
 
 
 def _masked_sigmoid(t):
@@ -284,7 +287,8 @@ def test_divergence_raises_non_finite_loss():
     data = separable_1d(20)
     spec = LearnerSpec(kind="linear", learning_rate=1.0, epochs=20, l2=1e200, rng_seed=0)
     with pytest.raises(NonFiniteLoss):
-        train(spec, *dense(data))
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+            train(spec, *dense(data))
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
@@ -298,7 +302,9 @@ def test_model_file_round_trip_is_exact(kind, tmp_path):
     assert loaded == learner
     rng = np.random.default_rng(0)
     X = rng.integers(0, 2, size=(20, 2)).astype(np.float64)
-    assert np.array_equal(loaded.margins(X), learner.margins(X))
+    assert np.array_equal(
+        decision_values(kind, loaded.params, X), decision_values(kind, learner.params, X)
+    )
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -439,6 +445,52 @@ def test_load_model_rejects_a_stray_line(line, tmp_path):
     assert info.value.line == 4
 
 
+@pytest.mark.parametrize("line, message", [
+    ("kind=tree", "kind must be one of"),
+    ("epochs=0", "epochs must be >= 1"),
+    ("hidden_units=0", "hidden_units must be >= 1"),
+])
+def test_load_model_refuses_a_spec_the_learner_refuses(line, message, tmp_path):
+    path = saved_three_wide_model("linear", tmp_path)
+    key = line.partition("=")[0]
+    lines = [line if old.startswith(key + "=") else old for old in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=rf"^bad header field \({message}"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("prefix, message", [
+    ("epochs=", "missing header field epochs"),
+    ("param b ", r"model needs params \['b', 'w'\]"),
+])
+def test_load_model_refuses_a_file_without_one_of_its_lines(prefix, message, tmp_path):
+    path = saved_three_wide_model("linear", tmp_path)
+    lines = [line for line in path.read_text().splitlines() if not line.startswith(prefix)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=message) as info:
+        load_model(path)
+    assert info.value.line is None
+
+
+@pytest.mark.parametrize("row", ["param w", "param w 3"])
+def test_load_model_refuses_a_row_without_a_shape_and_values(row, tmp_path):
+    path = saved_three_wide_model("linear", tmp_path)
+    lines = path.read_text().splitlines()
+    index = next(k for k, line in enumerate(lines) if line.startswith("param w "))
+    lines[index] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="bad param line") as info:
+        load_model(path)
+    assert info.value.line == index + 1
+
+
+def test_load_model_skips_blank_lines(tmp_path):
+    path = saved_three_wide_model("mlp", tmp_path)
+    learner = load_model(path)
+    path.write_text(path.read_text().replace("\n", "\n\n  \n"))
+    assert load_model(path) == learner
+
+
 def test_load_model_header_is_every_spec_field(tmp_path):
     path = saved_three_wide_model("mlp", tmp_path)
     keys = [line.partition("=")[0] for line in path.read_text().splitlines()[1:9]]
@@ -460,9 +512,70 @@ def test_load_model_rejects_a_declared_dimension_below_1(kind, name, shape, tmp_
     values = line.split(" ", 3)[3]
     lines[lineno - 1] = f"param {name} {shape} {values}"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match="bad param line") as info:
+    with pytest.raises(FormatError, match=f"param {name} has shape {shape}, expected") as info:
         load_model(path)
     assert info.value.line == lineno
+
+
+@pytest.mark.parametrize("kind, name, shape, replaces", [
+    ("linear", "v", "3", False),
+    ("mlp", "w", "3", False),
+    ("mlp", "W1", "3x4", False),
+    ("linear", "w", "1x3", True),
+    ("mlp", "W1", "4x3", True),
+    ("mlp", "b1", "04", True),
+], ids=["unknown-name", "other-kinds-name", "second-W1", "w-1x3", "W1-transposed", "b1-04"])
+def test_load_model_refuses_a_param_row_before_decoding_it(
+    kind, name, shape, replaces, tmp_path, monkeypatch
+):
+    # every row used to be decoded before the header was read; an unknown
+    # name was then refused with no line, and `04` loaded as 4
+    path = saved_three_wide_model(kind, tmp_path)
+    lines = path.read_text().splitlines()
+    values = " ".join(["0x1.8p+0"] * math.prod(int(n) for n in shape.split("x")))
+    bad = f"param {name} {shape} {values}"
+    if replaces:
+        index = next(k for k, line in enumerate(lines) if line.startswith(f"param {name} "))
+        lines[index] = bad
+    else:
+        lines.append(bad)
+        index = len(lines) - 1
+    path.write_text("\n".join(lines) + "\n")
+    decoded = []
+    monkeypatch.setattr(malsieve.learners, "hex_values",
+                        lambda text, start=0: decoded.append(text) or hex_values(text, start))
+    with pytest.raises(FormatError) as info:
+        load_model(path)
+    assert info.value.line == index + 1
+    assert bad.removeprefix("param ") not in decoded
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("change", [-1, 1], ids=["one-short", "one-over"])
+def test_load_model_refuses_a_row_whose_values_do_not_fill_its_shape(kind, change, tmp_path):
+    path = saved_three_wide_model(kind, tmp_path)
+    lines = path.read_text().splitlines()
+    tokens = lines[-1].split(" ")
+    lines[-1] = " ".join(tokens[:-1] if change < 0 else tokens + tokens[-1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="bad param line") as info:
+        load_model(path)
+    assert info.value.line == len(lines)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("dim", ["0", "-1"])
+@pytest.mark.parametrize("rows_follow", [False, True], ids=["header-only", "rows-follow"])
+def test_load_model_refuses_a_header_dim_below_1(kind, dim, rows_follow, tmp_path):
+    # with the rows edited to match, numpy's reshape would read -1 as
+    # "infer this axis"
+    path = saved_three_wide_model(kind, tmp_path)
+    text = path.read_text().replace("\ndim=3\n", f"\ndim={dim}\n")
+    if rows_follow:
+        text = re.sub(r"^(param (?:w|W1)) 3", rf"\1 {dim}", text, flags=re.M)
+    path.write_text(text)
+    with pytest.raises(FormatError):
+        load_model(path)
 
 
 def test_load_model_rejects_a_param_row_given_twice(tmp_path):

@@ -289,6 +289,21 @@ def test_dataset_header_count_mismatch(tmp_path):
     assert info.value.line == 1
 
 
+@pytest.mark.parametrize("header, message", [
+    ("dim=5", "expected header"),
+    ("dim=x n=1", "dim and n must be integers"),
+    ("dim=5 n=1.0", "dim and n must be integers"),
+    ("dim=0 n=0", "dim must be >= 1"),
+    ("dim=5 n=-1", "n >= 0"),
+])
+def test_dataset_header_is_refused_on_line_1(tmp_path, header, message):
+    path = tmp_path / "d.svm"
+    path.write_text(f"{header}\n+1 1\n")
+    with pytest.raises(FormatError, match=message) as info:
+        load_dataset(path)
+    assert info.value.line == 1
+
+
 def test_dataset_non_increasing_indices_rejected(tmp_path):
     path = tmp_path / "d.svm"
     path.write_text("dim=5 n=1\n+1 3 3\n")
