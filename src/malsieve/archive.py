@@ -79,7 +79,9 @@ class ApkArchive:
 
         Raises TruncatedArchive when the payload runs past the file or the
         decompressed size disagrees with the declared one, and
-        UnsupportedCompression for methods other than stored/deflate.
+        UnsupportedCompression for methods other than stored/deflate. A
+        deflate entry is inflated at most one byte past its declared size,
+        so an entry that inflates far beyond it costs no more memory.
         """
         data = self.data
         off = entry.local_offset
@@ -99,10 +101,19 @@ class ApkArchive:
         if entry.method == _METHOD_STORED:
             out = raw
         elif entry.method == _METHOD_DEFLATE:
+            inflater = zlib.decompressobj(wbits=-15)
             try:
-                out = zlib.decompress(raw, wbits=-15)
+                out = inflater.decompress(raw, entry.uncompressed_size + 1)
             except zlib.error as exc:
                 raise TruncatedArchive(f"{entry.path}: bad deflate stream ({exc})") from exc
+            if len(out) > entry.uncompressed_size:
+                raise TruncatedArchive(
+                    f"{entry.path}: inflates past its declared {entry.uncompressed_size} bytes"
+                )
+            if not inflater.eof:  # bytes after the stream's end are ignored, as zlib does
+                raise TruncatedArchive(
+                    f"{entry.path}: bad deflate stream (incomplete or truncated stream)"
+                )
         else:
             raise UnsupportedCompression(f"{entry.path}: method {entry.method}")
         if len(out) != entry.uncompressed_size:

@@ -111,6 +111,7 @@ class _Parser:
         self.strings: list[str] | None = None
         self.android_ns_seen = False
         self.element_stack: list[str] = []
+        self.open_filters = 0  # how many intent-filter elements element_stack holds
         # (is a permission, value, has no namespace) per name attribute found
         self.found: list[tuple[bool, str, bool]] = []
 
@@ -148,7 +149,8 @@ class _Parser:
             elif ctype == _RES_XML_END_ELEMENT:
                 if not self.element_stack:
                     raise MalformedAxml("end element without open element")
-                self.element_stack.pop()
+                if self.element_stack.pop() == "intent-filter":
+                    self.open_filters -= 1
             # other chunk types are skipped; their size field was validated
             pos += csize
 
@@ -178,9 +180,11 @@ class _Parser:
         )
         name = self.string(name_idx)
         self.element_stack.append(name)
+        if name == "intent-filter":
+            self.open_filters += 1
 
         wants_permission = name == "uses-permission"
-        wants_action = name == "action" and "intent-filter" in self.element_stack[:-1]
+        wants_action = name == "action" and self.open_filters > 0  # inside one, at any depth
         if not (wants_permission or wants_action):
             return
 

@@ -25,6 +25,7 @@ import argparse
 import sys
 from collections.abc import Iterable
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 from . import ensemble as ens
@@ -38,14 +39,16 @@ from .errors import (
     value_text,
 )
 from .evaluation import compute_metrics
-from .ga import format_ga_report, run_ga
+from .ga import GAConfig, format_ga_report, run_ga
+from .learners import LearnerSpec
 from .records import LABEL_TEXT, LABELS, format_record, load_records, read_records
 from .vectorize import (
     Dataset,
     build_vocabulary,
-    is_dataset_file,
+    is_dataset_header,
     load_dataset,
     load_vocabulary,
+    read_dataset,
     save_dataset,
     save_vocabulary,
     vectorize,
@@ -155,11 +158,10 @@ def cmd_vectorize(args: argparse.Namespace) -> int:
 
 # --- train-pool ---
 
-# the ExperimentConfig keys that train-pool and select take as flags
-_POOL_KEYS = ("pool_size", "learner", "learning_rate", "epochs", "hidden_units", "l2",
-              "batch_size")
-_GA_KEYS = ("pop_size", "max_iter", "crossover_rate", "mutation_rate", "elite_count",
-            "diversity_norm")
+# train-pool's and select's flags: the fields of the spec each builds that
+# are config keys (a learner's kind is the `learner` key, a seed is --seed)
+_POOL_KEYS = ("pool_size", "learner", *(f.name for f in fields(LearnerSpec)))
+_GA_KEYS = tuple(f.name for f in fields(GAConfig))
 
 
 def _config(args: argparse.Namespace, keys: tuple[str, ...]) -> exp.ExperimentConfig:
@@ -219,23 +221,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # --- predict ---
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    if is_dataset_file(args.input) != (args.vocab is None):
-        _log("predict: a records input requires --vocab, and a dataset input takes none")
-        return _EXIT_USAGE
-    pool = ens.load_pool(args.pool)
-    omega = _selection(args, pool)
-    if args.vocab is None:
-        data = load_dataset(args.input)
-        ids = [f"sample_{i}" for i in range(len(data))]
-    else:
-        # each record is dropped once vectorized: only ids and vectors stay
-        vocab = load_vocabulary(args.vocab)
-        ids, vectors = [], []
-        with open_text(args.input) as fh:
-            for record in read_records(fh):
+    with open_text(args.input) as fh:  # opened once, so a pipe works
+        first = fh.readline()
+        if is_dataset_header(first) != (args.vocab is None):
+            _log("predict: a records input requires --vocab, and a dataset input takes none")
+            return _EXIT_USAGE
+        pool = ens.load_pool(args.pool)
+        omega = _selection(args, pool)
+        if args.vocab is None:
+            data = read_dataset(chain([first], fh))
+            ids = [f"sample_{i}" for i in range(len(data))]
+        else:
+            # each record is dropped once vectorized: only ids and vectors stay
+            vocab = load_vocabulary(args.vocab)
+            ids, vectors = [], []
+            for record in read_records(chain([first], fh)):
                 ids.append(record.app_id)
                 vectors.append(vectorize(record, vocab))
-        data = Dataset(vectors, dimension=vocab.dimension)
+            data = Dataset(vectors, dimension=vocab.dimension)
     votes = ens.majority_vote_matrix(ens.precompute_predictions(pool.learners, data),
                                      omega.bits)
     _write_text(args.out, (

@@ -45,6 +45,7 @@ from .learners import (
     load_model,
     predict_labels,
     save_model,
+    sign_labels,
     train,
 )
 from .rng import derive_seed, make_rng
@@ -183,8 +184,7 @@ def majority_vote_matrix(matrix: np.ndarray, masks) -> np.ndarray:
     `precompute_predictions` matrix; a tied sum counts as +1. An (N,) mask
     gives (M,) votes, a (P x N) stack of masks gives (P x M)."""
     # float64, so the product runs on BLAS; exact for these small integer sums
-    sums = selection_masks(masks, matrix.shape[0]) @ matrix.astype(np.float64)
-    return np.where(sums >= 0, 1, -1).astype(np.int8)
+    return sign_labels(selection_masks(masks, matrix.shape[0]) @ matrix.astype(np.float64))
 
 
 def vote(pool: EnsemblePool, omega: WeightVector, x: FeatureVector) -> int:

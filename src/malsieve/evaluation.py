@@ -39,12 +39,12 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    flip_fraction: float = 0.1
+    noise_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.flip_fraction <= 0.5:
-            raise InvalidConfig("flip_fraction must be in [0, 0.5]")
+        if not 0.0 <= self.noise_fraction <= 0.5:
+            raise InvalidConfig("noise_fraction must be in [0, 0.5]")
 
 
 def stratified_split_indices(
@@ -108,7 +108,7 @@ def inject_label_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
     if any(l is None for l in data.clean_labels):
         raise ValueError("noise injection requires labeled data")
     rngs = [make_rng(spec.seed, "noise", cls) for cls in _CLASSES]
-    flips = equal_count_flips(np.array(data.clean_labels), spec.flip_fraction, rngs)
+    flips = equal_count_flips(np.array(data.clean_labels), spec.noise_fraction, rngs)
     labels = np.array(data.labels())
     labels[flips] *= -1
     return data.with_labels(labels.tolist())

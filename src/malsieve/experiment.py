@@ -23,6 +23,7 @@ Configs are flat key=value text files; see DEFAULT_CONFIG_TEXT.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .ensemble import (
     precompute_predictions,
     train_pool,
 )
-from .errors import FIELD_PARSERS, InvalidConfig, value_text, with_context
+from .errors import FIELD_PARSERS, InvalidConfig, open_text, value_text, with_context
 from .evaluation import (
     METRIC_NAMES,
     MetricsReport,
@@ -48,18 +49,19 @@ from .evaluation import (
 )
 from .ga import GAConfig, GAResult, run_ga
 from .learners import KINDS, LearnerSpec, train
-from .records import FeatureRecord, load_records
+from .records import FeatureRecord, read_records
 from .rng import derive_seed, make_rng
 from .vectorize import (
     Dataset,
     FeatureVector,
     build_vocabulary,
-    is_dataset_file,
-    load_dataset,
+    is_dataset_header,
+    read_dataset,
     vectorize_all,
 )
 
 METHODS = ("single", "full_pool", "selective")
+SPLITS = ("train", "validation", "test")
 FITNESS_SPLITS = ("validation",)
 
 
@@ -108,6 +110,11 @@ class ExperimentConfig:
             raise InvalidConfig("synthetic_features must be >= 1")
         if not 0.0 <= self.synthetic_concept_noise <= 0.5:
             raise InvalidConfig("synthetic_concept_noise must be in [0, 0.5]")
+        # build_vocabulary's checks too, so that a bad value fails before any run
+        if self.min_doc_freq < 1:
+            raise InvalidConfig("min_doc_freq must be >= 1")
+        if self.max_api_features < 0:
+            raise InvalidConfig("max_api_features must be >= 0")
         if self.pool_size < 1:
             raise InvalidConfig("pool_size must be >= 1")
         if self.learner not in KINDS:
@@ -124,7 +131,7 @@ class ExperimentConfig:
         return _spec(SplitSpec, self, seed=seed)
 
     def noise_spec(self, seed: int) -> NoiseSpec:
-        return NoiseSpec(self.noise_fraction, seed)
+        return _spec(NoiseSpec, self, seed=seed)
 
     def learner_spec(self, seed: int) -> LearnerSpec:
         return _spec(LearnerSpec, self, kind=self.learner, rng_seed=seed)
@@ -205,9 +212,11 @@ def _load_source(config: ExperimentConfig) -> Dataset | list[FeatureRecord]:
             config.synthetic_concept_noise,
             derive_seed(config.master_seed, "synthetic"),
         )
-    if is_dataset_file(config.dataset):
-        return load_dataset(config.dataset)
-    records = load_records(config.dataset)
+    with open_text(config.dataset) as fh:
+        first = fh.readline()  # opened once, so a pipe works
+        if is_dataset_header(first):
+            return read_dataset(chain([first], fh))
+        records = list(read_records(chain([first], fh), {}))
     if any(r.label is None for r in records):
         raise InvalidConfig("experiment requires labeled records")
     return records
@@ -238,20 +247,13 @@ def run_one(
     the noisy validation split, and score the three methods on the test
     split."""
     run_seed = derive_seed(config.master_seed, "run", run_index)
-    train_set, val_set, test_set = _prepare_splits(source, config, run_seed)
-
-    noisy_train, noisy_val = train_set, val_set
+    splits = dict(zip(SPLITS, _prepare_splits(source, config, run_seed)))
+    # zero noise flips nothing, and noise refuses a split that lacks a class
     if config.noise_fraction > 0:
-        noisy_train = inject_label_noise(
-            train_set, config.noise_spec(derive_seed(run_seed, "noise", "train"))
-        )
-        noisy_val = inject_label_noise(
-            val_set, config.noise_spec(derive_seed(run_seed, "noise", "validation"))
-        )
-        if config.noise_test:
-            test_set = inject_label_noise(
-                test_set, config.noise_spec(derive_seed(run_seed, "noise", "test"))
-            )
+        for name in SPLITS if config.noise_test else SPLITS[:2]:
+            seed = derive_seed(run_seed, "noise", name)
+            splits[name] = inject_label_noise(splits[name], config.noise_spec(seed))
+    noisy_train, noisy_val, test_set = splits.values()
 
     X, y = noisy_train.to_dense(), noisy_train.label_array()
     pool = train_pool(X, y, config.pool_size, config.learner_spec(config.learner_seed),

@@ -9,8 +9,10 @@ resolved to +1, the fail-safe direction for a detector.
 exact analytic gradient; the finite-difference checks in the test suite
 compare the two. Training takes a `gradient` step per minibatch and never
 computes the loss itself; after each epoch it checks that every parameter
-is still finite. `predict_labels` is the one place a margin becomes a
-label.
+is still finite. `gradient` and `decision_values` share one forward pass,
+`init_params` and `load_model` one table of parameter names and shapes,
+and `predict_labels` and `ensemble.majority_vote_matrix` one sign rule,
+`sign_labels`, which makes a margin or a vote sum a label.
 
 `train` is the one training routine. Its samples are rows of a dense
 matrix that the caller densified once and that every learner of a pool
@@ -101,28 +103,37 @@ class TrainedLearner:
         )
 
 
-def init_params(spec: LearnerSpec, dim: int) -> dict[str, np.ndarray]:
-    """Linear weights start at zero; hidden-layer weights are seeded
-    symmetric uniform scaled by 1/sqrt(fan_in)."""
+def param_shapes(spec: LearnerSpec, dim: int) -> dict[str, tuple[int, ...]]:
+    """The name and shape of each parameter of a spec's learner over dim
+    features, in the order `init_params` draws them."""
     if spec.kind == "linear":
-        return {"w": np.zeros(dim), "b": np.zeros(1)}
-    rng = make_rng(spec.rng_seed, "init")
+        return {"w": (dim,), "b": (1,)}
     h = spec.hidden_units
-    a1 = 1.0 / np.sqrt(dim)
-    a2 = 1.0 / np.sqrt(h)
-    return {
-        "W1": rng.uniform(-a1, a1, size=(dim, h)),
-        "b1": np.zeros(h),
-        "w2": rng.uniform(-a2, a2, size=h),
-        "b2": np.zeros(1),
-    }
+    return {"W1": (dim, h), "b1": (h,), "w2": (h,), "b2": (1,)}
+
+
+def init_params(spec: LearnerSpec, dim: int) -> dict[str, np.ndarray]:
+    """Biases and linear weights start at zero; hidden-layer weights are
+    seeded symmetric uniform scaled by 1/sqrt(fan_in), their first axis."""
+    params = {name: np.zeros(shape) for name, shape in param_shapes(spec, dim).items()}
+    if spec.kind == "mlp":
+        rng = make_rng(spec.rng_seed, "init")
+        for name in ("W1", "w2"):
+            a = 1.0 / np.sqrt(params[name].shape[0])
+            params[name] = rng.uniform(-a, a, size=params[name].shape)
+    return params
+
+
+def _forward(kind: str, params: dict[str, np.ndarray], X: np.ndarray):
+    """The margins of the rows of X and the hidden layer (None if linear)."""
+    if kind == "linear":
+        return X @ params["w"] + params["b"][0], None
+    H = np.tanh(X @ params["W1"] + params["b1"])
+    return H @ params["w2"] + params["b2"][0], H
 
 
 def decision_values(kind: str, params: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
-    if kind == "linear":
-        return X @ params["w"] + params["b"][0]
-    H = np.tanh(X @ params["W1"] + params["b1"])
-    return H @ params["w2"] + params["b2"][0]
+    return _forward(kind, params, X)[0]
 
 
 def gradient(
@@ -133,18 +144,10 @@ def gradient(
     l2: float,
 ) -> dict[str, np.ndarray]:
     """Exact analytic gradient of `loss` over the batch (X, y)."""
-    n = X.shape[0]
+    z, H = _forward(kind, params, X)
+    gz = -y * _sigmoid(-y * z) / X.shape[0]
     if kind == "linear":
-        z = X @ params["w"] + params["b"][0]
-        gz = -y * _sigmoid(-y * z) / n
-        return {
-            "w": X.T @ gz + l2 * params["w"],
-            "b": np.array([np.sum(gz)]),
-        }
-
-    H = np.tanh(X @ params["W1"] + params["b1"])
-    z = H @ params["w2"] + params["b2"][0]
-    gz = -y * _sigmoid(-y * z) / n
+        return {"w": X.T @ gz + l2 * params["w"], "b": np.array([np.sum(gz)])}
     g_pre = (gz[:, None] * params["w2"][None, :]) * (1.0 - H * H)
     return {
         "W1": X.T @ g_pre + l2 * params["W1"],
@@ -226,8 +229,13 @@ def predict_labels(learner: TrainedLearner, X: np.ndarray) -> np.ndarray:
     malicious."""
     if X.shape[1] != learner.dim:
         raise DimensionMismatch(f"matrix width {X.shape[1]} != learner dimension {learner.dim}")
-    m = decision_values(learner.kind, learner.params, X)
-    return np.where(m >= 0.0, 1, -1).astype(np.int8)
+    return sign_labels(decision_values(learner.kind, learner.params, X))
+
+
+def sign_labels(scores: np.ndarray) -> np.ndarray:
+    """+1 for each score of 0 or more, -1 below: the rule that turns a
+    learner's margin, and an ensemble's vote sum, into a label."""
+    return np.where(scores >= 0, 1, -1).astype(np.int8)
 
 
 # --- serialization ---
@@ -342,11 +350,7 @@ def load_model(path: str | os.PathLike) -> TrainedLearner:
         spec = LearnerSpec(**header)
     except InvalidConfig as exc:
         raise FormatError(f"bad header field ({exc})", None)
-    h = spec.hidden_units
-    shapes = {
-        "linear": {"w": (dim,), "b": (1,)},
-        "mlp": {"W1": (dim, h), "b1": (h,), "w2": (h,), "b2": (1,)},
-    }[spec.kind]
+    shapes = param_shapes(spec, dim)
     params: dict[str, np.ndarray] = {}
     for lineno, row in rows:
         name_end = row.find(" ")

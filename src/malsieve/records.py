@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import IO, Iterator
+from typing import Iterable, Iterator
 
 from .archive import ApkArchive
 from .axml import parse_manifest
@@ -127,11 +127,14 @@ def parse_record_line(
     return FeatureRecord(app_id=app_id, label=LABELS[label_text], features=features)
 
 
-def read_records(fh: IO[str], names: dict[str, str] | None = None) -> Iterator[FeatureRecord]:
-    """The records of fh's lines, one at a time, blank lines skipped.
-    `names` is passed on to `parse_record_line`; without it each record
-    keeps the strings of its own line, and nothing outlives the record."""
-    for lineno, line in enumerate(fh, start=1):
+def read_records(
+    lines: Iterable[str], names: dict[str, str] | None = None
+) -> Iterator[FeatureRecord]:
+    """The records of a records file's lines, one at a time, blank lines
+    skipped. `names` is passed on to `parse_record_line`; without it each
+    record keeps the strings of its own line, and nothing outlives the
+    record."""
+    for lineno, line in enumerate(lines, start=1):
         if line.strip():
             yield parse_record_line(line, lineno, names)
 

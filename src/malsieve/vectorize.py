@@ -262,44 +262,48 @@ def save_dataset(dataset: Dataset, path: str | os.PathLike) -> None:
             fh.write(" ".join([LABEL_TEXT[v.label], *map(str, v.indices)]) + "\n")
 
 
-def is_dataset_file(path: str | os.PathLike) -> bool:
-    """Whether path starts with a dataset header; the other text input the
-    pipeline takes in its place is a records file, whose lines, unlike a
-    header, always hold a tab (the record of dim=1.apk starts with dim=)."""
-    with open_text(path) as fh:
-        first = fh.readline()
-    return first.startswith("dim=") and "\t" not in first
+def is_dataset_header(line: str) -> bool:
+    """Whether a file's first line is a dataset header; the other text
+    input the pipeline takes in a dataset's place is a records file, whose
+    lines, unlike a header, always hold a tab (the record of dim=1.apk
+    starts with dim=). A caller tests the line it read from the handle it
+    goes on to parse, so a pipe works as an input."""
+    return line.startswith("dim=") and "\t" not in line
+
+
+def read_dataset(lines: Iterable[str]) -> Dataset:
+    """The dataset of a dataset file's lines, its header first."""
+    lines = iter(lines)
+    parts = next(lines, "").split()
+    if (len(parts) != 2 or not parts[0].startswith("dim=")
+            or not parts[1].startswith("n=")):
+        raise FormatError("expected header 'dim=<d> n=<M>'", 1)
+    try:
+        dim = int(parts[0][4:])
+        n = int(parts[1][2:])
+    except ValueError:
+        raise FormatError("dim and n must be integers", 1)
+    if dim < 1 or n < 0:
+        raise FormatError("dim must be >= 1 and n >= 0", 1)
+
+    vectors: list[FeatureVector] = []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        tokens = line.split()
+        label = LABELS.get(tokens[0])
+        if label is None:  # an unknown token, or ? (unlabeled)
+            raise FormatError(f"bad label {tokens[0]!r}", lineno)
+        try:
+            indices = tuple(int(t) for t in tokens[1:])
+            vectors.append(FeatureVector(dim, indices, label))
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno)
+    if len(vectors) != n:
+        raise FormatError(f"header declares n={n} but file holds {len(vectors)} samples", 1)
+    return Dataset(vectors, dimension=dim)
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
     with open_text(path) as fh:
-        header = fh.readline()
-        parts = header.split()
-        if (len(parts) != 2 or not parts[0].startswith("dim=")
-                or not parts[1].startswith("n=")):
-            raise FormatError("expected header 'dim=<d> n=<M>'", 1)
-        try:
-            dim = int(parts[0][4:])
-            n = int(parts[1][2:])
-        except ValueError:
-            raise FormatError("dim and n must be integers", 1)
-        if dim < 1 or n < 0:
-            raise FormatError("dim must be >= 1 and n >= 0", 1)
-
-        vectors: list[FeatureVector] = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            tokens = line.split()
-            label = LABELS.get(tokens[0])
-            if label is None:  # an unknown token, or ? (unlabeled)
-                raise FormatError(f"bad label {tokens[0]!r}", lineno)
-            try:
-                indices = tuple(int(t) for t in tokens[1:])
-                vectors.append(FeatureVector(dim, indices, label))
-            except ValueError as exc:
-                raise FormatError(str(exc), lineno)
-
-    if len(vectors) != n:
-        raise FormatError(f"header declares n={n} but file holds {len(vectors)} samples", 1)
-    return Dataset(vectors, dimension=dim)
+        return read_dataset(fh)

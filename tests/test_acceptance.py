@@ -265,7 +265,7 @@ def test_criterion_8_metric_identities_and_noise_involution():
             ]
             data = Dataset(vectors, dimension=2 * n)
             spec = NoiseSpec(
-                flip_fraction=float(rng.uniform(0.0, 0.5)),
+                noise_fraction=float(rng.uniform(0.0, 0.5)),
                 seed=int(rng.integers(0, 10**9)),
             )
             once = inject_label_noise(data, spec)

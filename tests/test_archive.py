@@ -1,6 +1,8 @@
 import io
 import struct
+import tracemalloc
 import zipfile
+import zlib
 
 import pytest
 
@@ -171,3 +173,59 @@ def test_entry_name_without_the_utf8_flag_is_cp437():
     with zipfile.ZipFile(io.BytesIO(bytes(data))) as zf:
         assert [e.path for e in archive.entries] == zf.namelist() == ["caf\u251c\u2310.txt"]
     assert archive.read(archive.entries[0]) == b"x"
+
+
+def deflate_entry_archive(stream: bytes, payload: bytes, declared: int) -> bytes:
+    """One deflate entry whose compressed bytes are `stream`, declaring
+    `declared` inflated bytes and payload's crc."""
+    data = bytearray(build_zip([("AndroidManifest.xml", stream, STORED)]))
+    cd = data.index(b"PK\x01\x02")
+    struct.pack_into("<H", data, cd + 10, DEFLATED)
+    struct.pack_into("<I", data, cd + 16, zlib.crc32(payload))
+    struct.pack_into("<I", data, cd + 24, declared)
+    return bytes(data)
+
+
+def deflate(payload: bytes) -> bytes:
+    comp = zlib.compressobj(level=6, wbits=-15)
+    return comp.compress(payload) + comp.flush()
+
+
+def test_entry_inflating_past_its_declared_size_stops_one_byte_past_it():
+    # 16 MiB of zeros deflate to about 16 KB; the entry declares 100 bytes.
+    # The whole stream used to be inflated before its size was checked.
+    comp = zlib.compressobj(level=9, wbits=-15)
+    stream = b"".join(comp.compress(bytes(1 << 20)) for _ in range(16)) + comp.flush()
+    archive = parse_archive(deflate_entry_archive(stream, b"", 100))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedArchive, match="inflates past its declared 100 bytes"):
+            archive.read(archive.entries[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_truncated_deflate_stream_is_a_bad_stream():
+    payload = bytes(range(256)) * 20
+    stream = deflate(payload)
+    archive = parse_archive(deflate_entry_archive(stream[: len(stream) // 2], payload,
+                                                  len(payload)))
+    with pytest.raises(TruncatedArchive, match="bad deflate stream"):
+        archive.read(archive.entries[0])
+
+
+def test_bytes_after_the_end_of_a_deflate_stream_are_accepted():
+    payload = bytes(range(256)) * 20
+    archive = parse_archive(deflate_entry_archive(deflate(payload) + b"tail", payload,
+                                                  len(payload)))
+    assert archive.read(archive.entries[0]) == payload
+
+
+@pytest.mark.parametrize("declared", [0, 5119, 5121])
+def test_deflate_entry_of_another_size_than_declared_is_refused(declared):
+    payload = bytes(range(256)) * 20  # 5120 bytes
+    archive = parse_archive(deflate_entry_archive(deflate(payload), payload, declared))
+    with pytest.raises(TruncatedArchive, match="inflates past|decompressed 5120 bytes"):
+        archive.read(archive.entries[0])

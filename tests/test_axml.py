@@ -1,4 +1,5 @@
 import struct
+import time
 
 import pytest
 
@@ -316,3 +317,53 @@ def test_element_before_string_pool():
 def test_determinism():
     payload = simple_manifest([SEND_SMS, INTERNET], [BOOT])
     assert parse_manifest(payload) == parse_manifest(payload)
+
+
+def test_action_counts_anywhere_inside_an_intent_filter_and_only_there():
+    # "inside" means any depth below an open intent-filter, not only its child
+    b = AxmlBuilder()
+    b.start_ns("android", ANDROID_NS)
+    b.start("manifest").start("intent-filter").start("intent-filter").start("data")
+    b.start("action", [(ANDROID_NS, "name", BOOT)]).end("action")
+    b.end("data").end("intent-filter")
+    b.start("action", [(ANDROID_NS, "name", "still.inside")]).end("action")
+    b.end("intent-filter")
+    b.start("action", [(ANDROID_NS, "name", "outside")]).end("action")
+    b.end("manifest").end_ns("android", ANDROID_NS)
+    assert parse_manifest(b.build()).intent_actions == (BOOT, "still.inside")
+
+
+def deep_manifest(depth: int, nested: bool) -> bytes:
+    """depth elements, nested or each closed at once, then depth actions
+    inside one intent-filter."""
+    b = AxmlBuilder()
+    b.start_ns("android", ANDROID_NS)
+    b.start("manifest")
+    for _ in range(depth):
+        b.start("x")
+        if not nested:
+            b.end("x")
+    b.start("intent-filter")
+    for _ in range(depth):
+        b.start("action", [(ANDROID_NS, "name", BOOT)]).end("action")
+    b.end("intent-filter")
+    for _ in range(depth if nested else 0):
+        b.end("x")
+    b.end("manifest").end_ns("android", ANDROID_NS)
+    return b.build()
+
+
+def test_parse_time_does_not_grow_with_nesting_depth():
+    # each action used to copy and scan the whole element stack, so D
+    # nested elements and D actions took time in D squared: 1.2 s at
+    # D=10,000 against 0.03 s for the same elements unnested
+    def best_time(payload):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert parse_manifest(payload).intent_actions == (BOOT,)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    flat, nested = (deep_manifest(10_000, nested) for nested in (False, True))
+    assert best_time(nested) < 10 * best_time(flat)

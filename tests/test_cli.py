@@ -1,5 +1,7 @@
+import contextlib
 import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -446,6 +448,79 @@ def test_predict_refuses_vocab_for_a_dataset_input(tmp_path, capsys):
     assert not out.exists()
     assert main(["predict", f"{tmp_path}/pool", f"{tmp_path}/r.records"]) == 2
     assert "--vocab" in capsys.readouterr().err
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A path that reads data through a pipe, which can be read only once."""
+    read_end, write_end = os.pipe()
+
+    def write():  # a reader that stops early closes the pipe under it
+        with os.fdopen(write_end, "wb") as fh, contextlib.suppress(BrokenPipeError):
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("name, flags", [
+    ("r.records", ["--vocab", "{t}/vocab.tsv"]),
+    ("d.svm", []),
+])
+def test_predict_reads_its_input_once_so_a_pipe_works(tmp_path, capsys, name, flags):
+    # the input used to be opened twice: a pipe's first read went to
+    # telling records from a dataset, and predict printed no labels
+    write_small_artifacts(tmp_path)
+    flags = [f.format(t=tmp_path) for f in flags]
+    assert main(["predict", f"{tmp_path}/pool", f"{tmp_path}/{name}", *flags]) == 0
+    expected = capsys.readouterr().out
+    with piped((tmp_path / name).read_bytes()) as path:
+        assert main(["predict", f"{tmp_path}/pool", path, *flags]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(expected.splitlines()) == 2
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_experiment_reads_its_dataset_once_so_a_pipe_works(tmp_path):
+    from malsieve.experiment import synthetic_dataset
+
+    dataset = tmp_path / "data.svm"
+    save_dataset(synthetic_dataset(200, 10, 0.1, seed=4), dataset)
+    config, out = tmp_path / "exp.cfg", tmp_path / "report.txt"
+
+    def report(path: str) -> str:
+        config.write_text(TINY_EXPERIMENT + f"dataset={path}\n")
+        assert main(["experiment", str(config), "--out", str(out)]) == 0
+        return out.read_text().replace(f"dataset={path}\n", "")
+
+    with piped(dataset.read_bytes()) as path:
+        from_pipe = report(path)
+    assert from_pipe == report(str(dataset))
+    assert "summary method=selective" in from_pipe
+
+
+@pytest.mark.parametrize("line, message", [
+    ("min_doc_freq=0", "min_doc_freq must be >= 1"),
+    ("max_api_features=-1", "max_api_features must be >= 0"),
+])
+def test_experiment_refuses_a_vocabulary_key_before_any_run(tmp_path, capsys, line, message):
+    # with allow_partial, each run used to fail on it and the command exit 0
+    corpus = tmp_path / "corpus.records"
+    corpus.write_text("".join(f"app{i}\t{'+1' if i % 2 else '-1'}\tperm:p{i % 3}\n"
+                              for i in range(20)))
+    config = tmp_path / "exp.cfg"
+    config.write_text(TINY_EXPERIMENT + f"dataset={corpus}\nallow_partial=true\n{line}\n")
+    out = tmp_path / "report.txt"
+    assert main(["experiment", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_predict_dimension_mismatch_fails(tmp_path):

@@ -307,6 +307,12 @@ def test_all_zero_weights_rejected():
         majority_vote_matrix(matrix, (0,))
 
 
+def test_mask_of_another_length_than_the_pool_rejected():
+    matrix = np.array([[1, -1], [-1, -1]], dtype=np.int8)
+    with pytest.raises(DimensionMismatch, match="weight vector length 3 != pool size 2"):
+        majority_vote_matrix(matrix, (1, 1, 1))
+
+
 def test_vote_dimension_mismatch():
     pool = pool_from_matrix(np.array([[1, -1]], dtype=np.int8))
     with pytest.raises(DimensionMismatch):

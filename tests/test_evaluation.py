@@ -86,13 +86,13 @@ def test_stratified_indices_stable_under_label_view():
 
 def test_zero_fraction_is_identity():
     data = balanced_dataset(10)
-    noisy = inject_label_noise(data, NoiseSpec(flip_fraction=0.0, seed=1))
+    noisy = inject_label_noise(data, NoiseSpec(noise_fraction=0.0, seed=1))
     assert noisy.labels() == data.labels()
 
 
 def test_ten_percent_swap_on_balanced_data():
     data = balanced_dataset(100)
-    noisy = inject_label_noise(data, NoiseSpec(flip_fraction=0.1, seed=5))
+    noisy = inject_label_noise(data, NoiseSpec(noise_fraction=0.1, seed=5))
     flips_pos = sum(
         1 for before, after in zip(data.labels(), noisy.labels())
         if before == 1 and after == -1
@@ -107,7 +107,7 @@ def test_ten_percent_swap_on_balanced_data():
 
 def test_double_application_is_involution():
     data = balanced_dataset(50)
-    spec = NoiseSpec(flip_fraction=0.2, seed=8)
+    spec = NoiseSpec(noise_fraction=0.2, seed=8)
     once = inject_label_noise(data, spec)
     twice = inject_label_noise(once, spec)
     assert twice.labels() == data.labels()
@@ -120,7 +120,7 @@ def test_involution_property_random_specs():
         n = int(rng.integers(5, 40))
         data = balanced_dataset(n)
         spec = NoiseSpec(
-            flip_fraction=float(rng.uniform(0, 0.5)), seed=int(rng.integers(0, 10**9))
+            noise_fraction=float(rng.uniform(0, 0.5)), seed=int(rng.integers(0, 10**9))
         )
         once = inject_label_noise(data, spec)
         twice = inject_label_noise(once, spec)
@@ -129,7 +129,7 @@ def test_involution_property_random_specs():
 
 def test_noise_keeps_features_and_clean_labels():
     data = balanced_dataset(30)
-    noisy = inject_label_noise(data, NoiseSpec(flip_fraction=0.3, seed=2))
+    noisy = inject_label_noise(data, NoiseSpec(noise_fraction=0.3, seed=2))
     assert [v.indices for v in noisy.vectors] == [v.indices for v in data.vectors]
     assert noisy.clean_labels == data.labels()
 
@@ -143,7 +143,7 @@ def test_with_labels_keeps_the_clean_labels():
 
 def test_noise_then_subset_keeps_the_clean_labels():
     data = balanced_dataset(20)
-    noisy = inject_label_noise(data, NoiseSpec(flip_fraction=0.3, seed=2))
+    noisy = inject_label_noise(data, NoiseSpec(noise_fraction=0.3, seed=2))
     rows = [0, 5, 39, 21, 5]
     part = noisy.subset(rows)
     assert part.clean_labels == tuple(data.labels()[i] for i in rows)
@@ -153,7 +153,7 @@ def test_noise_then_subset_keeps_the_clean_labels():
 def test_noise_requires_both_classes():
     vectors = [FeatureVector(4, (k,), 1) for k in range(4)]
     with pytest.raises(SingleClassData):
-        inject_label_noise(Dataset(vectors, dimension=4), NoiseSpec(flip_fraction=0.1, seed=0))
+        inject_label_noise(Dataset(vectors, dimension=4), NoiseSpec(noise_fraction=0.1, seed=0))
 
 
 # the two flip loops `equal_count_flips` replaced, frozen as they were:
@@ -203,15 +203,15 @@ def test_equal_count_flips_match_the_frozen_loops(n_pos, n_neg, fraction):
 
 def test_noise_spec_never_targets_test():
     with pytest.raises(InvalidConfig):
-        NoiseSpec(flip_fraction=0.9, seed=0)
+        NoiseSpec(noise_fraction=0.9, seed=0)
 
 
 def test_split_then_noise_leaves_test_untouched():
     data = balanced_dataset(25)
     train, val, test = split(data, SplitSpec(seed=6))
     identity = {v.indices: v.label for v in data.vectors}
-    inject_label_noise(train, NoiseSpec(flip_fraction=0.3, seed=7))
-    inject_label_noise(val, NoiseSpec(flip_fraction=0.3, seed=8))
+    inject_label_noise(train, NoiseSpec(noise_fraction=0.3, seed=7))
+    inject_label_noise(val, NoiseSpec(noise_fraction=0.3, seed=8))
     for v in test.vectors:
         assert identity[v.indices] == v.label
 

@@ -6,6 +6,7 @@ from malsieve.errors import FormatError, InvalidConfig, RunFailed, SingleClassDa
 from malsieve.evaluation import NoiseSpec, SplitSpec, inject_label_noise, split
 from malsieve.experiment import (
     DEFAULT_CONFIG_TEXT,
+    METHODS,
     ExperimentConfig,
     format_report,
     parse_config,
@@ -81,6 +82,21 @@ def test_repeated_key_rejected_naming_key():
     # the last value used to win silently
     with pytest.raises(InvalidConfig, match="epochs given twice"):
         parse_config("epochs=3\nrepeats=2\nepochs=5\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("synthetic_samples=9", "synthetic_samples must be >= 10"),
+    ("synthetic_features=0", "synthetic_features must be >= 1"),
+    ("synthetic_concept_noise=0.6", r"synthetic_concept_noise must be in \[0, 0.5\]"),
+    ("noise_fraction=0.7", r"noise_fraction must be in \[0, 0.5\]"),
+    ("noise_test=maybe", r"bad value for noise_test: 'maybe' \(expected true/false\)"),
+    # build_vocabulary refuses these too, but only inside each run
+    ("min_doc_freq=0", "min_doc_freq must be >= 1"),
+    ("max_api_features=-1", "max_api_features must be >= 0"),
+])
+def test_out_of_range_value_rejected_naming_its_key(line, message):
+    with pytest.raises(InvalidConfig, match=message):
+        parse_config(line + "\n")
 
 
 def test_zero_repeats_rejected():
@@ -268,6 +284,25 @@ def test_records_source_pipeline(tmp_path):
     )
     summary = repeated_experiment(config)
     assert summary.summaries[("selective", "accuracy")].mean > 0.0
+
+
+def test_records_corpus_with_an_unlabeled_record_rejected(tmp_path):
+    path = tmp_path / "corpus.records"
+    path.write_text("a\t+1\tperm:p\nb\t?\tperm:p\nc\t-1\tperm:q\n", encoding="utf-8")
+    with pytest.raises(InvalidConfig, match="experiment requires labeled records"):
+        repeated_experiment(tiny_config(dataset=str(path)))
+
+
+def test_zero_noise_runs_on_a_split_without_the_minority_class():
+    # 40 positives and 4 negatives: every negative lands in train, so the
+    # validation and test splits hold one class. Noise needs both classes;
+    # zero noise flips nothing and so corrupts no split.
+    vectors = [FeatureVector(4, (k % 4,), 1 if k < 40 else -1) for k in range(44)]
+    source = Dataset(vectors, dimension=4)
+    outcome = run_one(source, tiny_config(noise_fraction=0.0), 0)
+    assert set(outcome.metrics) == set(METHODS)
+    with pytest.raises(SingleClassData):
+        run_one(source, tiny_config(noise_fraction=0.1), 0)
 
 
 def test_test_labels_stay_clean_by_default():

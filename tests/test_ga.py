@@ -129,6 +129,50 @@ def test_diversity_upper_bound():
         assert diversity(matrix, bits) <= bound + 1e-9
 
 
+def test_selected_diversity_grows_with_the_count_at_equal_distances():
+    # the paper's objective: at equal pairwise distances d, k selected
+    # learners score (k - 1) d / 2, whatever they predict
+    rng = np.random.default_rng(19)
+    for n in (2, 5, 12):
+        matrix = random_sign_matrix(rng, n, 7)
+        distances = 1.5 * (1 - np.eye(n))
+        masks = np.tril(np.ones((n, n), dtype=np.int8))  # row k selects k + 1
+        values = diversity(matrix, masks, "selected", distances=distances)
+        assert np.all(np.diff(values) > 0)
+        assert values == pytest.approx(0.75 * np.arange(n))
+
+
+def test_adding_a_learner_raises_selected_diversity_past_the_threshold():
+    # with k selected learners of mean pairwise distance D, adding one whose
+    # mean distance to them is m raises the factor exactly when
+    # m > (k - 1) / (2k) * D, which is below D / 2: a learner unlike the
+    # selection gains, however badly it predicts
+    rng = np.random.default_rng(23)
+    raised = kept = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 9))
+        matrix = random_sign_matrix(rng, n, 5)
+        distances = np.triu(rng.uniform(0.0, 2.0, size=(n, n)), 1)
+        distances += distances.T
+        order = rng.permutation(n)
+        k = int(rng.integers(2, n))
+        selected, added = order[:k], order[k]
+        mask = np.zeros(n, dtype=np.int8)
+        mask[selected] = 1
+        pair_mean = distances[np.ix_(selected, selected)].sum() / (k * (k - 1))
+        to_selection = distances[added, selected].mean()
+        threshold = (k - 1) / (2 * k) * pair_mean
+        if abs(to_selection - threshold) < 1e-9:
+            continue
+        before = diversity(matrix, mask, "selected", distances=distances)
+        mask[added] = 1
+        after = diversity(matrix, mask, "selected", distances=distances)
+        assert (after > before) == (to_selection > threshold)
+        raised += after > before
+        kept += after <= before
+    assert raised and kept  # both sides of the threshold were seen
+
+
 def test_diversity_rejects_all_zero():
     with pytest.raises(AllZeroWeights):
         diversity(np.array([[1, -1]], dtype=np.int8), (0,))
@@ -394,6 +438,10 @@ def test_run_ga_on_empty_dataset_raises_empty_dataset():
 def test_invalid_configs_rejected():
     with pytest.raises(InvalidConfig):
         GAConfig(pop_size=1)
+    with pytest.raises(InvalidConfig, match="max_iter"):
+        GAConfig(max_iter=0)
+    with pytest.raises(InvalidConfig, match="mutation_rate"):
+        GAConfig(mutation_rate=-0.1)
     with pytest.raises(InvalidConfig):
         GAConfig(crossover_rate=1.5)
     with pytest.raises(InvalidConfig):

@@ -129,6 +129,12 @@ def test_missing_fields_rejected():
         parse_record_line("lonely-app-id")
 
 
+def test_empty_app_id_rejected_with_its_line():
+    with pytest.raises(FormatError, match="empty app_id") as exc_info:
+        list(read_records(io.StringIO("app\t+1\tperm:x\n\t-1\tperm:x\n")))
+    assert exc_info.value.line == 2
+
+
 def test_feature_with_tab_dropped_at_write():
     record = FeatureRecord(app_id="x", label=1, features=("perm:good", "perm:bad\tname"))
     assert format_record(record) == "x\t+1\tperm:good"

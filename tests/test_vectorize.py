@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from malsieve.errors import EmptyCorpus, FormatError
+from malsieve.errors import EmptyCorpus, FormatError, InvalidConfig
 from malsieve.records import FeatureRecord
 from malsieve.vectorize import (
     Dataset,
     FeatureVector,
     build_vocabulary,
-    is_dataset_file,
+    is_dataset_header,
     load_dataset,
     load_vocabulary,
     save_dataset,
@@ -64,6 +64,16 @@ def test_empty_corpus():
 def test_nothing_survives_pruning():
     with pytest.raises(EmptyCorpus):
         build_vocabulary([record(perms=["solo"])], min_doc_freq=2, max_api_features=10)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"min_doc_freq": 0}, "min_doc_freq must be >= 1"),
+    ({"max_api_features": -1}, "max_api_features must be >= 0"),
+])
+def test_build_vocabulary_refuses_its_bad_settings(settings, message):
+    # an experiment config refuses them when it is read; a direct caller here
+    with pytest.raises(InvalidConfig, match=message):
+        build_vocabulary([record(perms=["P"])], **settings)
 
 
 def fixture_vocab():
@@ -257,10 +267,9 @@ def test_save_dataset_with_an_unlabeled_vector_creates_no_file(tmp_path):
     ("app\t+1\tperm:a\n", False),
     ("", False),
 ])
-def test_is_dataset_file_tells_a_header_from_a_record(tmp_path, first, expected):
-    path = tmp_path / "input"
-    path.write_text(first + "app\t-1\n")
-    assert is_dataset_file(path) is expected
+def test_is_dataset_file_tells_a_header_from_a_record(first, expected):
+    # a file's first line tells a dataset from a records file
+    assert is_dataset_header(first) is expected
 
 
 def test_hand_written_dataset_file(tmp_path):
@@ -322,6 +331,18 @@ def test_dataset_bad_indices_name_their_line(tmp_path, bad_line):
     with pytest.raises(FormatError) as exc_info:
         load_dataset(path)
     assert exc_info.value.line == 3
+
+
+@pytest.mark.parametrize("load, text, line", [
+    (load_vocabulary, "0\tperm:a\t3\n\n1\tperm:a\t2\n", 3),
+    (load_dataset, "dim=5 n=2\n+1 0\n\n-1 x\n", 4),
+])
+def test_blank_lines_are_skipped_and_still_counted(tmp_path, load, text, line):
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(FormatError) as exc_info:
+        load(path)
+    assert exc_info.value.line == line
 
 
 def test_vectorize_all_stream():

@@ -123,7 +123,9 @@ def main() -> int:
         (inputs["experiment-records"] / "experiment.cfg").read_text(encoding="utf-8"))
     source = records.load_records(config.dataset)
     for index in (2 * SEED, 2 * SEED + 1):
-        summary = experiment.RepeatSummary(1, (experiment.run_one(source, config, index),), (), {})
+        summary = experiment.RepeatSummary(
+            repeats=1, outcomes=(experiment.run_one(source, config, index),), failures=(),
+            summaries={})
         (d / f"run-{index}.report").write_text(
             experiment.format_report(summary, config), encoding="utf-8")
 
