@@ -100,18 +100,24 @@ def equal_count_flips(
     return np.concatenate([m[rng.permutation(m.size)[:k]] for m, rng in zip(members, rngs)])
 
 
-def inject_label_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
-    """Swap the labels `equal_count_flips` picks from the clean labels,
-    drawn per class from `make_rng(seed, "noise", class)`. Selection is a
-    deterministic function of (seed, clean labels), so a second
-    application with the same spec is an involution."""
-    if any(l is None for l in data.clean_labels):
+def noisy_labels(labels, clean, spec: NoiseSpec) -> np.ndarray:
+    """A copy of `labels` with the ones `equal_count_flips` picks from the
+    `clean` labels swapped, drawn per class from `make_rng(seed, "noise",
+    class)`. Selection is a deterministic function of (seed, clean labels),
+    so a second application with the same spec is an involution."""
+    if any(l is None for l in clean):
         raise ValueError("noise injection requires labeled data")
     rngs = [make_rng(spec.seed, "noise", cls) for cls in _CLASSES]
-    flips = equal_count_flips(np.array(data.clean_labels), spec.noise_fraction, rngs)
-    labels = np.array(data.labels())
-    labels[flips] *= -1
-    return data.with_labels(labels.tolist())
+    flips = equal_count_flips(np.array(clean), spec.noise_fraction, rngs)
+    noisy = np.array(labels)
+    noisy[flips] *= -1
+    return noisy
+
+
+def inject_label_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
+    """The dataset relabelled by `noisy_labels` from its labels and clean
+    labels; its clean labels stay."""
+    return data.with_labels(noisy_labels(data.labels(), data.clean_labels, spec).tolist())
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,23 @@ noise_test=true, which reproduces the corrupt-everything-then-split
 protocol some evaluations use (scores are then against noisy test
 labels, and mean less).
 
+A run holds one split at a time, besides the source:
+
+  set-up      the split, as lists of the source's records or as subsets
+              of its dataset, and for records the vocabulary fitted on
+              the training split; errors of either come before any
+              training
+  training    the training matrix and its noisy labels. From records the
+              matrix is filled straight from each record's columns, with
+              no FeatureVector made; a dataset source's subsets share its
+              vectors. The matrix is dropped before the GA
+  GA          the noisy validation split, vectorized only now
+  scoring     the test split, vectorized after the GA, and noisy only
+              under noise_test
+
+So a held-out split that lacks a class, which noise refuses, fails only
+after training.
+
 Configs are flat key=value text files; see DEFAULT_CONFIG_TEXT.
 """
 
@@ -43,6 +60,7 @@ from .evaluation import (
     compute_metrics,
     equal_count_flips,
     inject_label_noise,
+    noisy_labels,
     split,
     stratified_split_indices,
     summarize_metric,
@@ -55,6 +73,8 @@ from .vectorize import (
     Dataset,
     FeatureVector,
     build_vocabulary,
+    dense_matrix,
+    feature_indices,
     is_dataset_header,
     read_dataset,
     vectorize_all,
@@ -245,17 +265,11 @@ def run_one(
     """Run `run_index` of the experiment: split, inject noise, train the
     pool and the single learner on the noisy training split, GA-select on
     the noisy validation split, and score the three methods on the test
-    split."""
+    split. Each split is built when its stage starts (module docstring)."""
     run_seed = derive_seed(config.master_seed, "run", run_index)
-    splits = dict(zip(SPLITS, _prepare_splits(source, config, run_seed)))
-    # zero noise flips nothing, and noise refuses a split that lacks a class
-    if config.noise_fraction > 0:
-        for name in SPLITS if config.noise_test else SPLITS[:2]:
-            seed = derive_seed(run_seed, "noise", name)
-            splits[name] = inject_label_noise(splits[name], config.noise_spec(seed))
-    noisy_train, noisy_val, test_set = splits.values()
+    splits = _Splits(source, config, run_seed)
 
-    X, y = noisy_train.to_dense(), noisy_train.label_array()
+    X, y = splits.training_matrix()
     pool = train_pool(X, y, config.pool_size, config.learner_spec(config.learner_seed),
                       master_seed=derive_seed(run_seed, "pool"))
     single_spec = config.learner_spec(derive_seed(run_seed, "single", config.learner_seed))
@@ -263,9 +277,10 @@ def run_one(
     del X  # not held through the GA and the test predictions
 
     ga_result = run_ga(
-        pool, noisy_val, config=config.ga_config(derive_seed(run_seed, "ga"))
+        pool, splits.held_out("validation"), config=config.ga_config(derive_seed(run_seed, "ga"))
     )
 
+    test_set = splits.held_out("test")
     y_test = test_set.label_array()
     test_matrix = precompute_predictions(pool.learners + (single,), test_set)
     predictions = {
@@ -277,28 +292,56 @@ def run_one(
     return RunOutcome(metrics=metrics, omega=ga_result.omega, ga=ga_result)
 
 
-def _prepare_splits(
-    source: Dataset | list[FeatureRecord],
-    config: ExperimentConfig,
-    run_seed: int,
-) -> tuple[Dataset, Dataset, Dataset]:
-    split_spec = config.split_spec(derive_seed(run_seed, "split"))
-    if isinstance(source, Dataset):
-        return split(source, split_spec)
-    # record input: split first, then fit the vocabulary on train only
-    labels = [r.label for r in source]
-    train_idx, val_idx, test_idx = stratified_split_indices(labels, split_spec)
-    train_records = [source[i] for i in train_idx]
-    vocab = build_vocabulary(
-        train_records,
-        min_doc_freq=config.min_doc_freq,
-        max_api_features=config.max_api_features,
-    )
-    return (
-        vectorize_all(train_records, vocab),
-        vectorize_all([source[i] for i in val_idx], vocab),
-        vectorize_all([source[i] for i in test_idx], vocab),
-    )
+class _Splits:
+    """One run's three splits of the source, each built when asked for.
+    A dataset's subsets share its vectors, so they cost nothing; a records
+    source is held as lists of its records until a split is asked for.
+    Each split's noise seed derives from its name."""
+
+    def __init__(self, source: Dataset | list[FeatureRecord], config: ExperimentConfig,
+                 run_seed: int):
+        self.config = config
+        self.run_seed = run_seed
+        split_spec = config.split_spec(derive_seed(run_seed, "split"))
+        self.vocab = None
+        if isinstance(source, Dataset):
+            self.parts = dict(zip(SPLITS, split(source, split_spec)))
+            return
+        # record input: split first, then fit the vocabulary on train only
+        indices = stratified_split_indices([r.label for r in source], split_spec)
+        self.parts = {name: [source[i] for i in part] for name, part in zip(SPLITS, indices)}
+        self.vocab = build_vocabulary(
+            self.parts["train"],
+            min_doc_freq=config.min_doc_freq,
+            max_api_features=config.max_api_features,
+        )
+
+    def _noise(self, name: str) -> NoiseSpec | None:
+        """The noise on split `name`, or None where it stays clean. Zero
+        noise flips nothing, and noise refuses a split that lacks a class."""
+        if self.config.noise_fraction == 0 or (name == "test" and not self.config.noise_test):
+            return None
+        return self.config.noise_spec(derive_seed(self.run_seed, "noise", name))
+
+    def training_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """The training split's uint8 matrix and its int8 labels, noisy."""
+        part = self.parts["train"]
+        if self.vocab is None:
+            X, y, clean = part.to_dense(), part.label_array(), part.clean_labels
+        else:
+            X = dense_matrix((feature_indices(r, self.vocab) for r in part), len(part),
+                             self.vocab.dimension)
+            # a record's label is its clean label
+            y = clean = np.array([r.label for r in part], dtype=np.int8)
+        spec = self._noise("train")
+        return X, (y if spec is None else noisy_labels(y, clean, spec))
+
+    def held_out(self, name: str) -> Dataset:
+        """The validation or test split as a dataset, noisy if it is noised."""
+        part = self.parts[name]
+        data = part if self.vocab is None else vectorize_all(part, self.vocab)
+        spec = self._noise(name)
+        return data if spec is None else inject_label_noise(data, spec)
 
 
 def repeated_experiment(

@@ -17,9 +17,10 @@ and `predict_labels` and `ensemble.majority_vote_matrix` one sign rule,
 `train` is the one training routine. Its samples are rows of a dense
 matrix that the caller densified once and that every learner of a pool
 reads; a bootstrap replicate is an index array into it, never a copy.
-That matrix is the uint8 0/1 one `Dataset.to_dense` builds, and `train`
-widens only each gathered minibatch to float64, so every product runs
-on float64 operands.
+That matrix is the uint8 0/1 one `vectorize.dense_matrix` fills, from a
+dataset through `Dataset.to_dense` or from records in the experiment,
+and `train` widens only each gathered minibatch to float64, so every
+product runs on float64 operands.
 
 A model file holds each parameter as one row of `float.hex` text,
 row-major. `save_model` writes it with `hex_floats`, one array pass per
@@ -188,7 +189,7 @@ def train(
     X is only read, so one matrix serves every learner of a pool: each
     minibatch is gathered into one buffer of X's dtype, so X[rows] is
     never built, and widened into one float64 buffer for the products
-    (exact for the uint8 0/1 matrix `Dataset.to_dense` builds).
+    (exact for the uint8 0/1 matrix `vectorize.dense_matrix` fills).
     """
     if X.shape[0] != len(labels):
         raise LengthMismatch(f"{X.shape[0]} rows of X but {len(labels)} labels")

@@ -7,8 +7,12 @@ alone: `feature_blocks` sorts names into blocks by their prefix, and
 building, counting and loading a vocabulary all use it. A record is a
 set of names, so it vectorizes to the set of column indices whose
 feature it contains, whatever the order of its names; unknown features
-are ignored so the dimension never moves after training. A dataset is
-built with its dimension, which `ensemble.precompute_predictions` checks.
+are ignored so the dimension never moves after training. That rule is
+`feature_indices`, and `dense_matrix` is the one fill of a uint8 0/1
+matrix from index tuples: `Dataset.to_dense` fills it from vectors, and
+the experiment from a training split's records, with no vector made. A
+dataset is built with its dimension, which
+`ensemble.precompute_predictions` checks.
 
 File formats (both plain text, UTF-8):
 
@@ -137,11 +141,7 @@ class Dataset:
         parameters widens the part it multiplies to float64, which is exact
         for 0 and 1."""
         vectors = self.vectors[rows]
-        X = np.zeros((len(vectors), self.dimension), dtype=np.uint8)
-        for row, v in enumerate(vectors):
-            if v.indices:
-                X[row, list(v.indices)] = 1
-        return X
+        return dense_matrix((v.indices for v in vectors), len(vectors), self.dimension)
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         return Dataset([self.vectors[i] for i in indices], dimension=self.dimension,
@@ -192,15 +192,27 @@ def build_vocabulary(records: Iterable[FeatureRecord],
     return Vocabulary(names, [freq[n] for n in names])
 
 
-def vectorize(record: FeatureRecord, vocab: Vocabulary) -> FeatureVector:
-    """Map a record onto the frozen vocabulary; unknown features drop out."""
+def feature_indices(record: FeatureRecord, vocab: Vocabulary) -> tuple[int, ...]:
+    """The sorted columns of the record's features; unknown features drop
+    out, and a name given twice is one column."""
     # one membership test per feature, in C; only the known ones are indexed
     known = vocab.index.keys() & record.features
-    return FeatureVector(
-        dimension=vocab.dimension,
-        indices=tuple(sorted(map(vocab.index.__getitem__, known))),
-        label=record.label,
-    )
+    return tuple(sorted(map(vocab.index.__getitem__, known)))
+
+
+def dense_matrix(rows: Iterable[Sequence[int]], n_rows: int, dimension: int) -> np.ndarray:
+    """The (n_rows x dimension) uint8 0/1 matrix whose row r holds a 1 at
+    each column of the r-th index tuple of `rows`, which must hold n_rows."""
+    X = np.zeros((n_rows, dimension), dtype=np.uint8)
+    for row, indices in zip(range(n_rows), rows, strict=True):
+        if indices:
+            X[row, list(indices)] = 1
+    return X
+
+
+def vectorize(record: FeatureRecord, vocab: Vocabulary) -> FeatureVector:
+    """Map a record onto the frozen vocabulary; unknown features drop out."""
+    return FeatureVector(vocab.dimension, feature_indices(record, vocab), record.label)
 
 
 def vectorize_all(records: Iterable[FeatureRecord], vocab: Vocabulary) -> Dataset:

@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
 import malsieve.experiment
 from malsieve.errors import FormatError, InvalidConfig, RunFailed, SingleClassData
-from malsieve.evaluation import NoiseSpec, SplitSpec, inject_label_noise, split
+from malsieve.evaluation import NoiseSpec, SplitSpec, inject_label_noise, noisy_labels, split
 from malsieve.experiment import (
     DEFAULT_CONFIG_TEXT,
     METHODS,
@@ -14,7 +16,16 @@ from malsieve.experiment import (
     run_one,
     synthetic_dataset,
 )
-from malsieve.vectorize import Dataset, FeatureVector, save_dataset
+from malsieve.records import FeatureRecord
+from malsieve.vectorize import (
+    Dataset,
+    FeatureVector,
+    build_vocabulary,
+    dense_matrix,
+    feature_indices,
+    save_dataset,
+    vectorize_all,
+)
 
 from mlfixtures import dense
 
@@ -35,6 +46,19 @@ def tiny_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def labeled_records(labels, seed: int = 4) -> list[FeatureRecord]:
+    """One record per label, holding two of six permissions: a positive
+    draws from P0-P3, a negative from P2-P5, so the label is learnable."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i, label in enumerate(labels):
+        perm_pool = ["P0", "P1", "P2", "P3"] if label == 1 else ["P2", "P3", "P4", "P5"]
+        perms = [perm_pool[j] for j in rng.integers(0, 4, size=2)]
+        features = tuple(dict.fromkeys(f"perm:{p}" for p in perms))
+        records.append(FeatureRecord(app_id=f"app{i}", label=label, features=features))
+    return records
 
 
 # --- config parsing ---
@@ -241,15 +265,49 @@ def test_failure_wraps_multi_argument_exception(monkeypatch):
     assert info.value.__cause__ is original
 
 
-def test_allow_partial_records_failures():
-    all_positive = Dataset(
-        [FeatureVector(4, (k % 4,), 1) for k in range(40)], dimension=4
-    )
-    summary = repeated_experiment(tiny_config(allow_partial=True), source=all_positive)
-    assert len(summary.failures) == 2
-    assert summary.summaries == {}
-    report = format_report(summary, tiny_config(allow_partial=True))
-    assert "run 0 failed SingleClassData" in report
+NO_SECOND_CLASS = "SingleClassData: noise injection needs both classes present"
+
+# (source, config overrides, each run's failure, whether the pool trained
+# before it)
+PARTIAL_FAILURES = {
+    "training split lacks a class": (
+        Dataset([FeatureVector(4, (k % 4,), 1) for k in range(40)], dimension=4),
+        {}, NO_SECOND_CLASS, False),
+    # 40 positives and 4 negatives: every negative lands in train
+    "validation split lacks a class": (
+        labeled_records([1] * 40 + [-1] * 4), {"min_doc_freq": 1}, NO_SECOND_CLASS, True),
+    # 0.3 of 4 negatives is one validation row; 0.2 of them is no test row
+    "noised test split lacks a class": (
+        labeled_records([1] * 40 + [-1] * 4),
+        {"min_doc_freq": 1, "noise_test": True, "train_fraction": 0.5,
+         "validation_fraction": 0.3},
+        NO_SECOND_CLASS, True),
+    "split fails": (
+        labeled_records([1, -1, 1, -1]), {"min_doc_freq": 1},
+        "TooSmall: need at least 5 samples, got 4", False),
+    "vocabulary fails": (
+        labeled_records([1, -1] * 20), {"min_doc_freq": 1000},
+        "EmptyCorpus: no feature met the document-frequency threshold", False),
+}
+
+
+def test_allow_partial_records_failures(monkeypatch):
+    # each run reports its error line; a split or vocabulary error comes
+    # before any training, a held-out split's noise error after it
+    trained = []
+    real = malsieve.experiment.train_pool
+    monkeypatch.setattr(malsieve.experiment, "train_pool",
+                        lambda *a, **k: trained.append(1) or real(*a, **k))
+    for case, (source, overrides, message, trains) in PARTIAL_FAILURES.items():
+        trained.clear()
+        config = tiny_config(allow_partial=True, **overrides)
+        summary = repeated_experiment(config, source=source)
+        assert summary.outcomes == (None, None), case
+        assert summary.summaries == {}, case
+        report = format_report(summary, config).splitlines()
+        failed = [line for line in report if " failed " in line]
+        assert failed == [f"run {r} failed {message}" for r in range(2)], case
+        assert bool(trained) == trains, case
 
 
 def test_noise_test_protocol_changes_scores():
@@ -262,21 +320,9 @@ def test_noise_test_protocol_changes_scores():
 
 
 def test_records_source_pipeline(tmp_path):
-    from malsieve.records import FeatureRecord, format_record
+    from malsieve.records import format_record
 
-    rng = np.random.default_rng(4)
-    records = []
-    for i in range(60):
-        label = 1 if i % 2 else -1
-        perm_pool = ["P0", "P1", "P2", "P3"] if label == 1 else ["P2", "P3", "P4", "P5"]
-        perms = [perm_pool[j] for j in rng.integers(0, 4, size=2)]
-        records.append(
-            FeatureRecord(
-                app_id=f"app{i}",
-                label=label,
-                features=tuple(dict.fromkeys(f"perm:{p}" for p in perms)),
-            )
-        )
+    records = labeled_records([-1, 1] * 30)
     path = tmp_path / "corpus.records"
     path.write_text("".join(format_record(r) + "\n" for r in records), encoding="utf-8")
     config = tiny_config(
@@ -393,3 +439,92 @@ def test_run_one_densifies_the_training_split_once(monkeypatch):
     assert X.dtype == np.uint8 and X.nbytes == 2160
     others = [s for s in shapes if s != (180, 12)]
     assert others and all(rows <= 32 and d == 12 for rows, d in others)
+
+
+# --- one split at a time ---
+
+def count_feature_vectors() -> int:
+    gc.collect()
+    return sum(type(o) is FeatureVector for o in gc.get_objects())
+
+
+def test_no_feature_vector_is_alive_while_the_pool_trains(monkeypatch):
+    # a records source's training split becomes its matrix with no vector
+    # made, and the held-out splits are not built yet
+    alive = []
+    real = malsieve.experiment.train_pool
+
+    def count(*args, **kwargs):
+        alive.append(count_feature_vectors())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(malsieve.experiment, "train_pool", count)
+    records = labeled_records([-1, 1] * 100)
+    before = count_feature_vectors()
+    run_one(records, tiny_config(min_doc_freq=1, noise_test=True), 0)
+    assert alive == [before]
+
+
+def test_held_out_splits_are_built_after_the_stage_before_them(monkeypatch):
+    calls = []
+    for name in ("train_pool", "vectorize_all", "run_ga"):
+        real = getattr(malsieve.experiment, name)
+        monkeypatch.setattr(malsieve.experiment, name,
+                            lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k))
+    run_one(labeled_records([-1, 1] * 100), tiny_config(min_doc_freq=1, noise_test=True), 0)
+    assert calls == ["train_pool", "vectorize_all", "run_ga", "vectorize_all"]
+
+
+def test_training_matrix_from_records_equals_the_vectorized_one():
+    # random corpora over a small universe, vocabularies that know part of
+    # it, and names no vocabulary holds; each corpus also holds a record
+    # of unknown names only and one of no names
+    universe = ([f"perm:p{i}" for i in range(5)] + [f"action:a{i}" for i in range(4)]
+                + [f"api:Lx;->m{i}" for i in range(8)])
+    unknown = ["perm:zz", "action:zz", "api:Lz;->z", "noprefix"]
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        known = rng.choice(len(universe), size=rng.integers(1, len(universe) + 1), replace=False)
+        vocab = build_vocabulary(
+            [FeatureRecord("v", 1, tuple(universe[j] for j in known))], min_doc_freq=1)
+        names = universe + unknown
+        records = [
+            # drawn with replacement, so a name may repeat
+            FeatureRecord(f"a{k}", int(rng.choice([-1, 1])),
+                          tuple(names[j] for j in rng.integers(0, len(names),
+                                                               size=rng.integers(0, 12))))
+            for k in range(rng.integers(0, 8))
+        ]
+        records += [FeatureRecord("unknown", 1, tuple(unknown * 2)), FeatureRecord("none", -1, ())]
+        order = rng.permutation(len(records))
+        records = [records[i] for i in order]
+
+        expected = vectorize_all(records, vocab).to_dense()
+        got = dense_matrix((feature_indices(r, vocab) for r in records), len(records),
+                           vocab.dimension)
+        assert got.dtype == expected.dtype == np.uint8
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        dense_matrix([(0,)], 2, 3)
+
+
+def test_label_level_noise_is_the_dataset_noise():
+    rng = np.random.default_rng(12)
+    for seed in range(30):
+        labels = rng.choice([-1, 1], size=int(rng.integers(4, 60)))
+        labels[:2] = (1, -1)
+        data = Dataset([FeatureVector(3, (), int(l)) for l in labels], dimension=3)
+        spec = NoiseSpec(noise_fraction=float(rng.uniform(0.05, 0.5)), seed=seed)
+        y = data.label_array()
+        noisy = noisy_labels(y, data.clean_labels, spec)
+        assert noisy.dtype == np.int8
+        assert np.array_equal(noisy, inject_label_noise(data, spec).label_array())
+        assert np.array_equal(y, data.label_array())  # a copy: the input stays
+        assert np.array_equal(noisy_labels(noisy, data.clean_labels, spec), y)
+        # flips are chosen from the clean labels and applied to the current ones
+        once = inject_label_noise(data, NoiseSpec(0.25, seed + 100))
+        assert np.array_equal(
+            noisy_labels(once.label_array(), once.clean_labels, spec),
+            inject_label_noise(once, spec).label_array(),
+        )

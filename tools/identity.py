@@ -14,6 +14,8 @@ gets:
 
   experiment-records/run-6.report, run-7.report
       the `run_one` reports of the experiment-records corpus
+  experiment-records/run-6.noise-test.report
+      run 6 again with noise_test=true, so the test split is noised too
   synthetic/report.txt
       `malsieve experiment` on configs/synthetic-benchmark.cfg, 2 repeats
   predict-records/, apk-scan/
@@ -40,6 +42,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,12 +125,14 @@ def main() -> int:
     config = experiment.parse_config(
         (inputs["experiment-records"] / "experiment.cfg").read_text(encoding="utf-8"))
     source = records.load_records(config.dataset)
-    for index in (2 * SEED, 2 * SEED + 1):
+    runs = [(f"run-{index}", config, index) for index in (2 * SEED, 2 * SEED + 1)]
+    runs.append((f"run-{2 * SEED}.noise-test", replace(config, noise_test=True), 2 * SEED))
+    for name, run_config, index in runs:
         summary = experiment.RepeatSummary(
-            repeats=1, outcomes=(experiment.run_one(source, config, index),), failures=(),
-            summaries={})
-        (d / f"run-{index}.report").write_text(
-            experiment.format_report(summary, config), encoding="utf-8")
+            repeats=1, outcomes=(experiment.run_one(source, run_config, index),),
+            failures=(), summaries={})
+        (d / f"{name}.report").write_text(
+            experiment.format_report(summary, run_config), encoding="utf-8")
 
     d = out / "synthetic"
     d.mkdir()
