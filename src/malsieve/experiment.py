@@ -17,16 +17,16 @@ noise_test=true, which reproduces the corrupt-everything-then-split
 protocol some evaluations use (scores are then against noisy test
 labels, and mean less).
 
-A run holds one split at a time, besides the source:
+A run holds one split at a time, besides the source. Both kinds of
+source, a dataset and a list of records, are lists of labelled items, and
+take one path; they differ only in an item's columns: a vector's own
+indices, or a record's under the vocabulary fitted on the training split.
 
-  set-up      the split, as lists of the source's records or as subsets
-              of its dataset, and for records the vocabulary fitted on
-              the training split; errors of either come before any
-              training
-  training    the training matrix and its noisy labels. From records the
-              matrix is filled straight from each record's columns, with
-              no FeatureVector made; a dataset source's subsets share its
-              vectors. The matrix is dropped before the GA
+  set-up      the split, as lists of the source's items, and for records
+              the vocabulary; errors of either come before any training
+  training    the training matrix, filled straight from each item's
+              columns with no FeatureVector made, and its noisy labels.
+              The matrix is dropped before the GA
   GA          the noisy validation split, vectorized only now
   scoring     the test split, vectorized after the GA, and noisy only
               under noise_test
@@ -40,7 +40,9 @@ Configs are flat key=value text files; see DEFAULT_CONFIG_TEXT.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -61,7 +63,7 @@ from .evaluation import (
     equal_count_flips,
     inject_label_noise,
     noisy_labels,
-    split,
+    split,  # not called here: bench/spans.py BINDINGS wraps it
     stratified_split_indices,
     summarize_metric,
 )
@@ -77,11 +79,10 @@ from .vectorize import (
     feature_indices,
     is_dataset_header,
     read_dataset,
-    vectorize_all,
+    vectorize_all,  # not called here: bench/spans.py BINDINGS wraps it
 )
 
 METHODS = ("single", "full_pool", "selective")
-SPLITS = ("train", "validation", "test")
 FITNESS_SPLITS = ("validation",)
 
 
@@ -267,20 +268,48 @@ def run_one(
     the noisy validation split, and score the three methods on the test
     split. Each split is built when its stage starts (module docstring)."""
     run_seed = derive_seed(config.master_seed, "run", run_index)
-    splits = _Splits(source, config, run_seed)
+    from_dataset = isinstance(source, Dataset)
+    items = source.vectors if from_dataset else source
+    parts = stratified_split_indices([x.label for x in items],
+                                     config.split_spec(derive_seed(run_seed, "split")))
+    train_part, validation_part, test_part = ([items[i] for i in part] for part in parts)
+    # an item's columns: a vector's own, or a record's under the vocabulary
+    # fitted on the training split only
+    if from_dataset:
+        dimension, columns = source.dimension, attrgetter("indices")
+    else:
+        vocab = build_vocabulary(train_part, min_doc_freq=config.min_doc_freq,
+                                 max_api_features=config.max_api_features)
+        dimension, columns = vocab.dimension, partial(feature_indices, vocab=vocab)
 
-    X, y = splits.training_matrix()
+    def noise(name: str) -> NoiseSpec | None:
+        """The noise on split `name`, or None where it stays clean. Zero
+        noise flips nothing, and noise refuses a split that lacks a class.
+        Each split's noise seed derives from its name."""
+        if config.noise_fraction == 0 or (name == "test" and not config.noise_test):
+            return None
+        return config.noise_spec(derive_seed(run_seed, "noise", name))
+
+    def held_out(part: list, name: str) -> Dataset:
+        data = Dataset([FeatureVector(dimension, columns(x), x.label) for x in part], dimension)
+        spec = noise(name)
+        return data if spec is None else inject_label_noise(data, spec)
+
+    X = dense_matrix(map(columns, train_part), len(train_part), dimension)
+    # a fresh split's labels are its clean labels
+    y = np.array([x.label for x in train_part], dtype=np.int8)
+    if (spec := noise("train")) is not None:
+        y = noisy_labels(y, y, spec)
     pool = train_pool(X, y, config.pool_size, config.learner_spec(config.learner_seed),
                       master_seed=derive_seed(run_seed, "pool"))
     single_spec = config.learner_spec(derive_seed(run_seed, "single", config.learner_seed))
     single = train(single_spec, X, y)
     del X  # not held through the GA and the test predictions
 
-    ga_result = run_ga(
-        pool, splits.held_out("validation"), config=config.ga_config(derive_seed(run_seed, "ga"))
-    )
+    ga_result = run_ga(pool, held_out(validation_part, "validation"),
+                       config=config.ga_config(derive_seed(run_seed, "ga")))
 
-    test_set = splits.held_out("test")
+    test_set = held_out(test_part, "test")
     y_test = test_set.label_array()
     test_matrix = precompute_predictions(pool.learners + (single,), test_set)
     predictions = {
@@ -290,58 +319,6 @@ def run_one(
     }
     metrics = {m: compute_metrics(predictions[m], y_test) for m in METHODS}
     return RunOutcome(metrics=metrics, omega=ga_result.omega, ga=ga_result)
-
-
-class _Splits:
-    """One run's three splits of the source, each built when asked for.
-    A dataset's subsets share its vectors, so they cost nothing; a records
-    source is held as lists of its records until a split is asked for.
-    Each split's noise seed derives from its name."""
-
-    def __init__(self, source: Dataset | list[FeatureRecord], config: ExperimentConfig,
-                 run_seed: int):
-        self.config = config
-        self.run_seed = run_seed
-        split_spec = config.split_spec(derive_seed(run_seed, "split"))
-        self.vocab = None
-        if isinstance(source, Dataset):
-            self.parts = dict(zip(SPLITS, split(source, split_spec)))
-            return
-        # record input: split first, then fit the vocabulary on train only
-        indices = stratified_split_indices([r.label for r in source], split_spec)
-        self.parts = {name: [source[i] for i in part] for name, part in zip(SPLITS, indices)}
-        self.vocab = build_vocabulary(
-            self.parts["train"],
-            min_doc_freq=config.min_doc_freq,
-            max_api_features=config.max_api_features,
-        )
-
-    def _noise(self, name: str) -> NoiseSpec | None:
-        """The noise on split `name`, or None where it stays clean. Zero
-        noise flips nothing, and noise refuses a split that lacks a class."""
-        if self.config.noise_fraction == 0 or (name == "test" and not self.config.noise_test):
-            return None
-        return self.config.noise_spec(derive_seed(self.run_seed, "noise", name))
-
-    def training_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """The training split's uint8 matrix and its int8 labels, noisy."""
-        part = self.parts["train"]
-        if self.vocab is None:
-            X, y, clean = part.to_dense(), part.label_array(), part.clean_labels
-        else:
-            X = dense_matrix((feature_indices(r, self.vocab) for r in part), len(part),
-                             self.vocab.dimension)
-            # a record's label is its clean label
-            y = clean = np.array([r.label for r in part], dtype=np.int8)
-        spec = self._noise("train")
-        return X, (y if spec is None else noisy_labels(y, clean, spec))
-
-    def held_out(self, name: str) -> Dataset:
-        """The validation or test split as a dataset, noisy if it is noised."""
-        part = self.parts[name]
-        data = part if self.vocab is None else vectorize_all(part, self.vocab)
-        spec = self._noise(name)
-        return data if spec is None else inject_label_noise(data, spec)
 
 
 def repeated_experiment(

@@ -42,7 +42,7 @@ from .ensemble import (
     precompute_predictions,
     selection_masks,
 )
-from .errors import EmptyDataset, InvalidConfig, LengthMismatch
+from .errors import EmptyDataset, InvalidConfig, LengthMismatch, value_text
 from .rng import make_rng
 from .vectorize import Dataset
 
@@ -253,7 +253,7 @@ def run_ga(pool: EnsemblePool, data: Dataset, config: GAConfig = GAConfig()) -> 
 def format_ga_report(result: GAResult, config: GAConfig) -> str:
     """Human- and machine-readable run summary."""
     lines = ["malsieve-ga-report v1"]
-    lines += [f"config {f.name}={getattr(config, f.name)!r}" for f in fields(config)]
+    lines += [f"config {f.name}={value_text(getattr(config, f.name))}" for f in fields(config)]
     for s in result.history:
         lines.append(
             f"generation {s.generation} best={s.best_fitness!r} mean={s.mean_fitness!r}"

@@ -18,9 +18,9 @@ and `predict_labels` and `ensemble.majority_vote_matrix` one sign rule,
 matrix that the caller densified once and that every learner of a pool
 reads; a bootstrap replicate is an index array into it, never a copy.
 That matrix is the uint8 0/1 one `vectorize.dense_matrix` fills, from a
-dataset through `Dataset.to_dense` or from records in the experiment,
-and `train` widens only each gathered minibatch to float64, so every
-product runs on float64 operands.
+dataset through `Dataset.to_dense` or from a training split's items in
+the experiment, and `train` widens only each gathered minibatch to
+float64, so every product runs on float64 operands.
 
 A model file holds each parameter as one row of `float.hex` text,
 row-major. `save_model` writes it with `hex_floats`, one array pass per

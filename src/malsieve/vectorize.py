@@ -10,9 +10,9 @@ feature it contains, whatever the order of its names; unknown features
 are ignored so the dimension never moves after training. That rule is
 `feature_indices`, and `dense_matrix` is the one fill of a uint8 0/1
 matrix from index tuples: `Dataset.to_dense` fills it from vectors, and
-the experiment from a training split's records, with no vector made. A
-dataset is built with its dimension, which
-`ensemble.precompute_predictions` checks.
+the experiment from the columns of a training split's items, records or
+vectors, with no vector made. A dataset is built with its dimension,
+which `ensemble.precompute_predictions` checks.
 
 File formats (both plain text, UTF-8):
 

@@ -1,4 +1,5 @@
 import gc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -420,25 +421,46 @@ def test_single_learner_scores_as_trained_and_predicted_on_dense_splits():
     )
 
 
+def as_dataset(records: list[FeatureRecord]) -> Dataset:
+    """The records vectorized under the vocabulary of all of them."""
+    return vectorize_all(records, build_vocabulary(records, min_doc_freq=1))
+
+
+def as_records(source: Dataset) -> list[FeatureRecord]:
+    """One record per vector, holding permission f<i> for each column i;
+    a vocabulary that holds all of them gives each its column back."""
+    return [FeatureRecord(f"app{k}", v.label, tuple(f"perm:f{i:02d}" for i in v.indices))
+            for k, v in enumerate(source.vectors)]
+
+
 def test_run_one_densifies_the_training_split_once(monkeypatch):
-    matrices = []
-    real = Dataset.to_dense
+    synthetic = synthetic_dataset(300, 12, 0.1, seed=8)
+    real_fill, real_to_dense = malsieve.experiment.dense_matrix, Dataset.to_dense
+    for source in (synthetic, as_records(synthetic)):
+        fills, blocks = [], []
+        monkeypatch.setattr(malsieve.experiment, "dense_matrix",
+                            lambda *a: fills.append(real_fill(*a)) or fills[-1])
+        monkeypatch.setattr(Dataset, "to_dense",
+                            lambda self, *a: blocks.append(real_to_dense(self, *a)) or blocks[-1])
+        config = tiny_config(repeats=1, synthetic_samples=300, synthetic_features=12,
+                             min_doc_freq=1)
+        run_one(source, config, 0)
+        monkeypatch.undo()
+        # one fill of the training split, one byte per entry: uint8, not float64
+        assert [(X.shape, X.dtype, X.nbytes) for X in fills] == [((180, 12), np.uint8, 2160)]
+        # the held-out splits are densified a prediction block at a time
+        assert blocks and all(rows <= 32 and d == 12 for rows, d in (X.shape for X in blocks))
 
-    def record(self, *args, **kwargs):
-        X = real(self, *args, **kwargs)
-        matrices.append(X)
-        return X
 
-    monkeypatch.setattr(Dataset, "to_dense", record)
-    config = tiny_config(repeats=1, synthetic_samples=300, synthetic_features=12)
-    run_one(synthetic_dataset(300, 12, 0.1, seed=8), config, 0)
-    shapes = [X.shape for X in matrices]
-    assert shapes.count((180, 12)) == 1
-    # one byte per entry: the training matrix is uint8, not float64
-    (X,) = [X for X in matrices if X.shape == (180, 12)]
-    assert X.dtype == np.uint8 and X.nbytes == 2160
-    others = [s for s in shapes if s != (180, 12)]
-    assert others and all(rows <= 32 and d == 12 for rows, d in others)
+def test_records_and_their_dataset_give_the_same_report():
+    # both kinds of source take one path: the records' training split
+    # holds all six permissions, so its vocabulary is the whole corpus's
+    records = labeled_records([-1, 1] * 30)
+    for noise_test in (False, True):
+        config = tiny_config(min_doc_freq=1, noise_test=noise_test)
+        from_records = format_report(repeated_experiment(config, source=records), config)
+        assert from_records == format_report(
+            repeated_experiment(config, source=as_dataset(records)), config)
 
 
 # --- one split at a time ---
@@ -449,8 +471,9 @@ def count_feature_vectors() -> int:
 
 
 def test_no_feature_vector_is_alive_while_the_pool_trains(monkeypatch):
-    # a records source's training split becomes its matrix with no vector
-    # made, and the held-out splits are not built yet
+    # the training split becomes its matrix with no vector made, and the
+    # held-out splits are not built yet; a dataset source's own vectors
+    # are all that is alive
     alive = []
     real = malsieve.experiment.train_pool
 
@@ -460,19 +483,29 @@ def test_no_feature_vector_is_alive_while_the_pool_trains(monkeypatch):
 
     monkeypatch.setattr(malsieve.experiment, "train_pool", count)
     records = labeled_records([-1, 1] * 100)
-    before = count_feature_vectors()
-    run_one(records, tiny_config(min_doc_freq=1, noise_test=True), 0)
-    assert alive == [before]
+    for source in (records, as_dataset(records)):
+        alive.clear()
+        before = count_feature_vectors()
+        run_one(source, tiny_config(min_doc_freq=1, noise_test=True), 0)
+        assert alive == [before]
 
 
 def test_held_out_splits_are_built_after_the_stage_before_them(monkeypatch):
     calls = []
-    for name in ("train_pool", "vectorize_all", "run_ga"):
+    for name in ("train_pool", "run_ga"):
         real = getattr(malsieve.experiment, name)
         monkeypatch.setattr(malsieve.experiment, name,
                             lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k))
-    run_one(labeled_records([-1, 1] * 100), tiny_config(min_doc_freq=1, noise_test=True), 0)
-    assert calls == ["train_pool", "vectorize_all", "run_ga", "vectorize_all"]
+    real_init = Dataset.__init__
+    monkeypatch.setattr(Dataset, "__init__",
+                        lambda self, *a, **k: calls.append("Dataset") or real_init(self, *a, **k))
+    records = labeled_records([-1, 1] * 100)
+    for source in (records, as_dataset(records)):
+        calls.clear()
+        run_one(source, tiny_config(min_doc_freq=1, noise_test=True), 0)
+        # a split and its noisy copy are one build
+        assert [name for name, _ in groupby(calls)] == ["train_pool", "Dataset", "run_ga",
+                                                        "Dataset"]
 
 
 def test_training_matrix_from_records_equals_the_vectorized_one():

@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from malsieve.ensemble import WeightVector, precompute_predictions
-from malsieve.errors import AllZeroWeights, EmptyDataset, InvalidConfig
+from malsieve.errors import FIELD_PARSERS, AllZeroWeights, EmptyDataset, InvalidConfig
 from malsieve.ga import (
     DIVERSITY_NORMS,
     GAConfig,
@@ -460,6 +462,23 @@ def test_ga_report_contents():
     assert "generation 4 " in report
     assert "best accuracy=" in report and "best diversity=" in report
     assert "fitness_split" not in report
+
+
+@pytest.mark.parametrize("norm", DIVERSITY_NORMS)
+def test_ga_report_config_lines_parse_back_to_the_config(norm):
+    # each setting is written as value_text writes it, so FIELD_PARSERS
+    # reads back the value itself: `diversity_norm=selected`, not 'selected'
+    pool, data, _, _ = fixture_problem(seed=7, n=5, m=12)
+    config = GAConfig(pop_size=6, max_iter=2, crossover_rate=0.75, rng_seed=4,
+                      diversity_norm=norm)
+    report = format_ga_report(run_ga(pool, data, config=config), config)
+    config_lines = [line.removeprefix("config ") for line in report.splitlines()
+                    if line.startswith("config ")]
+    types = {f.name: f.type for f in fields(GAConfig)}
+    parsed = dict(line.split("=", 1) for line in config_lines)
+    assert list(parsed) == list(types)
+    assert GAConfig(**{name: FIELD_PARSERS[types[name]](text)
+                       for name, text in parsed.items()}) == config
 
 
 @pytest.mark.parametrize("norm", ["selected", "pairs"])

@@ -16,6 +16,13 @@ gets:
       the `run_one` reports of the experiment-records corpus
   experiment-records/run-6.noise-test.report
       run 6 again with noise_test=true, so the test split is noised too
+  experiment-records/run-6.no-noise.report
+      run 6 again with noise_fraction=0, so no split is noised
+  experiment-records/corpus.svm, dataset.cfg, run-0.dataset.report
+      the corpus vectorized under the config's vocabulary keys, and run 0
+      of `malsieve experiment` on the config with `dataset=corpus.svm`
+      and `repeats=1`: a dataset file as the source, where the runs
+      above take the records
   synthetic/report.txt
       `malsieve experiment` on configs/synthetic-benchmark.cfg, 2 repeats
   predict-records/, apk-scan/
@@ -127,12 +134,24 @@ def main() -> int:
     source = records.load_records(config.dataset)
     runs = [(f"run-{index}", config, index) for index in (2 * SEED, 2 * SEED + 1)]
     runs.append((f"run-{2 * SEED}.noise-test", replace(config, noise_test=True), 2 * SEED))
+    runs.append((f"run-{2 * SEED}.no-noise", replace(config, noise_fraction=0.0), 2 * SEED))
     for name, run_config, index in runs:
         summary = experiment.RepeatSummary(
             repeats=1, outcomes=(experiment.run_one(source, run_config, index),),
             failures=(), summaries={})
         (d / f"{name}.report").write_text(
             experiment.format_report(summary, run_config), encoding="utf-8")
+    cli("vectorize", config.dataset, "--dataset-out", str(d / "corpus.svm"),
+        "--min-doc-freq", str(config.min_doc_freq),
+        "--max-api-features", str(config.max_api_features))
+    # named relative to the output directory, so the report's config line
+    # is the same wherever OUT is
+    dataset_config = replace(config, dataset="corpus.svm", repeats=1)
+    (d / "dataset.cfg").write_text("".join(
+        line.removeprefix("config ") + "\n" for line in experiment.config_lines(dataset_config)
+    ), encoding="utf-8")
+    with contextlib.chdir(d):
+        cli("experiment", "dataset.cfg", "--out", "run-0.dataset.report")
 
     d = out / "synthetic"
     d.mkdir()
