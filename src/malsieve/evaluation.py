@@ -3,9 +3,10 @@
 Noise injection models mislabeled training corpora: an equal number of
 samples from each class (`equal_count_flips`, which the synthetic
 concept noise uses too) gets its label swapped to the other class, which
-keeps the class balance intact. Selection is keyed to the dataset's clean
-labels, so injecting the same noise twice restores them; the clean
-labels ride along on the dataset for audits.
+keeps the class balance intact. Noise acts on label arrays only, and its
+selection is keyed to the clean labels, which the caller passes beside
+the labels it noises: the experiment holds them as its split items' own
+labels. So injecting the same noise twice restores them.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def equal_count_flips(
     return np.concatenate([m[rng.permutation(m.size)[:k]] for m, rng in zip(members, rngs)])
 
 
-def noisy_labels(labels, clean, spec: NoiseSpec) -> np.ndarray:
+def inject_label_noise(labels, clean, spec: NoiseSpec) -> np.ndarray:
     """A copy of `labels` with the ones `equal_count_flips` picks from the
     `clean` labels swapped, drawn per class from `make_rng(seed, "noise",
     class)`. Selection is a deterministic function of (seed, clean labels),
@@ -112,12 +113,6 @@ def noisy_labels(labels, clean, spec: NoiseSpec) -> np.ndarray:
     noisy = np.array(labels)
     noisy[flips] *= -1
     return noisy
-
-
-def inject_label_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
-    """The dataset relabelled by `noisy_labels` from its labels and clean
-    labels; its clean labels stay."""
-    return data.with_labels(noisy_labels(data.labels(), data.clean_labels, spec).tolist())
 
 
 @dataclass(frozen=True)

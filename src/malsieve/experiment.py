@@ -31,8 +31,10 @@ indices, or a record's under the vocabulary fitted on the training split.
   scoring     the test split, vectorized after the GA, and noisy only
               under noise_test
 
-So a held-out split that lacks a class, which noise refuses, fails only
-after training.
+A split's labels are its items' own labels, which are its clean labels,
+passed through `inject_label_noise` where the split is noisy; a held-out
+split is built once, with those labels. So a held-out split that lacks a
+class, which noise refuses, fails only after training.
 
 Configs are flat key=value text files; see DEFAULT_CONFIG_TEXT.
 """
@@ -62,7 +64,6 @@ from .evaluation import (
     compute_metrics,
     equal_count_flips,
     inject_label_noise,
-    noisy_labels,
     split,  # not called here: bench/spans.py BINDINGS wraps it
     stratified_split_indices,
     summarize_metric,
@@ -282,24 +283,21 @@ def run_one(
                                  max_api_features=config.max_api_features)
         dimension, columns = vocab.dimension, partial(feature_indices, vocab=vocab)
 
-    def noise(name: str) -> NoiseSpec | None:
-        """The noise on split `name`, or None where it stays clean. Zero
-        noise flips nothing, and noise refuses a split that lacks a class.
-        Each split's noise seed derives from its name."""
+    def labels(part: list, name: str) -> np.ndarray:
+        """The labels of split `name` as int8, noisy unless the noise is zero
+        or the split is test without noise_test. Noise refuses a split that
+        lacks a class; its seed derives from the split's name."""
+        y = np.array([x.label for x in part], dtype=np.int8)
         if config.noise_fraction == 0 or (name == "test" and not config.noise_test):
-            return None
-        return config.noise_spec(derive_seed(run_seed, "noise", name))
+            return y
+        return inject_label_noise(y, y, config.noise_spec(derive_seed(run_seed, "noise", name)))
 
     def held_out(part: list, name: str) -> Dataset:
-        data = Dataset([FeatureVector(dimension, columns(x), x.label) for x in part], dimension)
-        spec = noise(name)
-        return data if spec is None else inject_label_noise(data, spec)
+        return Dataset([FeatureVector(dimension, columns(x), label)
+                        for x, label in zip(part, labels(part, name).tolist())], dimension)
 
     X = dense_matrix(map(columns, train_part), len(train_part), dimension)
-    # a fresh split's labels are its clean labels
-    y = np.array([x.label for x in train_part], dtype=np.int8)
-    if (spec := noise("train")) is not None:
-        y = noisy_labels(y, y, spec)
+    y = labels(train_part, "train")
     pool = train_pool(X, y, config.pool_size, config.learner_spec(config.learner_seed),
                       master_seed=derive_seed(run_seed, "pool"))
     single_spec = config.learner_spec(derive_seed(run_seed, "single", config.learner_seed))

@@ -101,14 +101,11 @@ class FeatureVector:
 class Dataset:
     """Ordered collection of feature vectors of the given dimension.
 
-    `clean_labels` are the labels the dataset had before any noise
-    injection: its own labels unless given. `subset` and `with_labels`
-    pass them on, so evaluation can audit against them and a repeated
-    noise application is an involution.
+    A noisy split is built with its noisy labels; its clean labels are
+    the labels of the items it was built from, which the caller holds.
     """
 
-    def __init__(self, vectors: Sequence[FeatureVector], dimension: int,
-                 clean_labels: tuple[int | None, ...] | None = None):
+    def __init__(self, vectors: Sequence[FeatureVector], dimension: int):
         vectors = list(vectors)
         for v in vectors:
             if v.dimension != dimension:
@@ -117,11 +114,6 @@ class Dataset:
                 )
         self.vectors = vectors
         self.dimension = dimension
-        if clean_labels is None:
-            clean_labels = self.labels()
-        elif len(clean_labels) != len(vectors):
-            raise ValueError("clean_labels length mismatch")
-        self.clean_labels = clean_labels
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -144,18 +136,7 @@ class Dataset:
         return dense_matrix((v.indices for v in vectors), len(vectors), self.dimension)
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        return Dataset([self.vectors[i] for i in indices], dimension=self.dimension,
-                       clean_labels=tuple(self.clean_labels[i] for i in indices))
-
-    def with_labels(self, labels: Sequence[int | None]) -> "Dataset":
-        """These vectors with `labels`; the clean labels stay this dataset's."""
-        if len(labels) != len(self.vectors):
-            raise ValueError("label count mismatch")
-        vecs = [
-            FeatureVector(v.dimension, v.indices, label)
-            for v, label in zip(self.vectors, labels)
-        ]
-        return Dataset(vecs, dimension=self.dimension, clean_labels=self.clean_labels)
+        return Dataset([self.vectors[i] for i in indices], dimension=self.dimension)
 
 
 def build_vocabulary(records: Iterable[FeatureRecord],

@@ -36,7 +36,6 @@ from malsieve.experiment import (
 )
 from malsieve.ga import GAConfig, diversity, fitness, run_ga
 from malsieve.learners import LearnerSpec, gradient, init_params
-from malsieve.vectorize import Dataset, FeatureVector
 
 from binfixtures import STORED, build_dex, build_zip, simple_manifest
 from mlfixtures import (
@@ -119,9 +118,10 @@ def test_criterion_2_diversity_oracle():
 def ga_oracle_problem():
     data = synthetic_dataset(600, 20, 0.15, seed=123)
     train_set, val_set, _ = split(data, SplitSpec(seed=1))
-    noisy_train = inject_label_noise(train_set, NoiseSpec(0.1, seed=2))
+    X, y = dense(train_set)
     pool = train_pool(
-        *dense(noisy_train),
+        X,
+        inject_label_noise(y, y, NoiseSpec(0.1, seed=2)),
         12,
         LearnerSpec(kind="linear", learning_rate=0.5, epochs=10, rng_seed=0),
         master_seed=5,
@@ -260,17 +260,14 @@ def test_criterion_8_metric_identities_and_noise_involution():
 
         for trial in range(100):
             n = int(rng.integers(5, 60))
-            vectors = [
-                FeatureVector(2 * n, (k,), 1 if k < n else -1) for k in range(2 * n)
-            ]
-            data = Dataset(vectors, dimension=2 * n)
+            labels = np.array([1 if k < n else -1 for k in range(2 * n)], dtype=np.int8)
             spec = NoiseSpec(
                 noise_fraction=float(rng.uniform(0.0, 0.5)),
                 seed=int(rng.integers(0, 10**9)),
             )
-            once = inject_label_noise(data, spec)
-            twice = inject_label_noise(once, spec)
-            assert twice.labels() == data.labels()
+            once = inject_label_noise(labels, labels, spec)
+            twice = inject_label_noise(once, labels, spec)
+            assert np.array_equal(twice, labels)
 
 
 DETERMINISM_CONFIG = """\

@@ -84,80 +84,110 @@ def test_stratified_indices_stable_under_label_view():
 
 # --- label noise ---
 
+def balanced_labels(n_per_class):
+    return np.array([1] * n_per_class + [-1] * n_per_class, dtype=np.int8)
+
+
 def test_zero_fraction_is_identity():
-    data = balanced_dataset(10)
-    noisy = inject_label_noise(data, NoiseSpec(noise_fraction=0.0, seed=1))
-    assert noisy.labels() == data.labels()
+    labels = balanced_labels(10)
+    noisy = inject_label_noise(labels, labels, NoiseSpec(noise_fraction=0.0, seed=1))
+    assert np.array_equal(noisy, labels)
 
 
 def test_ten_percent_swap_on_balanced_data():
-    data = balanced_dataset(100)
-    noisy = inject_label_noise(data, NoiseSpec(noise_fraction=0.1, seed=5))
-    flips_pos = sum(
-        1 for before, after in zip(data.labels(), noisy.labels())
-        if before == 1 and after == -1
-    )
-    flips_neg = sum(
-        1 for before, after in zip(data.labels(), noisy.labels())
-        if before == -1 and after == 1
-    )
+    labels = balanced_labels(100)
+    noisy = inject_label_noise(labels, labels, NoiseSpec(noise_fraction=0.1, seed=5))
+    flips_pos = int(np.sum((labels == 1) & (noisy == -1)))
+    flips_neg = int(np.sum((labels == -1) & (noisy == 1)))
     assert flips_pos == flips_neg == 10
-    assert noisy.labels().count(1) == noisy.labels().count(-1) == 100
+    assert np.sum(noisy == 1) == np.sum(noisy == -1) == 100
 
 
 def test_double_application_is_involution():
-    data = balanced_dataset(50)
+    labels = balanced_labels(50)
     spec = NoiseSpec(noise_fraction=0.2, seed=8)
-    once = inject_label_noise(data, spec)
-    twice = inject_label_noise(once, spec)
-    assert twice.labels() == data.labels()
-    assert once.labels() != data.labels()
+    once = inject_label_noise(labels, labels, spec)
+    twice = inject_label_noise(once, labels, spec)
+    assert np.array_equal(twice, labels)
+    assert not np.array_equal(once, labels)
 
 
 def test_involution_property_random_specs():
     rng = np.random.default_rng(12)
     for _ in range(100):
         n = int(rng.integers(5, 40))
-        data = balanced_dataset(n)
+        labels = balanced_labels(n)
         spec = NoiseSpec(
             noise_fraction=float(rng.uniform(0, 0.5)), seed=int(rng.integers(0, 10**9))
         )
-        once = inject_label_noise(data, spec)
-        twice = inject_label_noise(once, spec)
-        assert twice.labels() == data.labels()
+        once = inject_label_noise(labels, labels, spec)
+        twice = inject_label_noise(once, labels, spec)
+        assert np.array_equal(twice, labels)
 
 
-def test_noise_keeps_features_and_clean_labels():
-    data = balanced_dataset(30)
-    noisy = inject_label_noise(data, NoiseSpec(noise_fraction=0.3, seed=2))
-    assert [v.indices for v in noisy.vectors] == [v.indices for v in data.vectors]
-    assert noisy.clean_labels == data.labels()
+def test_noise_leaves_its_input_arrays_unchanged():
+    labels = balanced_labels(30)
+    clean = labels.copy()
+    noisy = inject_label_noise(labels, clean, NoiseSpec(noise_fraction=0.3, seed=2))
+    assert not np.array_equal(noisy, labels)
+    assert np.array_equal(labels, balanced_labels(30))
+    assert np.array_equal(clean, balanced_labels(30))
 
 
-def test_with_labels_keeps_the_clean_labels():
-    data = balanced_dataset(4)
-    relabeled = data.with_labels([-l for l in data.labels()])
-    assert relabeled.labels() == tuple(-l for l in data.labels())
-    assert relabeled.clean_labels == data.labels()
-
-
-def test_noise_then_subset_keeps_the_clean_labels():
-    data = balanced_dataset(20)
-    noisy = inject_label_noise(data, NoiseSpec(noise_fraction=0.3, seed=2))
+def test_a_dataset_built_with_noisy_labels_keeps_them_through_subset():
+    labels = balanced_labels(20)
+    noisy = inject_label_noise(labels, labels, NoiseSpec(noise_fraction=0.3, seed=2))
+    data = Dataset([FeatureVector(40, (k,), l) for k, l in enumerate(noisy.tolist())],
+                   dimension=40)
     rows = [0, 5, 39, 21, 5]
-    part = noisy.subset(rows)
-    assert part.clean_labels == tuple(data.labels()[i] for i in rows)
-    assert part.labels() == tuple(noisy.labels()[i] for i in rows)
+    part = data.subset(rows)
+    assert part.labels() == tuple(noisy[rows].tolist())
+    assert [v.indices for v in part.vectors] == [(k,) for k in rows]
 
 
 def test_noise_requires_both_classes():
-    vectors = [FeatureVector(4, (k,), 1) for k in range(4)]
+    labels = np.ones(4, dtype=np.int8)
     with pytest.raises(SingleClassData):
-        inject_label_noise(Dataset(vectors, dimension=4), NoiseSpec(noise_fraction=0.1, seed=0))
+        inject_label_noise(labels, labels, NoiseSpec(noise_fraction=0.1, seed=0))
+
+
+def test_noise_on_unbalanced_labels_keeps_its_contract():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 400))
+        share = float(rng.uniform(0.05, 0.95))
+        n_pos = min(max(int(round(share * n)), 1), n - 1)
+        clean = np.where(rng.permutation(n) < n_pos, 1, -1).astype(np.int8)
+        # labels noised once already, so that flips drawn from `clean` land
+        # on labels that differ from it
+        labels = inject_label_noise(clean, clean, NoiseSpec(0.25, seed + 100))
+        labels_before, clean_before = labels.copy(), clean.copy()
+        spec = NoiseSpec(noise_fraction=float(rng.uniform(0.0, 0.5)), seed=seed)
+
+        noisy = inject_label_noise(labels, clean, spec)
+        # the input arrays stay, and int8 stays int8
+        assert np.array_equal(labels, labels_before) and np.array_equal(clean, clean_before)
+        assert noisy.dtype == np.int8 and noisy.shape == labels.shape
+        # flips are chosen from `clean` and applied to `labels`
+        flipped = np.flatnonzero(noisy != labels)
+        rngs = [make_rng(seed, "noise", cls) for cls in (1, -1)]
+        assert sorted(flipped.tolist()) == sorted(
+            equal_count_flips(clean, spec.noise_fraction, rngs).tolist())
+        assert np.array_equal(noisy[flipped], -labels[flipped])
+        # each class of `clean` loses exactly floor(f x the smaller class)
+        k = int(spec.noise_fraction * min(n_pos, n - n_pos))
+        assert [int(np.sum(clean[flipped] == cls)) for cls in (1, -1)] == [k, k]
+        # a second application with the same spec is an involution
+        assert np.array_equal(inject_label_noise(noisy, clean, spec), labels)
+
+        for cls in (1, -1):
+            one_class = np.full(n, cls, dtype=np.int8)
+            with pytest.raises(SingleClassData):
+                inject_label_noise(one_class, one_class, spec)
 
 
 # the two flip loops `equal_count_flips` replaced, frozen as they were:
-# inject_label_noise's, over a generator per class, and the synthetic
+# the label noise's, over a generator per class, and the synthetic
 # dataset's, over one running generator
 
 def frozen_noise_flips(base, flip_fraction, seed):
@@ -207,13 +237,13 @@ def test_noise_spec_never_targets_test():
 
 
 def test_split_then_noise_leaves_test_untouched():
-    data = balanced_dataset(25)
-    train, val, test = split(data, SplitSpec(seed=6))
-    identity = {v.indices: v.label for v in data.vectors}
-    inject_label_noise(train, NoiseSpec(noise_fraction=0.3, seed=7))
-    inject_label_noise(val, NoiseSpec(noise_fraction=0.3, seed=8))
-    for v in test.vectors:
-        assert identity[v.indices] == v.label
+    labels = balanced_labels(25)
+    train_idx, val_idx, test_idx = stratified_split_indices(labels, SplitSpec(seed=6))
+    before = labels.copy()
+    for rows, seed in ((train_idx, 7), (val_idx, 8)):
+        part = labels[rows]
+        inject_label_noise(part, part, NoiseSpec(noise_fraction=0.3, seed=seed))
+    assert np.array_equal(labels[test_idx], before[test_idx])
 
 
 # --- metrics ---

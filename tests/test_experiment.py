@@ -1,12 +1,11 @@
 import gc
-from itertools import groupby
 
 import numpy as np
 import pytest
 
 import malsieve.experiment
 from malsieve.errors import FormatError, InvalidConfig, RunFailed, SingleClassData
-from malsieve.evaluation import NoiseSpec, SplitSpec, inject_label_noise, noisy_labels, split
+from malsieve.evaluation import inject_label_noise, split, stratified_split_indices
 from malsieve.experiment import (
     DEFAULT_CONFIG_TEXT,
     METHODS,
@@ -408,11 +407,10 @@ def test_single_learner_scores_as_trained_and_predicted_on_dense_splits():
     run_seed = derive_seed(config.master_seed, "run", 2)
     train_set, _, test_set = split(source, config.split_spec(derive_seed(run_seed, "split")))
     assert len(test_set) > 32  # more than one prediction block
-    noisy = inject_label_noise(
-        train_set, config.noise_spec(derive_seed(run_seed, "noise", "train"))
-    )
+    X, y = dense(train_set)
+    noisy = inject_label_noise(y, y, config.noise_spec(derive_seed(run_seed, "noise", "train")))
     spec = config.learner_spec(derive_seed(run_seed, "single", config.learner_seed))
-    single = train(spec, *dense(noisy))
+    single = train(spec, X, noisy)
     expected = compute_metrics(predict_labels(single, test_set.to_dense()),
                                test_set.label_array())
     got = outcome.metrics["single"]
@@ -503,9 +501,28 @@ def test_held_out_splits_are_built_after_the_stage_before_them(monkeypatch):
     for source in (records, as_dataset(records)):
         calls.clear()
         run_one(source, tiny_config(min_doc_freq=1, noise_test=True), 0)
-        # a split and its noisy copy are one build
-        assert [name for name, _ in groupby(calls)] == ["train_pool", "Dataset", "run_ga",
-                                                        "Dataset"]
+        # each held-out split is one build, with its final labels
+        assert calls == ["train_pool", "Dataset", "run_ga", "Dataset"]
+
+
+def test_a_run_builds_one_feature_vector_per_held_out_sample(monkeypatch):
+    from malsieve.rng import derive_seed
+
+    built = []
+    real = FeatureVector.__post_init__
+    monkeypatch.setattr(FeatureVector, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    records = labeled_records([-1, 1] * 100)
+    source_data = as_dataset(records)
+    for noise_test in (False, True):
+        config = tiny_config(min_doc_freq=1, noise_test=noise_test)
+        run_seed = derive_seed(config.master_seed, "run", 0)
+        _, validation, test = stratified_split_indices(
+            [r.label for r in records], config.split_spec(derive_seed(run_seed, "split")))
+        for source in (records, source_data):
+            built.clear()
+            run_one(source, config, 0)
+            assert len(built) == len(validation) + len(test)
 
 
 def test_training_matrix_from_records_equals_the_vectorized_one():
@@ -540,24 +557,3 @@ def test_training_matrix_from_records_equals_the_vectorized_one():
         assert got.tobytes() == expected.tobytes()
     with pytest.raises(ValueError):
         dense_matrix([(0,)], 2, 3)
-
-
-def test_label_level_noise_is_the_dataset_noise():
-    rng = np.random.default_rng(12)
-    for seed in range(30):
-        labels = rng.choice([-1, 1], size=int(rng.integers(4, 60)))
-        labels[:2] = (1, -1)
-        data = Dataset([FeatureVector(3, (), int(l)) for l in labels], dimension=3)
-        spec = NoiseSpec(noise_fraction=float(rng.uniform(0.05, 0.5)), seed=seed)
-        y = data.label_array()
-        noisy = noisy_labels(y, data.clean_labels, spec)
-        assert noisy.dtype == np.int8
-        assert np.array_equal(noisy, inject_label_noise(data, spec).label_array())
-        assert np.array_equal(y, data.label_array())  # a copy: the input stays
-        assert np.array_equal(noisy_labels(noisy, data.clean_labels, spec), y)
-        # flips are chosen from the clean labels and applied to the current ones
-        once = inject_label_noise(data, NoiseSpec(0.25, seed + 100))
-        assert np.array_equal(
-            noisy_labels(once.label_array(), once.clean_labels, spec),
-            inject_label_noise(once, spec).label_array(),
-        )

@@ -23,6 +23,9 @@ gets:
       of `malsieve experiment` on the config with `dataset=corpus.svm`
       and `repeats=1`: a dataset file as the source, where the runs
       above take the records
+  experiment-records/run-0.dataset.noise-test.report
+      that run 0 again with noise_test=true, so a dataset source's test
+      split is noised too
   synthetic/report.txt
       `malsieve experiment` on configs/synthetic-benchmark.cfg, 2 repeats
   predict-records/, apk-scan/
@@ -150,8 +153,12 @@ def main() -> int:
     (d / "dataset.cfg").write_text("".join(
         line.removeprefix("config ") + "\n" for line in experiment.config_lines(dataset_config)
     ), encoding="utf-8")
+    noise_test_config = replace(dataset_config, noise_test=True)
     with contextlib.chdir(d):
         cli("experiment", "dataset.cfg", "--out", "run-0.dataset.report")
+        (d / "run-0.dataset.noise-test.report").write_text(experiment.format_report(
+            experiment.repeated_experiment(noise_test_config), noise_test_config),
+            encoding="utf-8")
 
     d = out / "synthetic"
     d.mkdir()
