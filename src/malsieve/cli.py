@@ -202,16 +202,14 @@ def _selection(args: argparse.Namespace, pool: ens.EnsemblePool) -> ens.WeightVe
     """--selection, or every learner of the pool."""
     if args.selection:
         return ens.load_selection(args.selection)
-    return ens.WeightVector.ones(pool.size)
+    return ens.WeightVector((1,) * pool.size)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     pool = ens.load_pool(args.pool)
     data = load_dataset(args.dataset)
     omega = _selection(args, pool)
-    votes = ens.majority_vote_matrix(ens.precompute_predictions(pool.learners, data),
-                                     omega.bits)
-    report = compute_metrics(votes, data.label_array())
+    report = compute_metrics(ens.vote(pool, omega, data), data.label_array())
     sys.stdout.write(
         f"selected={omega.selected_count}/{pool.size} {report.as_fields()}\n"
     )
@@ -239,8 +237,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 ids.append(record.app_id)
                 vectors.append(vectorize(record, vocab))
             data = Dataset(vectors, dimension=vocab.dimension)
-    votes = ens.majority_vote_matrix(ens.precompute_predictions(pool.learners, data),
-                                     omega.bits)
+    votes = ens.vote(pool, omega, data)
     _write_text(args.out, (
         f"{app_id}\t{LABEL_TEXT[label]}\n" for app_id, label in zip(ids, votes.tolist())
     ))

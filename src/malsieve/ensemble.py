@@ -13,9 +13,10 @@ outcome.
 Every ensemble prediction takes one path: `precompute_predictions` turns
 a dataset into the (N learners x M samples) +-1 matrix of any sequence
 of N learners, and `majority_vote_matrix` turns rows of it into the
-vote. The optimizer's fitness, the experiment's scores and the CLI all
-go through these two; `precompute_predictions` alone densifies samples
-for prediction and checks a dataset's dimension against the learners'.
+vote. The optimizer's fitness, the experiment's scores and `vote`, a
+selection's vote on a dataset that the CLI calls, all go through these
+two; `precompute_predictions` alone densifies samples for prediction
+and checks a dataset's dimension against the learners'.
 The dense matrix is uint8 0/1; `precompute_predictions` widens each
 block of it to float64 once, for every learner's product.
 """
@@ -49,7 +50,7 @@ from .learners import (
     train,
 )
 from .rng import derive_seed, make_rng
-from .vectorize import Dataset, FeatureVector
+from .vectorize import Dataset
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,6 @@ class WeightVector:
     def from_string(cls, text: str) -> "WeightVector":
         # a character other than 0 or 1 stays as it is, for the bits check
         return cls(tuple(int(c) if c in "01" else c for c in text))
-
-    @classmethod
-    def ones(cls, n: int) -> "WeightVector":
-        return cls((1,) * n)
 
 
 @dataclass(frozen=True)
@@ -187,11 +184,9 @@ def majority_vote_matrix(matrix: np.ndarray, masks) -> np.ndarray:
     return sign_labels(selection_masks(masks, matrix.shape[0]) @ matrix.astype(np.float64))
 
 
-def vote(pool: EnsemblePool, omega: WeightVector, x: FeatureVector) -> int:
-    """The vote on one sample: `majority_vote_matrix` over its one-column
-    prediction matrix."""
-    matrix = precompute_predictions(pool.learners, Dataset([x], dimension=pool.dim))
-    return int(majority_vote_matrix(matrix, omega.bits)[0])
+def vote(pool: EnsemblePool, omega: WeightVector, data: Dataset) -> np.ndarray:
+    """The (M,) vote of the learners omega selects on each sample of data."""
+    return majority_vote_matrix(precompute_predictions(pool.learners, data), omega.bits)
 
 
 # --- serialization ---

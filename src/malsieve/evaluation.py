@@ -1,5 +1,6 @@
 """Dataset splitting, label-noise injection and metric computation.
 
+The split and the noise draw from one per-class rule, `class_shuffles`.
 Noise injection models mislabeled training corpora: an equal number of
 samples from each class (`equal_count_flips`, which the synthetic
 concept noise uses too) gets its label swapped to the other class, which
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, LengthMismatch, SingleClassData, TooSmall
+from .errors import EmptyDataset, InvalidConfig, LengthMismatch, SingleClassData, TooSmall
 from .rng import make_rng
 from .vectorize import Dataset
 
@@ -48,36 +49,33 @@ class NoiseSpec:
             raise InvalidConfig("noise_fraction must be in [0, 0.5]")
 
 
+def class_shuffles(labels: np.ndarray, rngs: Sequence[np.random.Generator]) -> list[np.ndarray]:
+    """For each class in (+1, -1) order, the positions of its labels
+    permuted by its generator in `rngs`, which may hold one twice."""
+    members = [np.flatnonzero(labels == cls) for cls in _CLASSES]
+    return [m[rng.permutation(m.size)] for m, rng in zip(members, rngs)]
+
+
 def stratified_split_indices(
     labels, spec: SplitSpec
 ) -> tuple[list[int], list[int], list[int]]:
     """Index-level stratified split; rounding residue stays in train.
 
-    Within each class the positions are shuffled by the seed, the floor
-    of each fraction goes to validation and test, and the rest to train.
+    Within each class the `class_shuffles` under the seed give the floor
+    of each fraction to validation and test, and the rest to train.
     Each part comes back in ascending original order.
     """
-    labels = list(labels)
-    if len(labels) < 5:
-        raise TooSmall(f"need at least 5 samples, got {len(labels)}")
-    if any(l is None for l in labels):
+    labels = np.asarray(labels)
+    if labels.size < 5:
+        raise TooSmall(f"need at least 5 samples, got {labels.size}")
+    if labels.dtype == object:
         raise ValueError("split requires labeled data")
-
-    train_idx: list[int] = []
-    val_idx: list[int] = []
-    test_idx: list[int] = []
-    for cls in _CLASSES:
-        members = [i for i, l in enumerate(labels) if l == cls]
-        if not members:
-            continue
-        rng = make_rng(spec.seed, "split", cls)
-        shuffled = [members[j] for j in rng.permutation(len(members))]
-        n_val = int(spec.validation_fraction * len(members))
-        n_test = int(spec.test_fraction * len(members))
-        val_idx += shuffled[:n_val]
-        test_idx += shuffled[n_val : n_val + n_test]
-        train_idx += shuffled[n_val + n_test :]
-    return sorted(train_idx), sorted(val_idx), sorted(test_idx)
+    cuts = []  # each class's (validation, test, train)
+    for s in class_shuffles(labels, [make_rng(spec.seed, "split", cls) for cls in _CLASSES]):
+        n_val = int(spec.validation_fraction * s.size)
+        cuts.append(np.split(s, [n_val, n_val + int(spec.test_fraction * s.size)]))
+    val_idx, test_idx, train_idx = (np.sort(np.concatenate(part)).tolist() for part in zip(*cuts))
+    return train_idx, val_idx, test_idx
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
@@ -90,15 +88,13 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
 def equal_count_flips(
     labels: np.ndarray, fraction: float, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    """Indices of the labels to swap: for each class in (+1, -1) order,
-    the first k of its generator's permutation of the class's members,
-    with k = floor(fraction x the smaller class size). `rngs` holds one
-    generator per class, possibly the same one twice."""
-    members = [np.flatnonzero(labels == cls) for cls in _CLASSES]
-    if not all(m.size for m in members):
+    """Indices of the labels to swap: the first k of each class's
+    `class_shuffles`, with k = floor(fraction x the smaller class size)."""
+    shuffles = class_shuffles(labels, rngs)
+    if not all(s.size for s in shuffles):
         raise SingleClassData("noise injection needs both classes present")
-    k = int(fraction * min(m.size for m in members))
-    return np.concatenate([m[rng.permutation(m.size)[:k]] for m, rng in zip(members, rngs)])
+    k = int(fraction * min(s.size for s in shuffles))
+    return np.concatenate([s[:k] for s in shuffles])
 
 
 def inject_label_noise(labels, clean, spec: NoiseSpec) -> np.ndarray:
@@ -146,7 +142,7 @@ class MetricsReport:
 def metrics_from_counts(tp: int, fp: int, tn: int, fn: int) -> MetricsReport:
     total = tp + fp + tn + fn
     if total < 1:
-        raise LengthMismatch("need at least one sample")
+        raise EmptyDataset("need at least one sample")
     nothing_anywhere = (tp + fp == 0) and (tp + fn == 0)
     if tp + fp > 0:
         precision = tp / (tp + fp)
@@ -177,8 +173,6 @@ def compute_metrics(predictions, labels) -> MetricsReport:
         raise LengthMismatch(
             f"predictions {predictions.shape} vs labels {labels.shape}"
         )
-    if predictions.shape[0] < 1:
-        raise LengthMismatch("need at least one sample")
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == -1)))
     tn = int(np.sum((predictions == -1) & (labels == -1)))

@@ -190,11 +190,10 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def config_lines(config: ExperimentConfig) -> list[str]:
-    return [
-        f"config {f.name}={value_text(getattr(config, f.name))}"
-        for f in fields(ExperimentConfig)
-    ]
+def config_text(config: ExperimentConfig) -> str:
+    """The config as the key=value lines `parse_config` reads back."""
+    return "".join(f"{f.name}={value_text(getattr(config, f.name))}\n"
+                   for f in fields(ExperimentConfig))
 
 
 def synthetic_dataset(
@@ -355,7 +354,7 @@ def repeated_experiment(
 
 def format_report(summary: RepeatSummary, config: ExperimentConfig) -> str:
     lines = ["malsieve-experiment-report v1"]
-    lines += config_lines(config)
+    lines += ["config " + line for line in config_text(config).splitlines()]
     for r, outcome in enumerate(summary.outcomes):
         if outcome is None:
             continue
@@ -383,6 +382,4 @@ def format_report(summary: RepeatSummary, config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-DEFAULT_CONFIG_TEXT = "".join(
-    line.removeprefix("config ") + "\n" for line in config_lines(ExperimentConfig())
-)
+DEFAULT_CONFIG_TEXT = config_text(ExperimentConfig())

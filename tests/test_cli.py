@@ -11,7 +11,7 @@ from malsieve.ensemble import EnsemblePool, WeightVector, save_pool, save_select
 from malsieve.ga import GAConfig
 from malsieve.learners import LearnerSpec, TrainedLearner
 from malsieve.records import load_records
-from malsieve.vectorize import load_dataset, load_vocabulary, save_dataset, vectorize_all
+from malsieve.vectorize import Dataset, load_dataset, load_vocabulary, save_dataset, vectorize_all
 
 from binfixtures import STORED, build_dex, build_zip, simple_manifest
 
@@ -347,8 +347,9 @@ def test_predict_batch_matches_per_sample_vote(tmp_path, capsys):
     code = main(["predict", str(tmp_path / "pool"), str(dataset),
                  "--selection", str(tmp_path / "selection.txt")])
     assert code == 0
+    # each sample voted on alone, as a one-sample dataset
     expected = [
-        f"sample_{k}\t{'+1' if vote(pool, omega, v) == 1 else '-1'}"
+        f"sample_{k}\t{'+1' if vote(pool, omega, Dataset([v], dimension=6))[0] == 1 else '-1'}"
         for k, v in enumerate(load_dataset(dataset).vectors)
     ]
     out = capsys.readouterr().out.splitlines()
@@ -882,3 +883,28 @@ def test_select_on_empty_dataset_fails_with_empty_dataset(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "EmptyDataset" in err and "Traceback" not in err
+
+
+def test_evaluate_on_empty_dataset_fails_with_empty_dataset(tmp_path, capsys):
+    write_small_artifacts(tmp_path)
+    (tmp_path / "empty.svm").write_text("dim=3 n=0\n")
+    assert main(["evaluate", str(tmp_path / "pool"), str(tmp_path / "empty.svm")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "evaluate: EmptyDataset: need at least one sample\n"
+    assert captured.out == ""
+
+
+def test_predict_on_empty_dataset_writes_nothing(tmp_path, capsys):
+    write_small_artifacts(tmp_path)
+    (tmp_path / "empty.svm").write_text("dim=3 n=0\n")
+    assert main(["predict", str(tmp_path / "pool"), str(tmp_path / "empty.svm")]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_train_pool_on_empty_dataset_fails_with_empty_dataset(tmp_path, capsys):
+    (tmp_path / "empty.svm").write_text("dim=3 n=0\n")
+    code = main(["train-pool", str(tmp_path / "empty.svm"), "--out", str(tmp_path / "pool")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "train-pool: EmptyDataset: cannot bootstrap an empty dataset\n"
+    assert not (tmp_path / "pool").exists()

@@ -221,14 +221,13 @@ def test_train_pool_failure_wraps_multi_argument_exception(monkeypatch):
 def test_majority_vote_example():
     matrix = np.array([[1], [1], [-1]], dtype=np.int8)
     pool = pool_from_matrix(matrix)
-    x = FeatureVector(1, (0,), None)
-    assert vote(pool, WeightVector((1, 1, 1)), x) == 1
+    assert vote(pool, WeightVector((1, 1, 1)), one_hot_dataset(1)).tolist() == [1]
 
 
 def test_tie_votes_malicious():
     matrix = np.array([[1], [-1]], dtype=np.int8)
     pool = pool_from_matrix(matrix)
-    assert vote(pool, WeightVector((1, 1)), FeatureVector(1, (0,), None)) == 1
+    assert vote(pool, WeightVector((1, 1)), one_hot_dataset(1)).tolist() == [1]
 
 
 def test_vote_matches_brute_force_for_all_nonzero_omegas():
@@ -240,12 +239,10 @@ def test_vote_matches_brute_force_for_all_nonzero_omegas():
     for bits in itertools.product((0, 1), repeat=n):
         if not any(bits):
             continue
-        omega = WeightVector(bits)
         fast = majority_vote_matrix(matrix, bits)
         for k in range(m):
-            expected = brute_force_vote(matrix, bits, k)
-            assert vote(pool, omega, samples.vectors[k]) == expected
-            assert fast[k] == expected
+            assert fast[k] == brute_force_vote(matrix, bits, k)
+        assert np.array_equal(vote(pool, WeightVector(bits), samples), fast)
 
 
 def test_stacked_masks_vote_row_by_row():
@@ -302,7 +299,7 @@ def test_all_zero_weights_rejected():
     matrix = np.array([[1, -1]], dtype=np.int8)
     pool = pool_from_matrix(matrix)
     with pytest.raises(AllZeroWeights):
-        vote(pool, WeightVector((0,)), FeatureVector(2, (0,), None))
+        vote(pool, WeightVector((0,)), one_hot_dataset(2))
     with pytest.raises(AllZeroWeights):
         majority_vote_matrix(matrix, (0,))
 
@@ -316,7 +313,7 @@ def test_mask_of_another_length_than_the_pool_rejected():
 def test_vote_dimension_mismatch():
     pool = pool_from_matrix(np.array([[1, -1]], dtype=np.int8))
     with pytest.raises(DimensionMismatch):
-        vote(pool, WeightVector((1,)), FeatureVector(3, (0,), None))
+        vote(pool, WeightVector((1,)), one_hot_dataset(3))
 
 
 # --- ensemble accuracy ---

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from malsieve.errors import InvalidConfig, LengthMismatch, SingleClassData, TooSmall
+from malsieve.errors import (
+    EmptyDataset,
+    InvalidConfig,
+    LengthMismatch,
+    SingleClassData,
+    TooSmall,
+)
 from malsieve.evaluation import (
     MetricsReport,
     NoiseSpec,
     SplitSpec,
+    class_shuffles,
     compute_metrics,
     equal_count_flips,
     inject_label_noise,
@@ -62,6 +69,11 @@ def test_split_too_small():
         split(balanced_dataset(2), SplitSpec())
 
 
+def test_split_refuses_unlabeled_data():
+    with pytest.raises(ValueError, match="labeled"):
+        stratified_split_indices([1, -1, None, 1, -1], SplitSpec())
+
+
 def test_split_spec_validation():
     with pytest.raises(InvalidConfig):
         SplitSpec(0.5, 0.2, 0.2)
@@ -80,6 +92,55 @@ def test_stratified_indices_stable_under_label_view():
     a = stratified_split_indices(labels, SplitSpec(seed=4))
     b = stratified_split_indices(list(labels), SplitSpec(seed=4))
     assert a == b
+
+
+def list_split_indices(labels, spec):
+    """The list-based split that `class_shuffles` replaced, kept as the
+    reference: each class's members shuffled by its own generator, then
+    cut into validation, test and train."""
+    labels = list(labels)
+    train_idx, val_idx, test_idx = [], [], []
+    for cls in (1, -1):
+        members = [i for i, l in enumerate(labels) if l == cls]
+        if not members:
+            continue
+        rng = make_rng(spec.seed, "split", cls)
+        shuffled = [members[j] for j in rng.permutation(len(members))]
+        n_val = int(spec.validation_fraction * len(members))
+        n_test = int(spec.test_fraction * len(members))
+        val_idx += shuffled[:n_val]
+        test_idx += shuffled[n_val : n_val + n_test]
+        train_idx += shuffled[n_val + n_test :]
+    return sorted(train_idx), sorted(val_idx), sorted(test_idx)
+
+
+@pytest.mark.parametrize("fractions", [(0.6, 0.2, 0.2), (0.5, 0.3, 0.2), (0.8, 0.1, 0.1),
+                                       (1 / 3, 1 / 3, 1 / 3), (0.1, 0.45, 0.45)])
+def test_stratified_indices_equal_the_list_based_split(fractions):
+    rng = np.random.default_rng(37)
+    for trial in range(60):
+        m = int(rng.integers(5, 301))
+        share = [0.0, 1.0][trial] if trial < 2 else rng.uniform(0.05, 0.95)
+        labels = np.where(rng.random(m) < share, 1, -1).astype(np.int8)
+        spec = SplitSpec(*fractions, seed=int(rng.integers(0, 2**31)))
+        got = stratified_split_indices(labels, spec)
+        assert got == list_split_indices(labels.tolist(), spec)
+        assert all(type(i) is int for part in got for i in part)
+
+
+def test_class_shuffles_permute_each_class_by_its_own_generator():
+    labels = np.array([1, -1, -1, 1, 1, -1, 1])
+    shuffles = class_shuffles(labels, [make_rng(5, "a"), make_rng(5, "b")])
+    assert [s.tolist() for s in shuffles] == [
+        [[0, 3, 4, 6][j] for j in make_rng(5, "a").permutation(4)],
+        [[1, 2, 5][j] for j in make_rng(5, "b").permutation(3)],
+    ]
+    # one generator twice draws the +1 permutation first
+    rng = make_rng(5, "c")
+    shared = class_shuffles(labels, [rng, rng])
+    rng = make_rng(5, "c")
+    assert shared[0].tolist() == [[0, 3, 4, 6][j] for j in rng.permutation(4)]
+    assert shared[1].tolist() == [[1, 2, 5][j] for j in rng.permutation(3)]
 
 
 # --- label noise ---
@@ -283,8 +344,10 @@ def test_degenerate_positives_exist_but_none_claimed():
 def test_length_mismatch():
     with pytest.raises(LengthMismatch):
         compute_metrics(np.array([1, -1]), np.array([1]))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(EmptyDataset, match="^need at least one sample$"):
         compute_metrics(np.array([]), np.array([]))
+    with pytest.raises(EmptyDataset):
+        metrics_from_counts(0, 0, 0, 0)
 
 
 def test_metric_identities_over_random_counts():

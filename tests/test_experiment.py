@@ -10,6 +10,7 @@ from malsieve.experiment import (
     DEFAULT_CONFIG_TEXT,
     METHODS,
     ExperimentConfig,
+    config_text,
     format_report,
     parse_config,
     repeated_experiment,
@@ -383,9 +384,7 @@ def test_dataset_file_source_matches_in_memory_dataset(tmp_path):
     )
     path = tmp_path / "data.svm"
     save_dataset(source, path)
-    text = "".join(line.removeprefix("config ") + "\n"
-                   for line in malsieve.experiment.config_lines(config))
-    from_file = parse_config(text.replace("dataset=synthetic", f"dataset={path}"))
+    from_file = parse_config(config_text(config).replace("dataset=synthetic", f"dataset={path}"))
     assert from_file.dataset == str(path)
     assert format_report(repeated_experiment(from_file), config) == format_report(
         repeated_experiment(config, source=source), config

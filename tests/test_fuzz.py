@@ -41,7 +41,7 @@ from malsieve.errors import FormatError, MalsieveError, read_tagged, write_tagge
 from malsieve.experiment import (  # noqa: E402
     FITNESS_SPLITS,
     ExperimentConfig,
-    config_lines,
+    config_text,
     parse_config,
 )
 from malsieve.ga import DIVERSITY_NORMS  # noqa: E402
@@ -454,8 +454,7 @@ def experiment_configs(draw) -> ExperimentConfig:
 @ROUND_TRIP
 @given(experiment_configs())
 def test_config_round_trips(config):
-    text = "".join(line.removeprefix("config ") + "\n" for line in config_lines(config))
-    assert parse_config(text) == config
+    assert parse_config(config_text(config)) == config
 
 
 # every character str.splitlines() breaks a line at; surrogates cannot be

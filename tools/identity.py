@@ -22,17 +22,21 @@ gets:
       the corpus vectorized under the config's vocabulary keys, and run 0
       of `malsieve experiment` on the config with `dataset=corpus.svm`
       and `repeats=1`: a dataset file as the source, where the runs
-      above take the records
+      above take the records. dataset.cfg is written with the names that
+      every tree has, `value_text` over the config's fields
   experiment-records/run-0.dataset.noise-test.report
       that run 0 again with noise_test=true, so a dataset source's test
       split is noised too
+  default.cfg
+      the output of `malsieve experiment --print-default-config`
   synthetic/report.txt
       `malsieve experiment` on configs/synthetic-benchmark.cfg, 2 repeats
   predict-records/, apk-scan/
       the CLI chain of each workload: the extracted records and extract
       logs (apk-scan only; they name each APK relative to the inputs
       directory), vocabulary, dataset, every pool file, selection, GA
-      report, evaluate line and predictions
+      report, evaluate lines (evaluate.txt with the selection,
+      evaluate-all.txt without it, so every learner votes) and predictions
   apk-scan-linear/
       the apk-scan chain from the same records with a linear pool. A
       linear weight of a feature that none of a learner's bootstrap rows
@@ -52,7 +56,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,8 +87,9 @@ def cli(*argv: str) -> tuple[str, str]:
 
 def cli_chain(out: Path, train: Path, batch: Path, pool_size: int, epochs: int,
               learner: str = "mlp") -> None:
-    """vectorize, train-pool, select, evaluate and predict, as the CLI
-    workloads of the benchmark run them; their pools are MLPs."""
+    """vectorize, train-pool, select, evaluate (with the selection, and
+    without it, so every learner votes) and predict, as the CLI workloads
+    of the benchmark run them; their pools are MLPs."""
     vocab, dataset, pool, selection = (
         out / "vocab.tsv", out / "train.svm", out / "pool", out / "selection.txt"
     )
@@ -95,6 +100,8 @@ def cli_chain(out: Path, train: Path, batch: Path, pool_size: int, epochs: int,
         "--report", str(out / "ga-report.txt"), "--seed", str(SEED))
     line, _ = cli("evaluate", str(pool), str(dataset), "--selection", str(selection))
     (out / "evaluate.txt").write_text(line, encoding="utf-8")
+    line, _ = cli("evaluate", str(pool), str(dataset))
+    (out / "evaluate-all.txt").write_text(line, encoding="utf-8")
     cli("predict", str(pool), str(batch), "--vocab", str(vocab),
         "--selection", str(selection), "--out", str(out / "predictions.txt"))
 
@@ -121,6 +128,7 @@ def main() -> int:
     sys.path[:0] = [str(tree / "src"), str(ROOT / "bench")]
     import malsieve
     from malsieve import experiment, records
+    from malsieve.errors import value_text
 
     from gen import PROFILES
 
@@ -151,7 +159,8 @@ def main() -> int:
     # is the same wherever OUT is
     dataset_config = replace(config, dataset="corpus.svm", repeats=1)
     (d / "dataset.cfg").write_text("".join(
-        line.removeprefix("config ") + "\n" for line in experiment.config_lines(dataset_config)
+        f"{f.name}={value_text(getattr(dataset_config, f.name))}\n"
+        for f in fields(dataset_config)
     ), encoding="utf-8")
     noise_test_config = replace(dataset_config, noise_test=True)
     with contextlib.chdir(d):
@@ -159,6 +168,8 @@ def main() -> int:
         (d / "run-0.dataset.noise-test.report").write_text(experiment.format_report(
             experiment.repeated_experiment(noise_test_config), noise_test_config),
             encoding="utf-8")
+
+    cli("experiment", "--print-default-config", "--out", str(out / "default.cfg"))
 
     d = out / "synthetic"
     d.mkdir()
