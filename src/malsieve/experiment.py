@@ -12,10 +12,11 @@ learner's), so robustness can be compared:
   selective   majority vote of the GA-selected sub-ensemble
 
 Every run r derives all of its seeds from (master_seed, r), so a whole
-experiment is reproducible byte for byte. Test labels stay clean unless
-noise_test=true, which reproduces the corrupt-everything-then-split
-protocol some evaluations use (scores are then against noisy test
-labels, and mean less).
+experiment is reproducible byte for byte. dataset=synthetic flips
+SYNTHETIC_CONCEPT_NOISE of each class's planted concept. Test labels
+stay clean unless noise_test=true, which reproduces the
+corrupt-everything-then-split protocol some evaluations use (scores are
+then against noisy test labels, and mean less).
 
 A run holds one split at a time, besides the source. Both kinds of
 source, a dataset and a list of records, are lists of labelled items, and
@@ -85,6 +86,7 @@ from .vectorize import (
 
 METHODS = ("single", "full_pool", "selective")
 FITNESS_SPLITS = ("validation",)
+SYNTHETIC_CONCEPT_NOISE = 0.1
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,6 @@ class ExperimentConfig:
     dataset: str = "synthetic"
     synthetic_samples: int = 2000
     synthetic_features: int = 50
-    synthetic_concept_noise: float = 0.1
     train_fraction: float = 0.6
     validation_fraction: float = 0.2
     test_fraction: float = 0.2
@@ -113,7 +114,6 @@ class ExperimentConfig:
     hidden_units: int = 16
     l2: float = 0.0001
     batch_size: int = 32
-    learner_seed: int = 0
     pop_size: int = 30
     max_iter: int = 50
     crossover_rate: float = 0.8
@@ -130,8 +130,6 @@ class ExperimentConfig:
             raise InvalidConfig("synthetic_samples must be >= 10")
         if self.synthetic_features < 1:
             raise InvalidConfig("synthetic_features must be >= 1")
-        if not 0.0 <= self.synthetic_concept_noise <= 0.5:
-            raise InvalidConfig("synthetic_concept_noise must be in [0, 0.5]")
         # build_vocabulary's checks too, so that a bad value fails before any run
         if self.min_doc_freq < 1:
             raise InvalidConfig("min_doc_freq must be >= 1")
@@ -230,7 +228,7 @@ def _load_source(config: ExperimentConfig) -> Dataset | list[FeatureRecord]:
         return synthetic_dataset(
             config.synthetic_samples,
             config.synthetic_features,
-            config.synthetic_concept_noise,
+            SYNTHETIC_CONCEPT_NOISE,
             derive_seed(config.master_seed, "synthetic"),
         )
     with open_text(config.dataset) as fh:
@@ -297,9 +295,10 @@ def run_one(
 
     X = dense_matrix(map(columns, train_part), len(train_part), dimension)
     y = labels(train_part, "train")
-    pool = train_pool(X, y, config.pool_size, config.learner_spec(config.learner_seed),
+    # 0 was the default of the deleted learner_seed key: every seed is as it was
+    pool = train_pool(X, y, config.pool_size, config.learner_spec(0),
                       master_seed=derive_seed(run_seed, "pool"))
-    single_spec = config.learner_spec(derive_seed(run_seed, "single", config.learner_seed))
+    single_spec = config.learner_spec(derive_seed(run_seed, "single", 0))
     single = train(single_spec, X, y)
     del X  # not held through the GA and the test predictions
 

@@ -724,10 +724,15 @@ def test_experiment_rejects_bad_config(tmp_path, capsys):
     assert "InvalidConfig" in capsys.readouterr().err
 
 
-def test_experiment_rejects_unknown_key(tmp_path):
+def test_experiment_rejects_unknown_key(tmp_path, capsys):
+    # learner_seed and synthetic_concept_noise were keys once
     config = tmp_path / "exp.cfg"
-    config.write_text("nonsense_key=1\n")
-    assert main(["experiment", str(config)]) == 2
+    for key, value in (("nonsense_key", "1"), ("learner_seed", "0"),
+                       ("synthetic_concept_noise", "0.1")):
+        config.write_text(f"repeats=1\n{key}={value}\n")
+        assert main(["experiment", str(config)]) == 2
+        message = f"InvalidConfig: unknown or malformed key at line 2: '{key}'"
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

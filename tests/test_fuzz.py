@@ -423,7 +423,6 @@ def experiment_configs(draw) -> ExperimentConfig:
                                            whitelist_characters="/._-#="))),
         synthetic_samples=draw(st.integers(10, 10**6)),
         synthetic_features=draw(counts),
-        synthetic_concept_noise=unit(0.0, 0.5),
         train_fraction=train_fraction,
         validation_fraction=validation_fraction,
         test_fraction=1.0 - train_fraction - validation_fraction,
@@ -438,7 +437,6 @@ def experiment_configs(draw) -> ExperimentConfig:
         hidden_units=draw(counts),
         l2=draw(L2S),
         batch_size=draw(counts),
-        learner_seed=draw(seeds),
         pop_size=pop_size,
         max_iter=draw(counts),
         crossover_rate=unit(),

@@ -22,8 +22,7 @@ gets:
       the corpus vectorized under the config's vocabulary keys, and run 0
       of `malsieve experiment` on the config with `dataset=corpus.svm`
       and `repeats=1`: a dataset file as the source, where the runs
-      above take the records. dataset.cfg is written with the names that
-      every tree has, `value_text` over the config's fields
+      above take the records
   experiment-records/run-0.dataset.noise-test.report
       that run 0 again with noise_test=true, so a dataset source's test
       split is noised too
@@ -56,7 +55,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,7 +127,6 @@ def main() -> int:
     sys.path[:0] = [str(tree / "src"), str(ROOT / "bench")]
     import malsieve
     from malsieve import experiment, records
-    from malsieve.errors import value_text
 
     from gen import PROFILES
 
@@ -158,10 +156,7 @@ def main() -> int:
     # named relative to the output directory, so the report's config line
     # is the same wherever OUT is
     dataset_config = replace(config, dataset="corpus.svm", repeats=1)
-    (d / "dataset.cfg").write_text("".join(
-        f"{f.name}={value_text(getattr(dataset_config, f.name))}\n"
-        for f in fields(dataset_config)
-    ), encoding="utf-8")
+    (d / "dataset.cfg").write_text(experiment.config_text(dataset_config), encoding="utf-8")
     noise_test_config = replace(dataset_config, noise_test=True)
     with contextlib.chdir(d):
         cli("experiment", "dataset.cfg", "--out", "run-0.dataset.report")
