@@ -13,13 +13,18 @@ The text serialization is one tab-separated line per record,
 with label +1 (malicious), -1 (benign) or ? (unlabeled). Reading
 accepts the names in any order; `extract_features` emits them in
 perm/action/api block order, so every line `extract` writes is in it.
+Every name read must carry a block prefix. A reader given a names table
+(one string per distinct name, shared by the records it reads) checks a
+name's prefix once, when the name enters the table, so the table holds
+only names this reader checked and starts empty; without a table, each
+record's names are checked.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator
 
 from .archive import ApkArchive
@@ -108,7 +113,13 @@ def parse_record_line(
 ) -> FeatureRecord:
     """One record from its line. With `names`, every feature name is
     replaced by the equal string already in it (and added when new), so
-    that the records parsed with one dict share one string per name."""
+    that the records parsed with one dict share one string per name.
+
+    A name's prefix is checked once per table: when it enters `names`,
+    or, without a table, in every record that holds it. So a table holds
+    only names this reader checked, and a caller starts it empty. A line
+    with a name of no known prefix raises FormatError naming its first
+    such name, and leaves nothing of that line in `names`."""
     fields = line.rstrip("\n").split("\t")
     if len(fields) < 2:
         raise FormatError("record needs at least app_id and label", lineno)
@@ -118,10 +129,17 @@ def parse_record_line(
     if label_text not in LABELS:
         raise FormatError(f"bad label {label_text!r}", lineno)
     features = fields[2:]
-    if names is not None:
-        features = map(names.setdefault, features, features)
-    features = tuple(dict.fromkeys(features))
-    if not all(map(str.startswith, features, repeat(BLOCK_PREFIXES))):
+    if names is None:
+        features = unchecked = tuple(dict.fromkeys(features))
+    else:
+        known = len(names)
+        features = tuple(dict.fromkeys(map(names.setdefault, features, features)))
+        # a dict keeps insertion order, so the names this line added are last
+        unchecked = islice(reversed(names), len(names) - known)
+    if not all(map(str.startswith, unchecked, repeat(BLOCK_PREFIXES))):
+        if names is not None:
+            for _ in range(len(names) - known):
+                names.popitem()
         bad = next(f for f in features if not f.startswith(BLOCK_PREFIXES))
         raise FormatError(f"feature without a known prefix: {bad!r}", lineno)
     return FeatureRecord(app_id=app_id, label=LABELS[label_text], features=features)
@@ -130,18 +148,21 @@ def parse_record_line(
 def read_records(
     lines: Iterable[str], names: dict[str, str] | None = None
 ) -> Iterator[FeatureRecord]:
-    """The records of a records file's lines, one at a time, blank lines
-    skipped. `names` is passed on to `parse_record_line`; without it each
-    record keeps the strings of its own line, and nothing outlives the
-    record."""
+    """The records of a records file's lines, one at a time; a line that
+    is empty or all whitespace is skipped. `names` is passed on to
+    `parse_record_line`, so it starts empty; without it each record keeps
+    the strings of its own line, and nothing outlives the record."""
     for lineno, line in enumerate(lines, start=1):
-        if line.strip():
+        # isspace stops at the first other character and copies nothing
+        if line and not line.isspace():
             yield parse_record_line(line, lineno, names)
 
 
 def load_records(path: str | os.PathLike) -> list[FeatureRecord]:
     """Every record of a records file, for a caller that keeps the corpus.
     The records share one string per distinct feature name, which makes a
-    corpus of many apps with common names several times smaller."""
+    corpus of many apps with common names several times smaller, and each
+    name's prefix is checked once, when the first record holding it is
+    read, not in every record."""
     with open_text(path) as fh:
         return list(read_records(fh, {}))

@@ -8,7 +8,10 @@ MalsieveError; any other exception is a hole in the error contract. The
 DEX reader must agree with the row-by-row walk it replaced. A record line
 whose names come in any order, with repeats, must parse to its distinct
 names in that order, or raise FormatError naming the first name without
-a known prefix, and must round-trip through `format_record`.
+a known prefix, and must round-trip through `format_record`. Reading a
+corpus with a names table, which checks a name's prefix only when the
+name enters the table, must give the records or the error that reading
+it without one gives, and leave only prefixed names in the table.
 Saving then loading a vocabulary, dataset, model, pool or selection must
 give an equal object, and so must parsing the lines an experiment config
 writes and reading back any tagged file `write_tagged` writes. The array
@@ -61,6 +64,7 @@ from malsieve.records import (  # noqa: E402
     format_record,
     load_records,
     parse_record_line,
+    read_records,
 )
 from malsieve.vectorize import (  # noqa: E402
     BLOCK_PREFIXES,
@@ -223,6 +227,53 @@ def test_record_line_parses_to_its_distinct_fields(fields, label, lineno):
     assert record.features == tuple(dict.fromkeys(fields))
     assert parse_record_line(line, lineno, {}) == record
     assert parse_record_line(format_record(record)) == record
+
+
+BLANK_LINES = st.sampled_from(["\n", "", " \n", "  \t\n", "\t"])
+
+
+@st.composite
+def corpora(draw) -> list[str]:
+    """A records file's lines: a few names, each used on any number of
+    lines and maybe twice on one, blank and whitespace-only lines among
+    them, and 0-2 unprefixed names, each first used on a random line and
+    maybe again on later ones."""
+    names = draw(st.lists(PREFIXED, min_size=1, max_size=8, unique=True))
+    rows = draw(st.lists(st.one_of(
+        BLANK_LINES,
+        st.tuples(LINE_SAFE.filter(bool), st.sampled_from(["+1", "-1", "?"]),
+                  st.lists(st.sampled_from(names), max_size=10)).map(
+            lambda row: [row[0], row[1], *row[2]]),
+    ), min_size=1, max_size=10))
+    records = [i for i, row in enumerate(rows) if isinstance(row, list)]
+    if records:
+        for bad in draw(st.lists(UNPREFIXED, max_size=2)):
+            first = draw(st.sampled_from(records))
+            for i in [first] + [i for i in records if i > first and draw(st.booleans())]:
+                rows[i].insert(draw(st.integers(2, len(rows[i]))), bad)
+    return [row if isinstance(row, str) else "\t".join(row) + "\n" for row in rows]
+
+
+def read_outcome(lines: list[str], names: dict[str, str] | None):
+    """The records of the lines, or the message and line of the error."""
+    try:
+        return list(read_records(lines, names))
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+@seed(416)
+@FUZZ
+@given(corpora())
+def test_reading_with_a_names_table_equals_reading_without(lines):
+    # the table path checks a name's prefix only when the name enters the
+    # table; the table-less path checks every name of every record
+    names = {}
+    outcome = read_outcome(lines, names)
+    assert outcome == read_outcome(lines, None)
+    assert all(name.startswith(BLOCK_PREFIXES) for name in names)
+    if isinstance(outcome, list):
+        assert set(names) == {f for record in outcome for f in record.features}
 
 
 # --- text artifacts ---

@@ -191,9 +191,26 @@ def test_loaded_records_share_one_string_per_name(tmp_path):
 
 
 def test_blank_lines_skipped():
-    text = format_record(sample_record()) + "\n\n" + format_record(sample_record(-1)) + "\n"
+    text = (format_record(sample_record()) + "\n\n  \t\n"
+            + format_record(sample_record(-1)) + "\n")
     records = list(read_records(io.StringIO(text)))
     assert [r.label for r in records] == [1, -1]
+
+
+def test_name_first_unprefixed_on_a_late_line_rejected_with_that_line():
+    # line 1 brings its names into the table, so line 3 adds only its new
+    # names, the unprefixed one among them
+    lines = [
+        "a\t+1\tperm:p\tapi:x\n",
+        "b\t-1\tapi:x\tperm:p\n",
+        "c\t+1\tapi:x\tapi:y\tsneaky\tperm:p\tworse\n",
+    ]
+    names = {}
+    with pytest.raises(FormatError, match="'sneaky'") as exc_info:
+        list(read_records(lines, names))
+    assert exc_info.value.line == 3
+    # nothing of the rejected line stays in the table
+    assert list(names) == ["perm:p", "api:x"]
 
 
 def test_feature_blocks_partition_by_prefix_keeping_order():

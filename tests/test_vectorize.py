@@ -312,6 +312,25 @@ def test_dataset_header_is_refused_on_line_1(tmp_path, header, message):
     assert info.value.line == 1
 
 
+INCREASING = "indices must be strictly increasing"
+
+
+@pytest.mark.parametrize("indices, message", [
+    ((-1, 2, 3), INCREASING),  # a negative first index
+    ((3, 1, 2), INCREASING),  # out of order at the first index
+    ((1, 3, 2, 4), INCREASING),  # ... at a middle one
+    ((1, 2, 2), INCREASING),  # ... at the last one
+    ((5, 6, 7), "index 7 >= dimension 5"),  # too large from the first index
+    ((1, 5, 6), "index 6 >= dimension 5"),  # ... from a middle one
+    ((0, 1, 5), "index 5 >= dimension 5"),  # ... at the last one
+    ((1, 9, 3), INCREASING),  # both: the order is checked first
+])
+def test_feature_vector_names_its_first_index_fault(indices, message):
+    with pytest.raises(ValueError) as info:
+        FeatureVector(5, indices, 1)
+    assert str(info.value) == message
+
+
 def test_dataset_non_increasing_indices_rejected(tmp_path):
     path = tmp_path / "d.svm"
     path.write_text("dim=5 n=1\n+1 3 3\n")

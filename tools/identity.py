@@ -26,6 +26,10 @@ gets:
   experiment-records/run-0.dataset.noise-test.report
       that run 0 again with noise_test=true, so a dataset source's test
       split is noised too
+  experiment-records/bad-prefix.err
+      the exit code and stderr of `malsieve vectorize` on a copy of the
+      corpus whose last line's last name has lost its prefix, a name no
+      earlier line holds: the error path of a corpus read
   default.cfg
       the output of `malsieve experiment --print-default-config`
   synthetic/report.txt
@@ -55,6 +59,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -72,15 +77,16 @@ def generate(workload: str) -> Path:
     return Path(out.stdout.strip().splitlines()[-1])
 
 
-def cli(*argv: str) -> tuple[str, str]:
-    """One malsieve command in this process; returns its stdout and stderr."""
+def cli(*argv: str, code: int = 0) -> tuple[str, str]:
+    """One malsieve command in this process, which must exit with `code`;
+    returns its stdout and stderr."""
     import malsieve.cli
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = malsieve.cli.main(list(argv))
-    if code != 0:
-        sys.exit(f"malsieve {argv[0]} exited {code}: {err.getvalue()[-500:]}")
+        exited = malsieve.cli.main(list(argv))
+    if exited != code:
+        sys.exit(f"malsieve {argv[0]} exited {exited}, not {code}: {err.getvalue()[-500:]}")
     return out.getvalue(), err.getvalue()
 
 
@@ -153,6 +159,15 @@ def main() -> int:
     cli("vectorize", config.dataset, "--dataset-out", str(d / "corpus.svm"),
         "--min-doc-freq", str(config.min_doc_freq),
         "--max-api-features", str(config.max_api_features))
+    lines = Path(config.dataset).read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[-1].rstrip("\n").split("\t")
+    fields[-1] = fields[-1].split(":", 1)[1]
+    lines[-1] = "\t".join(fields) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad-prefix.records"
+        bad.write_text("".join(lines), encoding="utf-8")
+        _, err = cli("vectorize", str(bad), "--dataset-out", str(Path(tmp) / "bad.svm"), code=2)
+    (d / "bad-prefix.err").write_text(f"exit 2\n{err}", encoding="utf-8")
     # named relative to the output directory, so the report's config line
     # is the same wherever OUT is
     dataset_config = replace(config, dataset="corpus.svm", repeats=1)

@@ -15,6 +15,7 @@ with BLAS at one thread, that loads the corpus and calls `run_one` for
 run index 0. It prints one line:
 
   load_peak_mb   the process's peak RSS once the corpus is loaded
+  load_s         the wall time of `load_records` on the corpus
   run_peak_mb    its peak RSS once `run_one` has returned
   run_s          the wall time of `run_one`
 
@@ -65,12 +66,14 @@ def measure(tree: str, config_path: str) -> None:
     if not Path(experiment.__file__).is_relative_to(Path(tree) / "src"):
         sys.exit(f"malsieve was imported from {experiment.__file__}, not from {tree}/src")
     config = experiment.parse_config(Path(config_path).read_text(encoding="utf-8"))
+    start = perf_counter()
     source = records.load_records(config.dataset)
+    load_s = perf_counter() - start
     load_peak = peak_mb()
     start = perf_counter()
     experiment.run_one(source, config, 0)
     run_s = perf_counter() - start
-    print(f"apps={len(source)} load_peak_mb={load_peak:.1f} "
+    print(f"apps={len(source)} load_peak_mb={load_peak:.1f} load_s={load_s:.3f} "
           f"run_peak_mb={peak_mb():.1f} run_s={run_s:.2f}")
 
 
