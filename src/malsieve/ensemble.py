@@ -36,6 +36,7 @@ from .errors import (
     EmptyDataset,
     FormatError,
     InvalidConfig,
+    MalsieveError,
     read_tagged,
     with_context,
     write_tagged,
@@ -227,7 +228,8 @@ def load_pool(directory: str | os.PathLike) -> EnsemblePool:
     """The pool a `save_pool` directory holds. Its learner rows must be
     the n rows `save_pool` writes for its master seed, in order: any other
     row is a FormatError naming its line. So the model files opened are
-    the names `save_pool` gives, never a name read from the manifest."""
+    the names `save_pool` gives, never a name read from the manifest. A
+    model file's error starts with that file's name."""
     root = Path(directory)
     manifest = root / "pool.txt"
     if not manifest.exists():
@@ -238,13 +240,17 @@ def load_pool(directory: str | os.PathLike) -> EnsemblePool:
         raise FormatError(f"pool needs n >= 1 learners, got n={n}", None)
     if len(rows) != n:
         raise FormatError(f"manifest must list learners 0..{n - 1}", None)
-    files = [root / _MODEL_FILE.format(i) for i in range(n)]
+    learners = []
     for i, (lineno, row) in enumerate(rows):
         if row != (expected := _learner_row(master_seed, i)):
             raise FormatError(f"learner row is not 'learner {expected}'", lineno)
-        if not files[i].is_file():
-            raise FormatError(f"no model file {files[i].name!r} in {root}", lineno)
-    pool = EnsemblePool(tuple(load_model(f) for f in files), master_seed)
+        if not (path := root / _MODEL_FILE.format(i)).is_file():
+            raise FormatError(f"no model file {path.name!r} in {root}", lineno)
+        try:
+            learners.append(load_model(path))
+        except MalsieveError as exc:  # an OSError names its path already
+            raise with_context(exc, path.name) from exc
+    pool = EnsemblePool(tuple(learners), master_seed)
     if pool.dim != dim:
         raise DimensionMismatch("manifest dim disagrees with model files")
     return pool

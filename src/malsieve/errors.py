@@ -14,15 +14,18 @@ dataclass field declares.
 
 `ValueError` is the channel for a programmer's bad arguments: the
 constructors and helpers raise it on values no reader hands them
-(`FeatureVector`, `Dataset`, `Vocabulary`, `FeatureRecord`,
+(`FeatureVector` on its label and index order, `Dataset` on an
+unlabeled vector's label array, `Vocabulary`, `FeatureRecord`,
 `WeightVector`, `EnsemblePool`, `ga.select_newpop` on negative or
 non-finite fitness, the splitter and the noise injector on unlabeled
-data). It is never the answer to outside input: every reader of a file
-(`load_dataset`, `load_selection`, `load_model`, `load_pool`,
-`parse_config`) checks what it reads or turns such an error into a
-FormatError or InvalidConfig, with its line when one is known, so the
-command line exits 2 on it, never with a traceback. For the tagged files
-`read_tagged` does that turning once, for every header value.
+data). An index at or above its dataset's dimension is a typed
+DimensionMismatch, which `Dataset` raises. It is never the answer to
+outside input: every reader of a file (`load_dataset`, `load_selection`,
+`load_model`, `load_pool`, `parse_config`) checks what it reads or turns
+such an error into a FormatError or InvalidConfig, with its line when
+one is known, so the command line exits 2 on it, never with a traceback.
+For the tagged files `read_tagged` does that turning once, for every
+header value.
 """
 
 from __future__ import annotations

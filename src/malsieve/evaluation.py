@@ -81,8 +81,8 @@ def stratified_split_indices(
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Stratified three-way split of a dataset; see
     stratified_split_indices for the partition rule."""
-    train_idx, val_idx, test_idx = stratified_split_indices(data.labels(), spec)
-    return data.subset(train_idx), data.subset(val_idx), data.subset(test_idx)
+    return tuple(Dataset([data.vectors[i] for i in part], data.dimension)
+                 for part in stratified_split_indices(data.labels(), spec))
 
 
 def equal_count_flips(

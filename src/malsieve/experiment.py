@@ -217,7 +217,7 @@ def synthetic_dataset(
     labels[equal_count_flips(labels, concept_noise, (rng, rng))] *= -1
 
     vectors = [
-        FeatureVector(n_features, tuple(np.flatnonzero(row).tolist()), label)
+        FeatureVector(tuple(np.flatnonzero(row).tolist()), label)
         for row, label in zip(X, labels.tolist())
     ]
     return Dataset(vectors, dimension=n_features)
@@ -290,7 +290,7 @@ def run_one(
         return inject_label_noise(y, y, config.noise_spec(derive_seed(run_seed, "noise", name)))
 
     def held_out(part: list, name: str) -> Dataset:
-        return Dataset([FeatureVector(dimension, columns(x), label)
+        return Dataset([FeatureVector(columns(x), label)
                         for x, label in zip(part, labels(part, name).tolist())], dimension)
 
     X = dense_matrix(map(columns, train_part), len(train_part), dimension)

@@ -94,7 +94,8 @@ def diversity(
     An (N,) mask gives a float, a (P x N) stack one value per row.
 
     `distances` is `pairwise_distances(matrix)`; a caller that scores many
-    masks computes it once and passes it in.
+    masks computes it once and passes it in. That saves under 0.5% of a
+    run, but lets a test pass distances no prediction matrix gives.
     """
     if norm not in DIVERSITY_NORMS:
         raise InvalidConfig(f"diversity norm must be one of {DIVERSITY_NORMS}")

@@ -86,7 +86,6 @@ class LearnerSpec:
 
 @dataclass(frozen=True, eq=False)
 class TrainedLearner:
-    dim: int
     spec: LearnerSpec
     params: dict[str, np.ndarray]
 
@@ -94,11 +93,16 @@ class TrainedLearner:
     def kind(self) -> str:
         return self.spec.kind
 
+    @property
+    def dim(self) -> int:
+        """The feature count: the first axis of the first-layer weights."""
+        return self.params["w" if self.kind == "linear" else "W1"].shape[0]
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrainedLearner):
             return NotImplemented
         return (
-            (self.dim, self.spec) == (other.dim, other.spec)
+            self.spec == other.spec
             and set(self.params) == set(other.params)
             and all(np.array_equal(self.params[k], other.params[k]) for k in self.params)
         )
@@ -222,7 +226,7 @@ def train(
         if not all(np.all(np.isfinite(p)) for p in params.values()):
             raise NonFiniteLoss("parameters became non-finite; lower the learning rate")
 
-    return TrainedLearner(dim=dim, spec=spec, params=params)
+    return TrainedLearner(spec=spec, params=params)
 
 
 def predict_labels(learner: TrainedLearner, X: np.ndarray) -> np.ndarray:
@@ -373,4 +377,4 @@ def load_model(path: str | os.PathLike) -> TrainedLearner:
             raise FormatError(f"param {name} holds a non-finite value", lineno)
     if len(params) != len(shapes):
         raise FormatError(f"model needs params {sorted(shapes)}", None)
-    return TrainedLearner(dim=dim, spec=spec, params=params)
+    return TrainedLearner(spec=spec, params=params)

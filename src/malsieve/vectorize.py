@@ -9,10 +9,12 @@ set of names, so it vectorizes to the set of column indices whose
 feature it contains, whatever the order of its names; unknown features
 are ignored so the dimension never moves after training. That rule is
 `feature_indices`, and `dense_matrix` is the one fill of a uint8 0/1
-matrix from index tuples: `Dataset.to_dense` fills it from vectors, and
-the experiment from the columns of a training split's items, records or
-vectors, with no vector made. A dataset is built with its dimension,
-which `ensemble.precompute_predictions` checks.
+matrix from index tuples, with no exception: `Dataset.to_dense` fills it
+from vectors, `FeatureVector.to_dense` is one row of it, and the
+experiment from the columns of a training split's items, records or
+vectors, with no vector made. A dataset holds the one width: its
+vectors' indices are checked against it, and its learners' widths in
+`ensemble.precompute_predictions`.
 
 File formats (both plain text, UTF-8):
 
@@ -72,15 +74,13 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Sparse binary vector: sorted active column indices plus a label."""
+    """Sparse binary vector: sorted active column indices plus a label;
+    its width is its dataset's."""
 
-    dimension: int
     indices: tuple[int, ...]
     label: int | None = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
         if self.label not in LABEL_TEXT:
             raise ValueError("label must be +1, -1 or None")
         prev = -1
@@ -88,14 +88,16 @@ class FeatureVector:
             if i <= prev:
                 raise ValueError("indices must be strictly increasing")
             prev = i
-        if prev >= self.dimension:
-            raise ValueError(f"index {prev} >= dimension {self.dimension}")
 
-    def to_dense(self) -> np.ndarray:
-        row = np.zeros(self.dimension, dtype=np.float64)
-        if self.indices:
-            row[list(self.indices)] = 1.0
-        return row
+    def to_dense(self, dimension: int) -> np.ndarray:
+        """This vector's uint8 row of a `dense_matrix` of that width."""
+        return dense_matrix([self.indices], 1, dimension)[0]
+
+
+def _check_width(indices: Sequence[int], dimension: int) -> None:
+    """DimensionMismatch unless the sorted `indices` are below `dimension`."""
+    if indices and indices[-1] >= dimension:
+        raise DimensionMismatch(f"index {indices[-1]} >= dimension {dimension}")
 
 
 class Dataset:
@@ -106,14 +108,10 @@ class Dataset:
     """
 
     def __init__(self, vectors: Sequence[FeatureVector], dimension: int):
-        vectors = list(vectors)
-        for v in vectors:
-            if v.dimension != dimension:
-                raise DimensionMismatch(
-                    f"vector dimension {v.dimension} != dataset dimension {dimension}"
-                )
-        self.vectors = vectors
+        self.vectors = list(vectors)
         self.dimension = dimension
+        for v in self.vectors:
+            _check_width(v.indices, dimension)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -134,9 +132,6 @@ class Dataset:
         for 0 and 1."""
         vectors = self.vectors[rows]
         return dense_matrix((v.indices for v in vectors), len(vectors), self.dimension)
-
-    def subset(self, indices: Sequence[int]) -> "Dataset":
-        return Dataset([self.vectors[i] for i in indices], dimension=self.dimension)
 
 
 def build_vocabulary(records: Iterable[FeatureRecord],
@@ -186,14 +181,13 @@ def dense_matrix(rows: Iterable[Sequence[int]], n_rows: int, dimension: int) -> 
     each column of the r-th index tuple of `rows`, which must hold n_rows."""
     X = np.zeros((n_rows, dimension), dtype=np.uint8)
     for row, indices in zip(range(n_rows), rows, strict=True):
-        if indices:
-            X[row, list(indices)] = 1
+        X[row, list(indices)] = 1
     return X
 
 
 def vectorize(record: FeatureRecord, vocab: Vocabulary) -> FeatureVector:
     """Map a record onto the frozen vocabulary; unknown features drop out."""
-    return FeatureVector(vocab.dimension, feature_indices(record, vocab), record.label)
+    return FeatureVector(feature_indices(record, vocab), record.label)
 
 
 def vectorize_all(records: Iterable[FeatureRecord], vocab: Vocabulary) -> Dataset:
@@ -288,9 +282,9 @@ def read_dataset(lines: Iterable[str]) -> Dataset:
         if label is None:  # an unknown token, or ? (unlabeled)
             raise FormatError(f"bad label {tokens[0]!r}", lineno)
         try:
-            indices = tuple(int(t) for t in tokens[1:])
-            vectors.append(FeatureVector(dim, indices, label))
-        except ValueError as exc:
+            vectors.append(FeatureVector(tuple(int(t) for t in tokens[1:]), label))
+            _check_width(vectors[-1].indices, dim)
+        except (ValueError, DimensionMismatch) as exc:
             raise FormatError(str(exc), lineno)
     if len(vectors) != n:
         raise FormatError(f"header declares n={n} but file holds {len(vectors)} samples", 1)

@@ -22,13 +22,13 @@ def dense(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 def replicate(data: Dataset, seed: int) -> Dataset:
     """The bootstrap replicate of data that `bootstrap_indices` draws."""
-    return data.subset(bootstrap_indices(len(data), seed).tolist())
+    return Dataset([data.vectors[i] for i in bootstrap_indices(len(data), seed)], data.dimension)
 
 
 def one_hot_dataset(m: int, labels=None) -> Dataset:
     return Dataset(
         [
-            FeatureVector(m, (k,), None if labels is None else labels[k])
+            FeatureVector((k,), None if labels is None else labels[k])
             for k in range(m)
         ],
         dimension=m,
@@ -41,7 +41,6 @@ def pool_from_matrix(matrix: np.ndarray) -> EnsemblePool:
     n, m = matrix.shape
     learners = tuple(
         TrainedLearner(
-            dim=m,
             spec=LearnerSpec(kind="linear"),
             params={"w": matrix[i].astype(np.float64), "b": np.zeros(1)},
         )

@@ -308,7 +308,6 @@ def test_predict_dataset_input_and_tie_rule(tmp_path, capsys):
     # zero-weight learners give margin 0 on anything: tie votes malicious
     learners = tuple(
         TrainedLearner(
-            dim=3,
             spec=LearnerSpec(kind="linear"),
             params={"w": np.zeros(3), "b": np.zeros(1)},
         )
@@ -329,7 +328,6 @@ def test_predict_batch_matches_per_sample_vote(tmp_path, capsys):
     rng = np.random.default_rng(4)
     learners = tuple(
         TrainedLearner(
-            dim=6,
             spec=LearnerSpec(kind="mlp", hidden_units=3),
             params={"W1": rng.normal(size=(6, 3)), "b1": rng.normal(size=3),
                     "w2": rng.normal(size=3), "b2": np.zeros(1)},
@@ -360,7 +358,6 @@ def test_predict_batch_matches_per_sample_vote(tmp_path, capsys):
 def random_mlp_pool(rng, dim, n):
     learners = tuple(
         TrainedLearner(
-            dim=dim,
             spec=LearnerSpec(kind="mlp", hidden_units=3),
             params={"W1": rng.normal(size=(dim, 3)), "b1": rng.normal(size=3),
                     "w2": rng.normal(size=3), "b2": np.zeros(1)},
@@ -422,7 +419,6 @@ def test_predict_records_and_their_dataset_agree(tmp_path, capsys):
 def test_predict_zero_known_features_is_tieward(tmp_path, capsys):
     learners = (
         TrainedLearner(
-            dim=2,
             spec=LearnerSpec(kind="linear"),
             params={"w": np.array([1.0, -1.0]), "b": np.zeros(1)},
         ),
@@ -527,7 +523,6 @@ def test_experiment_refuses_a_vocabulary_key_before_any_run(tmp_path, capsys, li
 def test_predict_dimension_mismatch_fails(tmp_path):
     learners = (
         TrainedLearner(
-            dim=4,
             spec=LearnerSpec(kind="linear"),
             params={"w": np.zeros(4), "b": np.zeros(1)},
         ),
@@ -545,7 +540,6 @@ def test_predict_dimension_mismatch_fails(tmp_path):
 def test_evaluate_dimension_mismatch_names_both_dimensions(tmp_path, capsys):
     learners = (
         TrainedLearner(
-            dim=4,
             spec=LearnerSpec(kind="linear"),
             params={"w": np.zeros(4), "b": np.zeros(1)},
         ),
@@ -781,7 +775,6 @@ def test_print_default_config_honours_out(tmp_path, capsys):
 def write_small_artifacts(tmp_path):
     learners = tuple(
         TrainedLearner(
-            dim=3,
             spec=LearnerSpec(kind="linear"),
             params={"w": np.array([1.0, -1.0, 0.5]), "b": np.zeros(1)},
         )
@@ -835,7 +828,7 @@ def write_small_artifacts(tmp_path):
          b"malsieve-model v1\nkind=linear\ndim=3\nlearning_rate=0.3\nepochs=40\n"
          b"hidden_units=16\nl2=0.0001\nbatch_size=32\nrng_seed=0\n"
          b"param w 2x2 0x1p+0 0x1p+0 0x1p+0\nparam b 1 0x0p+0\n",
-         ["predict", "{t}/pool", "{t}/d.svm"], "FormatError: line 10: param w has shape 2x2, expected 3"),
+         ["predict", "{t}/pool", "{t}/d.svm"], "FormatError: learner_001.model: line 10: param w has shape 2x2, expected 3"),
         ("pool/pool.txt", b"malsieve-pool v1\nn=two\ndim=3\nmaster_seed=0\n",
          ["predict", "{t}/pool", "{t}/d.svm"], "FormatError: line 2: bad header field n ("),
         ("exp.cfg", b"repeats=2.5\n",

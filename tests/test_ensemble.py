@@ -27,7 +27,14 @@ from malsieve.errors import (
     NonFiniteLoss,
     RunFailed,
 )
-from malsieve.learners import LearnerSpec, TrainedLearner, load_model, predict_labels, train
+from malsieve.learners import (
+    LearnerSpec,
+    TrainedLearner,
+    init_params,
+    load_model,
+    predict_labels,
+    train,
+)
 from malsieve.rng import derive_seed
 from malsieve.vectorize import Dataset, FeatureVector
 
@@ -44,7 +51,7 @@ from mlfixtures import (
 # --- bootstrap ---
 
 def test_bootstrap_singleton():
-    data = Dataset([FeatureVector(2, (0,), 1)], dimension=2)
+    data = Dataset([FeatureVector((0,), 1)], dimension=2)
     assert replicate(data, seed=4).vectors == data.vectors
 
 
@@ -76,7 +83,7 @@ def small_training_data(m=60):
     vectors = []
     for k in range(m):
         idx = tuple(sorted(rng.choice(6, size=2, replace=False).tolist()))
-        vectors.append(FeatureVector(6, idx, 1 if 0 in idx else -1))
+        vectors.append(FeatureVector(idx, 1 if 0 in idx else -1))
     return Dataset(vectors, dimension=6)
 
 
@@ -93,7 +100,7 @@ def test_train_pool_refuses_a_size_below_1(n):
 
 def test_pool_learners_must_share_a_dimension():
     learners = tuple(
-        TrainedLearner(dim, LearnerSpec(), {"w": np.zeros(dim), "b": np.zeros(1)})
+        TrainedLearner(LearnerSpec(), {"w": np.zeros(dim), "b": np.zeros(1)})
         for dim in (3, 4)
     )
     with pytest.raises(DimensionMismatch, match=r"learners disagree on dimension: \[3, 4\]"):
@@ -116,7 +123,7 @@ def test_train_pool_replicates_pairwise_distinct():
 
 
 def test_train_pool_propagates_failure_with_index():
-    data = Dataset([FeatureVector(2, (0,), 1) for _ in range(10)], dimension=2)
+    data = Dataset([FeatureVector((0,), 1) for _ in range(10)], dimension=2)
     with pytest.raises(Exception, match="learner 0"):
         train_pool(*dense(data), 3, LearnerSpec(kind="linear", epochs=1), master_seed=0)
 
@@ -127,7 +134,7 @@ def sparse_training_data(m=61, d=40, seed=5):
     for _ in range(m):
         idx = tuple(sorted(rng.choice(d, size=int(rng.integers(1, 8)), replace=False).tolist()))
         label = 1 if sum(i % 3 == 0 for i in idx) * 2 >= len(idx) else -1
-        vectors.append(FeatureVector(d, idx, label))
+        vectors.append(FeatureVector(idx, label))
     return Dataset(vectors, dimension=d)
 
 
@@ -184,11 +191,20 @@ def test_precompute_predictions_equal_predict_labels_on_float64_rows():
 
 @pytest.mark.parametrize("m", [0, 1, 40], ids=["empty", "one-row", "two-blocks"])
 def test_precompute_predictions_checks_the_width_before_any_block(m, monkeypatch):
-    learners = [TrainedLearner(3, LearnerSpec(), {"w": np.ones(3), "b": np.zeros(1)})] * 2
-    data = Dataset([FeatureVector(4, (m % 4,), 1)] * m, dimension=4)
+    learners = [TrainedLearner(LearnerSpec(), {"w": np.ones(3), "b": np.zeros(1)})] * 2
+    data = Dataset([FeatureVector((m % 4,), 1)] * m, dimension=4)
     monkeypatch.setattr(Dataset, "to_dense", lambda *a: pytest.fail("densified"))
     with pytest.raises(DimensionMismatch, match=r"^input dimension 4 != model dimension 3$"):
         precompute_predictions(learners, data)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_a_learner_is_as_wide_as_its_first_layer_weights(kind):
+    spec = LearnerSpec(kind=kind, hidden_units=2)
+    learner = TrainedLearner(spec, init_params(spec, 3))
+    assert learner.dim == 3
+    with pytest.raises(DimensionMismatch, match=r"^input dimension 5 != model dimension 3$"):
+        precompute_predictions([learner], one_hot_dataset(5))
 
 
 def test_train_pool_failure_keeps_error_type_and_line(monkeypatch):
@@ -413,6 +429,25 @@ def test_load_pool_names_the_row_of_a_missing_model_file(tmp_path):
     with pytest.raises(FormatError, match="no model file 'learner_001.model'") as info:
         load_pool(root)
     assert info.value.line == lineno
+
+
+@pytest.mark.parametrize("line, edit, message", [
+    (5, lambda l: l.replace("epochs=2", "epochs=two"), "bad header field epochs"),
+    (11, lambda l: l + " zz", "bad param line"),
+    (11, lambda l: " ".join([*l.split()[:3], "inf", *l.split()[4:]]),
+     "param w holds a non-finite value"),
+], ids=["header-field", "param-row", "non-finite-value"])
+def test_load_pool_names_the_model_file_at_fault(tmp_path, line, edit, message):
+    root = tmp_path / "pool"
+    save_pool(train_pool(*dense(small_training_data()), 3, LearnerSpec(epochs=2), 5), root)
+    model = root / "learner_001.model"
+    lines = model.read_text().splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    model.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as info:
+        load_pool(root)
+    assert str(info.value).startswith(f"learner_001.model: line {line}: {message}")
+    assert info.value.line == line
 
 
 def test_load_pool_refuses_a_manifest_dim_other_than_the_models(tmp_path):

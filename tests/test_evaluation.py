@@ -29,7 +29,7 @@ def balanced_dataset(n_per_class, dim=None):
     total = 2 * n_per_class
     dim = dim or total
     vectors = [
-        FeatureVector(dim, (k,), 1 if k < n_per_class else -1) for k in range(total)
+        FeatureVector((k,), 1 if k < n_per_class else -1) for k in range(total)
     ]
     return Dataset(vectors, dimension=dim)
 
@@ -195,15 +195,16 @@ def test_noise_leaves_its_input_arrays_unchanged():
     assert np.array_equal(clean, balanced_labels(30))
 
 
-def test_a_dataset_built_with_noisy_labels_keeps_them_through_subset():
+def test_a_dataset_built_with_noisy_labels_keeps_them_through_split():
     labels = balanced_labels(20)
     noisy = inject_label_noise(labels, labels, NoiseSpec(noise_fraction=0.3, seed=2))
-    data = Dataset([FeatureVector(40, (k,), l) for k, l in enumerate(noisy.tolist())],
+    data = Dataset([FeatureVector((k,), l) for k, l in enumerate(noisy.tolist())],
                    dimension=40)
-    rows = [0, 5, 39, 21, 5]
-    part = data.subset(rows)
-    assert part.labels() == tuple(noisy[rows].tolist())
-    assert [v.indices for v in part.vectors] == [(k,) for k in rows]
+    spec = SplitSpec(seed=4)
+    for rows, part in zip(stratified_split_indices(noisy, spec), split(data, spec)):
+        assert part.dimension == 40
+        assert part.labels() == tuple(noisy[rows].tolist())
+        assert [v.indices for v in part.vectors] == [(k,) for k in rows]
 
 
 def test_noise_requires_both_classes():

@@ -237,7 +237,7 @@ def test_report_structure():
 
 def test_failure_propagates_with_run_index():
     all_positive = Dataset(
-        [FeatureVector(4, (k % 4,), 1) for k in range(40)], dimension=4
+        [FeatureVector((k % 4,), 1) for k in range(40)], dimension=4
     )
     with pytest.raises(SingleClassData, match="run 0"):
         repeated_experiment(tiny_config(), source=all_positive)
@@ -274,7 +274,7 @@ NO_SECOND_CLASS = "SingleClassData: noise injection needs both classes present"
 # before it)
 PARTIAL_FAILURES = {
     "training split lacks a class": (
-        Dataset([FeatureVector(4, (k % 4,), 1) for k in range(40)], dimension=4),
+        Dataset([FeatureVector((k % 4,), 1) for k in range(40)], dimension=4),
         {}, NO_SECOND_CLASS, False),
     # 40 positives and 4 negatives: every negative lands in train
     "validation split lacks a class": (
@@ -346,7 +346,7 @@ def test_zero_noise_runs_on_a_split_without_the_minority_class():
     # 40 positives and 4 negatives: every negative lands in train, so the
     # validation and test splits hold one class. Noise needs both classes;
     # zero noise flips nothing and so corrupts no split.
-    vectors = [FeatureVector(4, (k % 4,), 1 if k < 40 else -1) for k in range(44)]
+    vectors = [FeatureVector((k % 4,), 1 if k < 40 else -1) for k in range(44)]
     source = Dataset(vectors, dimension=4)
     outcome = run_one(source, tiny_config(noise_fraction=0.0), 0)
     assert set(outcome.metrics) == set(METHODS)

@@ -384,7 +384,6 @@ def datasets(draw) -> Dataset:
     dim = draw(st.integers(1, 30))
     vectors = draw(st.lists(st.builds(
         FeatureVector,
-        st.just(dim),
         st.sets(st.integers(0, dim - 1)).map(lambda s: tuple(sorted(s))),
         st.sampled_from((1, -1)),
     ), max_size=8))
@@ -422,7 +421,7 @@ def learners(draw, dim=None) -> TrainedLearner:
                                      max_size=int(np.prod(shape))))).reshape(shape)
         for name, shape in shapes.items()
     }
-    return TrainedLearner(dim=dim, spec=spec, params=params)
+    return TrainedLearner(spec=spec, params=params)
 
 
 @seed(432)

@@ -27,30 +27,26 @@ from malsieve.learners import (
     save_model,
     train,
 )
-from malsieve.vectorize import Dataset, FeatureVector
+from malsieve.vectorize import Dataset, FeatureVector, dense_matrix
 
 from mlfixtures import dense
 
 
-def labeled(dim, indices, label):
-    return FeatureVector(dim, tuple(indices), label)
-
-
 def separable_1d(n_per_class=100):
-    vectors = [labeled(1, (0,), 1) for _ in range(n_per_class)]
-    vectors += [labeled(1, (), -1) for _ in range(n_per_class)]
+    vectors = [FeatureVector((0,), 1) for _ in range(n_per_class)]
+    vectors += [FeatureVector((), -1) for _ in range(n_per_class)]
     return Dataset(vectors, dimension=1)
 
 
 def xor_dataset(n_per_corner=50):
     corners = [((), -1), ((0,), 1), ((1,), 1), ((0, 1), -1)]
-    vectors = [labeled(2, idx, y) for idx, y in corners for _ in range(n_per_corner)]
+    vectors = [FeatureVector(idx, y) for idx, y in corners for _ in range(n_per_corner)]
     return Dataset(vectors, dimension=2)
 
 
-def row(x):
+def row(dim, indices):
     """One sample as a one-row dense matrix."""
-    return Dataset([x], dimension=x.dimension).to_dense()
+    return dense_matrix([indices], 1, dim)
 
 
 def training_accuracy(learner, data):
@@ -67,11 +63,11 @@ def test_linear_fits_separable_data():
 def test_held_out_positive_predicted_positive():
     spec = LearnerSpec(kind="linear", learning_rate=0.5, epochs=50, rng_seed=1)
     learner = train(spec, *dense(separable_1d()))
-    assert predict_labels(learner, row(labeled(1, (0,), None)))[0] == 1
+    assert predict_labels(learner, row(1, (0,)))[0] == 1
 
 
 def test_single_class_data_rejected():
-    data = Dataset([labeled(2, (0,), 1) for _ in range(10)], dimension=2)
+    data = Dataset([FeatureVector((0,), 1) for _ in range(10)], dimension=2)
     with pytest.raises(SingleClassData):
         train(LearnerSpec(kind="linear"), *dense(data))
 
@@ -87,35 +83,32 @@ def test_mlp_learns_xor():
 
 def test_zero_weight_margin_is_zero_and_predicts_malicious():
     learner = TrainedLearner(
-        dim=3,
         spec=LearnerSpec(kind="linear"),
         params={"w": np.zeros(3), "b": np.zeros(1)},
     )
-    x = row(labeled(3, (1,), None))
+    x = row(3, (1,))
     assert decision_values(learner.kind, learner.params, x)[0] == 0.0
     assert predict_labels(learner, x)[0] == 1
 
 
 def test_positive_weight_on_active_index():
     learner = TrainedLearner(
-        dim=2,
         spec=LearnerSpec(kind="linear"),
         params={"w": np.array([1.0, 0.0]), "b": np.zeros(1)},
     )
-    assert predict_labels(learner, row(labeled(2, (0,), None)))[0] == 1
-    assert predict_labels(learner, row(labeled(2, (1,), None)))[0] == 1  # margin 0 tie
+    assert predict_labels(learner, row(2, (0,)))[0] == 1
+    assert predict_labels(learner, row(2, (1,)))[0] == 1  # margin 0 tie
 
 
 def test_margin_sign_matches_predicted_label():
     rng = np.random.default_rng(5)
     learner = TrainedLearner(
-        dim=6,
         spec=LearnerSpec(kind="linear"),
         params={"w": rng.normal(size=6), "b": rng.normal(size=1)},
     )
     for _ in range(100):
         k = int(rng.integers(0, 7))
-        x = row(labeled(6, sorted(rng.choice(6, size=k, replace=False).tolist()), None))
+        x = row(6, sorted(rng.choice(6, size=k, replace=False).tolist()))
         m = decision_values(learner.kind, learner.params, x)[0]
         assert predict_labels(learner, x)[0] == (1 if m >= 0 else -1)
         assert predict_labels(learner, x)[0] in (1, -1)
@@ -123,11 +116,10 @@ def test_margin_sign_matches_predicted_label():
 
 def test_margin_monotone_in_single_weight():
     base = np.array([0.3, -0.2])
-    x = row(labeled(2, (0,), None))
+    x = row(2, (0,))
     margins = []
     for delta in (-0.5, 0.0, 0.5, 1.0):
         learner = TrainedLearner(
-            dim=2,
             spec=LearnerSpec(kind="linear"),
             params={"w": base + np.array([delta, 0.0]), "b": np.zeros(1)},
         )
@@ -138,12 +130,11 @@ def test_margin_monotone_in_single_weight():
 
 def test_dimension_mismatch():
     learner = TrainedLearner(
-        dim=4,
         spec=LearnerSpec(kind="linear"),
         params={"w": np.zeros(4), "b": np.zeros(1)},
     )
     with pytest.raises(DimensionMismatch):
-        predict_labels(learner, row(labeled(3, (0,), None)))
+        predict_labels(learner, row(3, (0,)))
 
 
 def _masked_sigmoid(t):
@@ -322,13 +313,24 @@ def test_save_model_rejects_a_non_finite_param_and_writes_no_file(kind, value, t
 
 def saved_three_wide_model(kind, tmp_path):
     data = Dataset(
-        [labeled(3, (0,), 1), labeled(3, (1, 2), -1), labeled(3, (0, 2), 1)],
+        [FeatureVector((0,), 1), FeatureVector((1, 2), -1), FeatureVector((0, 2), 1)],
         dimension=3,
     )
     spec = LearnerSpec(kind=kind, epochs=2, hidden_units=4, rng_seed=1)
     path = tmp_path / "m.model"
     save_model(train(spec, *dense(data)), path)
     return path
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_dim_is_the_first_axis_of_the_trained_and_the_loaded_weights(kind, tmp_path):
+    X, y = dense(Dataset(xor_dataset(10).vectors, dimension=7))
+    learner = train(LearnerSpec(kind=kind, epochs=2, hidden_units=3), X, y)
+    assert learner.dim == X.shape[1] == 7
+    path = tmp_path / "m.model"
+    save_model(learner, path)
+    assert "\ndim=7\n" in path.read_text()
+    assert load_model(path).dim == 7
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from malsieve.experiment import synthetic_dataset
-from malsieve.vectorize import save_dataset
+from malsieve.vectorize import Dataset, save_dataset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 EXPECTED = Path(__file__).resolve().parent / "expected"
@@ -85,8 +85,8 @@ def run_chain(inputs: Path, out: Path, coretype: str | None) -> None:
 def write_inputs(inputs: Path) -> None:
     inputs.mkdir()
     data = synthetic_dataset(360, 16, 0.1, seed=1)
-    save_dataset(data.subset(range(240)), inputs / "train.svm")
-    save_dataset(data.subset(range(240, 360)), inputs / "test.svm")
+    save_dataset(Dataset(data.vectors[:240], data.dimension), inputs / "train.svm")
+    save_dataset(Dataset(data.vectors[240:], data.dimension), inputs / "test.svm")
     (inputs / "experiment.cfg").write_text(EXPERIMENT_CONFIG)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from malsieve.errors import EmptyCorpus, FormatError, InvalidConfig
+from malsieve.errors import DimensionMismatch, EmptyCorpus, FormatError, InvalidConfig
+from malsieve.evaluation import SplitSpec, split
 from malsieve.records import FeatureRecord
 from malsieve.vectorize import (
     Dataset,
@@ -94,7 +95,6 @@ def test_vectorize_no_known_features():
     vocab = fixture_vocab()
     v = vectorize(record(perms=["other"], label=-1), vocab)
     assert v.indices == ()
-    assert v.dimension == vocab.dimension
     assert v.label == -1
 
 
@@ -210,7 +210,7 @@ def random_dataset(rng, n=20, dim=15):
     for _ in range(n):
         k = int(rng.integers(0, dim))
         idx = tuple(sorted(rng.choice(dim, size=k, replace=False).tolist()))
-        vectors.append(FeatureVector(dim, idx, int(rng.choice([1, -1]))))
+        vectors.append(FeatureVector(idx, int(rng.choice([1, -1]))))
     return Dataset(vectors, dimension=dim)
 
 
@@ -237,14 +237,14 @@ def test_every_way_of_building_a_dataset_gives_labelled_data(tmp_path):
         "load_dataset": load_dataset(path),
         "vectorize_all": vectorize_all(records, build_vocabulary(records, min_doc_freq=1)),
         "synthetic_dataset": synthetic_dataset(40, 6, 0.1, seed=2),
-        "subset": random_dataset(rng).subset([3, 0, 3, 7]),
+        "split": split(random_dataset(rng), SplitSpec())[0],
     }
     for name, data in built.items():
         assert len(data) and None not in data.labels(), name
 
 
 def test_dataset_header_and_layout(tmp_path):
-    data = Dataset([FeatureVector(4, (0, 3), 1), FeatureVector(4, (), -1)], dimension=4)
+    data = Dataset([FeatureVector((0, 3), 1), FeatureVector((), -1)], dimension=4)
     path = tmp_path / "d.svm"
     save_dataset(data, path)
     assert path.read_text() == "dim=4 n=2\n+1 0 3\n-1\n"
@@ -252,7 +252,7 @@ def test_dataset_header_and_layout(tmp_path):
 
 def test_save_dataset_with_an_unlabeled_vector_creates_no_file(tmp_path):
     # the header and first row used to be written before the error
-    data = Dataset([FeatureVector(3, (0,), 1), FeatureVector(3, (2,), None)], dimension=3)
+    data = Dataset([FeatureVector((0,), 1), FeatureVector((2,), None)], dimension=3)
     path = tmp_path / "d.svm"
     with pytest.raises(FormatError, match="labeled"):
         save_dataset(data, path)
@@ -276,8 +276,8 @@ def test_hand_written_dataset_file(tmp_path):
     path.write_text("dim=5 n=2\n+1 0 2 4\n-1 1\n")
     data = load_dataset(path)
     assert len(data) == 2
-    assert data.vectors[0] == FeatureVector(5, (0, 2, 4), 1)
-    assert data.vectors[1] == FeatureVector(5, (1,), -1)
+    assert data.vectors[0] == FeatureVector((0, 2, 4), 1)
+    assert data.vectors[1] == FeatureVector((1,), -1)
 
 
 def test_dataset_index_at_dimension_rejected(tmp_path):
@@ -326,9 +326,27 @@ INCREASING = "indices must be strictly increasing"
     ((1, 9, 3), INCREASING),  # both: the order is checked first
 ])
 def test_feature_vector_names_its_first_index_fault(indices, message):
-    with pytest.raises(ValueError) as info:
-        FeatureVector(5, indices, 1)
+    # the order is the vector's own check; the range is its dataset's
+    with pytest.raises((ValueError, DimensionMismatch)) as info:
+        Dataset([FeatureVector(indices, 1)], dimension=5)
+    assert type(info.value) is (ValueError if message == INCREASING else DimensionMismatch)
     assert str(info.value) == message
+
+
+def test_dataset_takes_empty_vectors_and_indices_below_its_dimension():
+    data = Dataset([FeatureVector((), 1), FeatureVector((0, 4), -1)], dimension=5)
+    assert [v.indices for v in data.vectors] == [(), (0, 4)]
+    with pytest.raises(DimensionMismatch, match=r"^index 5 >= dimension 5$"):
+        Dataset([FeatureVector((), 1), FeatureVector((0, 5), -1)], dimension=5)
+
+
+def test_feature_vector_to_dense_is_its_row_of_the_dataset_matrix():
+    data = random_dataset(np.random.default_rng(7))
+    X = data.to_dense()
+    for v, expected in zip(data.vectors, X):
+        row = v.to_dense(data.dimension)
+        assert row.dtype == np.uint8
+        assert np.array_equal(row, expected)
 
 
 def test_dataset_non_increasing_indices_rejected(tmp_path):
@@ -373,7 +391,7 @@ def test_vectorize_all_stream():
 
 
 def test_dense_conversion():
-    data = Dataset([FeatureVector(3, (1,), 1), FeatureVector(3, (0, 2), -1)], dimension=3)
+    data = Dataset([FeatureVector((1,), 1), FeatureVector((0, 2), -1)], dimension=3)
     expected = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     assert np.array_equal(data.to_dense(), expected)
     assert data.to_dense().dtype == np.uint8
