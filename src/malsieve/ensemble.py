@@ -44,8 +44,8 @@ from .errors import (
 from .learners import (
     LearnerSpec,
     TrainedLearner,
+    decision_values,
     load_model,
-    predict_labels,
     save_model,
     sign_labels,
     train,
@@ -162,7 +162,9 @@ def precompute_predictions(learners: Sequence[TrainedLearner], data: Dataset) ->
     sample, densified a block of rows at a time so memory stays flat in M.
     Each uint8 block is widened to float64 once, for all N learners: numpy
     would otherwise widen it inside every learner's product. A learner of
-    another dimension than data's raises DimensionMismatch, even on no rows."""
+    another dimension than data's raises DimensionMismatch, even on no rows;
+    after that one check, each block's labels are the learners' margins
+    through `sign_labels`, so `predict_labels`' own check is not repeated."""
     for learner in learners:
         if learner.dim != data.dimension:
             raise DimensionMismatch(
@@ -173,7 +175,7 @@ def precompute_predictions(learners: Sequence[TrainedLearner], data: Dataset) ->
         rows = slice(start, start + _BLOCK_ROWS)
         X = data.to_dense(rows).astype(np.float64)
         for i, learner in enumerate(learners):
-            matrix[i, rows] = predict_labels(learner, X)
+            matrix[i, rows] = sign_labels(decision_values(learner.kind, learner.params, X))
     return matrix
 
 

@@ -25,13 +25,17 @@ float64, so every product runs on float64 operands.
 A model file holds each parameter as one row of `float.hex` text,
 row-major. `save_model` writes it with `hex_floats`, one array pass per
 block of values that gives the same bytes as a `float.hex` call per
-value; `load_model` reads it back with `float.fromhex`, so the round
-trip is exact. The file's header (dim and the spec) fixes the name and
-shape of every row, so `load_model` checks a row's name and shape text
-against it before it decodes the values. It decodes a row with
-`hex_values`, a slice of text at a time, so no row becomes one list of
-token strings, and refuses a finite value without float.hex's 0x prefix.
-A non-finite value is neither saved nor loaded.
+value. The file's header (dim and the spec) fixes the name and shape of
+every row, so `load_model` checks a row's name and shape text against it
+before it decodes the values, with `hex_values`, into an array of that
+shape. `hex_values` decodes a slice of text at a time, so no row becomes
+one list of token strings. A slice of `hex_floats` text goes through the
+encoder's own tables, backwards: the prefix and `p<exponent> ` words
+matched, the 13 mantissa digits read by one `binascii.unhexlify`, so
+the round trip is exact. Any other slice is read token by token with
+`float.fromhex`, which still accepts its other spellings (`0x1.8p+0`,
+tabs, upper case), and refuses a finite value without float.hex's 0x
+prefix. A non-finite value is neither saved nor loaded.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from __future__ import annotations
 import binascii
 import os
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
@@ -290,38 +293,123 @@ def hex_floats(values: np.ndarray) -> str:
     )
 
 
-# characters of a param row that `hex_values` decodes at once; its text
-# and token list stay far below the size of a W1 row's
+# characters of a param row that `hex_values` decodes at once, cut at a
+# space: on `hex_floats` text, whose tokens take 9 characters or more with
+# their space, every temporary of a slice stays under the mmap threshold
 _DECODE_SLICE = 1 << 16
 
+# the decoder's tables: the zero token's one word, the biased exponents
+# 1..2046 in the order of their words, so `_SORTED_SUFFIX` is sorted (by
+# Python's sort: numpy's first sort pages in 0.4 MB of its code), and by
+# token length (sign excluded) the mask that keeps a token's
+# `p<exponent> ` word, 0 for a length no nonzero token has
+_ZERO_WORD = _words(["0x0.0p+0"])[0]
+_EXPONENTS = np.array(sorted(range(1, 2047), key=_HEX_SUFFIX.tolist().__getitem__), np.uint64)
+_SORTED_SUFFIX = _HEX_SUFFIX[_EXPONENTS]
+_SUFFIX_MASK = np.array(
+    [(1 << 8 * (n - 16)) - 1 if 20 <= n <= 23 else 0 for n in range(24)], np.uint64
+)
 
-def hex_values(text: str, start: int = 0) -> np.ndarray:
-    """The float64 values of the whitespace-separated tokens of
-    text[start:], each read by `float.fromhex`, decoded a slice of about
-    _DECODE_SLICE characters at a time, cut at a space. A finite value
-    must carry float.hex's `0x` prefix (`0x...`, `-0x...`): a token without
-    it, such as the decimal-looking `1.5` that `float.fromhex` would read
-    as hex, raises ValueError. Non-finite tokens (`nan`, `-inf`) are read,
-    for the caller to refuse."""
 
-    def slices():
-        begin = start
-        while begin < len(text):
-            end = text.find(" ", begin + _DECODE_SLICE)
-            if end < 0:
-                end = len(text)
-            yield text[begin:end]
-            begin = end + 1
+def _table_decode(text: str, out: np.ndarray) -> int | None:
+    """Write the bits of text's tokens to the start of the uint64 `out`
+    and return how many there are, or None unless text is `hex_floats`
+    output: tokens `[-]0x1.<13 digits>p<exponent>`, subnormal
+    `[-]0x0.<13 digits>p-1022` or `[-]0x0.0p+0`, joined by single spaces
+    (the digits may be upper case, which unhexlify reads as float.fromhex
+    does). Each step is one array pass that matches `hex_floats`' words."""
+    if not text.isascii():
+        return None
+    # a space ends the last token, and the padding keeps the words read
+    # from any token of up to 23 characters inside the buffer
+    buf = np.zeros(len(text) + 32, np.uint8)
+    buf[: len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
+    buf[len(text)] = ord(" ")
+    ends = np.flatnonzero(buf[: len(text) + 1] == ord(" "))
+    body = np.empty_like(ends)  # where each token starts, past its sign
+    body[0] = 0
+    body[1:] = ends[:-1] + 1
+    negative = buf[body] == ord("-")
+    body += negative
+    length = ends - body
+    if length.max() > 23:
+        return None
+    # the 8 bytes from each offset as one word (a view, one byte apart); a
+    # token's word at an offset is its text there, null-padded to 8 bytes,
+    # once masked
+    words = np.ndarray((len(buf) - 7,), np.uint64, buf, strides=(1,))
+    head = words[body]
+    zero = (head == _ZERO_WORD) & (length == 8)
+    head &= 0xFFFFFFFF
+    normal = head == _HEX_PREFIX[1]
+    # 16 hex digits for unhexlify: three zeros, then the 13 of the token
+    digits = np.empty((len(body), 2), np.uint64)
+    np.bitwise_and(words[body + 1], 0xFFFFFFFFFF000000, out=digits[:, 0])
+    digits[:, 0] |= 0x303030
+    digits[:, 1] = words[body + 9]
+    digits[zero] = 0x3030303030303030
+    try:
+        mantissa = np.frombuffer(binascii.unhexlify(digits), ">u8")
+    except binascii.Error:
+        return None
+    suffix = words[body + 17]
+    suffix &= _SUFFIX_MASK[length]
+    slot = np.searchsorted(_SORTED_SUFFIX, suffix)
+    np.minimum(slot, len(_SORTED_SUFFIX) - 1, out=slot)
+    normal &= _SORTED_SUFFIX[slot] == suffix
+    subnormal = (head == _HEX_PREFIX[0]) & (suffix == _HEX_SUFFIX[0])
+    if not np.all(zero | normal | subnormal):
+        return None
+    if len(ends) > len(out):
+        raise ValueError("more values than the param's shape holds")
+    bits = out[: len(ends)]
+    np.multiply(_EXPONENTS[slot], normal, out=bits)
+    bits <<= 52
+    bits |= mantissa
+    bits |= negative.astype(np.uint64) << 63
+    return len(ends)
 
-    values = np.fromiter(
-        chain.from_iterable(map(float.fromhex, s.split()) for s in slices()), np.float64
-    )
-    # a token `float.fromhex` reads holds an "x" only in its 0x prefix, and
-    # every token with one is finite; so all finite values carry the
-    # prefix exactly when the "x"s are as many (a one-character count is
-    # several times faster than one of "0x")
-    if text.count("x", start) != np.count_nonzero(np.isfinite(values)):
-        raise ValueError("a finite value without float.hex's 0x prefix")
+
+def hex_values(text: str, start: int, shape: int | tuple[int, ...]) -> np.ndarray:
+    """The float64 array of `shape` that the whitespace-separated tokens
+    of text[start:] fill row-major, each read as `float.fromhex` reads it;
+    another number of tokens is ValueError. It is decoded a slice of about
+    _DECODE_SLICE characters at a time, cut at a space. A slice of
+    `hex_floats` output is decoded through its tables, the exact inverse;
+    any other slice token by token with `float.fromhex`, so it reads
+    whatever that reads (other spacing, `0x1.8p+0`, `+0x1p0`, `p-0`, upper
+    case), with one rule of its own: a finite value must carry float.hex's
+    `0x` prefix (`0x...`, `-0x...`), so a token without it, such as the
+    decimal-looking `1.5` that `float.fromhex` would read as hex, raises
+    ValueError. Non-finite tokens (`nan`, `-inf`) are read, for the caller
+    to refuse."""
+    values = np.empty(shape)
+    out = values.reshape(-1)
+    filled = 0
+    begin = start
+    while begin < len(text):
+        end = text.find(" ", begin + _DECODE_SLICE)
+        if end < 0:
+            end = len(text)
+        piece = text[begin:end]
+        # decoded in place: a slice's values never exist apart from `out`
+        count = _table_decode(piece, out[filled:].view(np.uint64))
+        if count is None:
+            decoded = np.fromiter(map(float.fromhex, piece.split()), np.float64)
+            # a token `float.fromhex` reads holds an "x" only in its 0x
+            # prefix, and every token with one is finite; so all finite
+            # values carry the prefix exactly when the "x"s are as many (a
+            # one-character count is several times faster than one of "0x")
+            if piece.count("x") != np.count_nonzero(np.isfinite(decoded)):
+                raise ValueError("a finite value without float.hex's 0x prefix")
+            count = len(decoded)
+            if count > out.size - filled:
+                raise ValueError("more values than the param's shape holds")
+            out[filled : filled + count] = decoded
+        filled += count
+        begin = end + 1
+    if filled != out.size:
+        raise ValueError("fewer values than the param's shape holds")
     return values
 
 
@@ -370,7 +458,7 @@ def load_model(path: str | os.PathLike) -> TrainedLearner:
         if shape_text != (declared := "x".join(map(str, shapes[name]))):
             raise FormatError(f"param {name} has shape {shape_text}, expected {declared}", lineno)
         try:
-            params[name] = hex_values(row, shape_end + 1).reshape(shapes[name])
+            params[name] = hex_values(row, shape_end + 1, shapes[name])
         except (ValueError, OverflowError):  # fromhex overflows past 2**1024
             raise FormatError("bad param line", lineno)
         if not np.all(np.isfinite(params[name])):

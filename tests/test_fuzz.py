@@ -653,7 +653,7 @@ def test_hex_values_across_slice_boundaries(sep, offset):
     for size in (0, 1, per_slice + offset, 2 * per_slice + offset):
         values = rng.uniform(1.0, 2.0, size=size)
         text = sep.join(map(float.hex, values.tolist()))
-        decoded = malsieve.learners.hex_values("w 1 " + text, 4)
+        decoded = malsieve.learners.hex_values("w 1 " + text, 4, size)
         assert decoded.tobytes() == fromhex_per_token(text).tobytes() == values.tobytes()
 
 
@@ -665,5 +665,89 @@ def test_hex_values_equal_the_per_token_decoder_for_any_slice(pairs, slice_chars
     values = np.array([bits for bits, _ in pairs], dtype=np.uint64).view(np.float64)
     text = "".join(value.hex() + sep for value, (_, sep) in zip(values.tolist(), pairs))
     with mock.patch.object(malsieve.learners, "_DECODE_SLICE", slice_chars):
-        decoded = malsieve.learners.hex_values(text)
+        decoded = malsieve.learners.hex_values(text, 0, len(values))
     assert decoded.tobytes() == fromhex_per_token(text).tobytes() == values.tobytes()
+
+
+# --- the table decoder of `hex_floats` text ---
+
+def decoded_through_tables(text: str, size: int) -> tuple[np.ndarray, list]:
+    """`hex_values`' values of text, and for each slice the count of values
+    its table decoder read, or None where the slice fell back."""
+    counts = []
+    table = malsieve.learners._table_decode
+
+    def spy(piece, out):
+        counts.append(table(piece, out))
+        return counts[-1]
+
+    with mock.patch.object(malsieve.learners, "_table_decode", spy):
+        return malsieve.learners.hex_values(text, 0, size), counts
+
+
+@seed(443)
+@FUZZ
+@given(st.lists(FINITE_BITS, min_size=1, max_size=40), st.integers(1, 200))
+def test_hex_floats_text_is_decoded_through_the_tables_for_any_slice(bits, slice_chars):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    text = " ".join(map(float.hex, values.tolist()))
+    with mock.patch.object(malsieve.learners, "_DECODE_SLICE", slice_chars):
+        decoded, counts = decoded_through_tables(text, len(values))
+    assert None not in counts and sum(counts) == len(values)
+    assert decoded.tobytes() == fromhex_per_token(text).tobytes() == values.tobytes()
+
+
+def test_edge_values_are_decoded_through_the_tables():
+    values = np.array(EDGE_VALUES * 3)
+    text = hex_floats(values)
+    decoded, counts = decoded_through_tables(text, len(values))
+    assert counts == [len(values)]
+    assert decoded.tobytes() == values.tobytes()
+
+
+# spellings `float.fromhex` reads and `float.hex` never writes, but
+# `-0x0.0p+0`, which it writes for -0.0
+FROMHEX_SPELLINGS = [
+    "0x1.8p+0", "0x1p0", "+0x1p0", "0x1.ABCp+0", "0x1.8P+0",
+    "0x1.8000000000000p+01", "0x1.8000000000000p-0", "-0x0.0p+0",
+]
+
+
+@pytest.mark.parametrize("token", FROMHEX_SPELLINGS)
+@pytest.mark.parametrize("index", [0, 150, 299], ids=["first", "middle", "last"])
+def test_a_spelling_float_hex_does_not_write_is_read_as_float_fromhex_reads_it(token, index):
+    tokens = list(map(float.hex, np.random.default_rng(index).uniform(-2, 2, 300).tolist()))
+    tokens[index] = token
+    text = " ".join(tokens)
+    decoded, counts = decoded_through_tables(text, len(tokens))
+    assert decoded.tobytes() == fromhex_per_token(text).tobytes()
+    assert (counts == [None]) == (token != float.fromhex(token).hex())
+
+
+@pytest.mark.parametrize("sep", ["\u2003", "\x1c"], ids=["em-space", "file-separator"])
+def test_a_separator_str_split_splits_at_is_read_as_it_always_was(sep):
+    # str.split splits at non-ASCII and control whitespace too
+    tokens = list(map(float.hex, np.random.default_rng(5).uniform(-2, 2, 300).tolist()))
+    text = " ".join(tokens[:150]) + sep + " ".join(tokens[150:])
+    decoded, counts = decoded_through_tables(text, len(tokens))
+    assert counts == [None]
+    assert decoded.tobytes() == fromhex_per_token(text).tobytes()
+
+
+def test_upper_case_mantissa_digits_read_as_float_fromhex_reads_them():
+    # unhexlify reads them as fromhex does, so the tables decode them
+    text = "0x1.ABCDEF0123456p+0 -0x0.FFFFFFFFFFFFFp-1022"
+    decoded, counts = decoded_through_tables(text, 2)
+    assert counts == [2]
+    assert decoded.tobytes() == fromhex_per_token(text).tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "0x1.8000000000000p+0 0x1.0000000000000p+1 0x0.0p+0",
+    "0x1.8p+0 0x1p+1 0x0.0p+0",
+], ids=["tables", "fallback"])
+@pytest.mark.parametrize("size, message", [(2, "more"), (4, "fewer")])
+def test_hex_values_refuses_another_number_of_values_than_the_shape(text, size, message):
+    assert malsieve.learners.hex_values(text, 0, (3, 1)).reshape(-1).tolist() == [1.5, 2.0, 0.0]
+    with pytest.raises(ValueError, match=f"^{message} values than"):
+        malsieve.learners.hex_values(text, 0, size)

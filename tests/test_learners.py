@@ -401,6 +401,33 @@ def test_load_model_rejects_hex_float_past_the_float_range(tmp_path):
     assert info.value.line == len(lines)
 
 
+@pytest.mark.parametrize("token, message", [
+    ("1.5", "bad param line"),
+    ("nan", "non-finite"),
+    ("0x1p+1024", "bad param line"),
+    ("0X1P0", "bad param line"),
+    ("0x0.0p+0_fffffffffff", "bad param line"),  # zero's text, then more
+])
+@pytest.mark.parametrize("index", [0, 4000, 8999], ids=["start", "middle", "end"])
+def test_a_bad_token_in_a_long_row_keeps_its_error_and_line(token, message, index, tmp_path):
+    # a 9000-value row is decoded in several slices; all but the one with
+    # the bad token are `hex_floats` text, which the tables decode
+    weights = np.random.default_rng(index).uniform(-1.0, 1.0, 9000)
+    learner = TrainedLearner(LearnerSpec(kind="linear"), {"w": weights, "b": np.array([0.5])})
+    path = tmp_path / "m.model"
+    save_model(learner, path)
+    lines = path.read_text().splitlines()
+    row = next(k for k, line in enumerate(lines) if line.startswith("param w "))
+    tokens = lines[row].split(" ")
+    assert len(tokens) == 3 + 9000
+    tokens[3 + index] = token
+    lines[row] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=message) as info:
+        load_model(path)
+    assert info.value.line == row + 1
+
+
 def test_load_model_rejects_a_header_key_given_twice(tmp_path):
     # the last epochs= used to win silently
     path = saved_three_wide_model("linear", tmp_path)
@@ -545,7 +572,7 @@ def test_load_model_refuses_a_param_row_before_decoding_it(
     path.write_text("\n".join(lines) + "\n")
     decoded = []
     monkeypatch.setattr(malsieve.learners, "hex_values",
-                        lambda text, start=0: decoded.append(text) or hex_values(text, start))
+                        lambda text, *rest: decoded.append(text) or hex_values(text, *rest))
     with pytest.raises(FormatError) as info:
         load_model(path)
     assert info.value.line == index + 1

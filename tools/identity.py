@@ -39,7 +39,9 @@ gets:
       logs (apk-scan only; they name each APK relative to the inputs
       directory), vocabulary, dataset, every pool file, selection, GA
       report, evaluate lines (evaluate.txt with the selection,
-      evaluate-all.txt without it, so every learner votes) and predictions
+      evaluate-all.txt without it, so every learner votes) and predictions;
+      pool-reloaded/ is `save_pool(load_pool(pool))`, and the script fails
+      unless it equals pool/ byte for byte
   apk-scan-linear/
       the apk-scan chain from the same records with a linear pool. A
       linear weight of a feature that none of a learner's bootstrap rows
@@ -90,17 +92,34 @@ def cli(*argv: str, code: int = 0) -> tuple[str, str]:
     return out.getvalue(), err.getvalue()
 
 
+def reload_pool(pool: Path, out: Path) -> None:
+    """Save the pool `load_pool` reads from `pool` to `out`, and exit
+    unless every file there has the bytes of its namesake in `pool`: the
+    model file decoder and encoder are each other's inverse on it."""
+    from malsieve import ensemble
+
+    ensemble.save_pool(ensemble.load_pool(pool), out)
+    names = sorted(p.name for p in pool.iterdir())
+    if sorted(p.name for p in out.iterdir()) != names:
+        sys.exit(f"{out} does not hold the files of {pool}")
+    for name in names:
+        if (out / name).read_bytes() != (pool / name).read_bytes():
+            sys.exit(f"{out / name} differs from {pool / name}")
+
+
 def cli_chain(out: Path, train: Path, batch: Path, pool_size: int, epochs: int,
               learner: str = "mlp") -> None:
     """vectorize, train-pool, select, evaluate (with the selection, and
     without it, so every learner votes) and predict, as the CLI workloads
-    of the benchmark run them; their pools are MLPs."""
+    of the benchmark run them; their pools are MLPs. The pool is also
+    reloaded and saved again, to pool-reloaded/."""
     vocab, dataset, pool, selection = (
         out / "vocab.tsv", out / "train.svm", out / "pool", out / "selection.txt"
     )
     cli("vectorize", str(train), "--vocab-out", str(vocab), "--dataset-out", str(dataset))
     cli("train-pool", str(dataset), "--out", str(pool), "--pool-size", str(pool_size),
         "--learner", learner, "--epochs", str(epochs), "--seed", str(SEED))
+    reload_pool(pool, out / "pool-reloaded")
     cli("select", str(pool), str(dataset), "--out", str(selection),
         "--report", str(out / "ga-report.txt"), "--seed", str(SEED))
     line, _ = cli("evaluate", str(pool), str(dataset), "--selection", str(selection))
